@@ -978,11 +978,8 @@ let d2_sim_throughput () =
   let t =
     Tab.create
       ~title:
-        "D2  Simulator throughput: sharded active-set core, native vs Theorem 1 X-tree vs Theorem 3 hypercube hosts"
-      [
-        "r"; "workload"; "host"; "shards"; "cycles"; "delivered"; "hops";
-        "max queue"; "kmsg/s"; "Mcycle/s";
-      ]
+        "D2  Simulator throughput: active-set core, native vs Theorem 1 X-tree vs Theorem 3 hypercube hosts"
+      [ "r"; "workload"; "host"; "cycles"; "delivered"; "hops"; "max queue"; "kmsg/s"; "Mcycle/s" ]
   in
   List.iter
     (fun r ->
@@ -990,12 +987,6 @@ let d2_sim_throughput () =
       let tree = tree_of "uniform" n in
       let t1 = Theorem1.embed tree in
       let t3 = Hypercube_transfer.embed tree in
-      (* The domains axis: the large instances re-run under the sharded
-         cycle-barrier core. Every non-timing column is bit-identical
-         across the sweep — only the throughput columns move. Cases run
-         sequentially (domains:1) so the shard pool owns the domain
-         budget and the per-case wall clocks are undistorted. *)
-      let shard_axis = if r >= 10 then [ 1; 2; 4 ] else [ 1 ] in
       List.iter
         (fun (w : Workload.spec) ->
           let cases =
@@ -1009,30 +1000,28 @@ let d2_sim_throughput () =
                 w t3.Hypercube_transfer.embedding;
             ]
           in
+          (* cases run one after another (domains:1), so each replay's
+             wall clock, and with it the rate columns, is its own *)
           List.iter
-            (fun shards ->
-              List.iter
-                (fun (o : Workload.outcome) ->
-                  let rate scale v =
-                    if !live_timings && o.Workload.seconds > 0. then
-                      Printf.sprintf "%.1f" (float_of_int v /. o.Workload.seconds /. scale)
-                    else "-"
-                  in
-                  Tab.add_row t
-                    [
-                      string_of_int r;
-                      w.Workload.name;
-                      o.Workload.case.Workload.label;
-                      string_of_int shards;
-                      string_of_int o.Workload.cycles;
-                      string_of_int o.Workload.delivered;
-                      string_of_int o.Workload.hops;
-                      string_of_int o.Workload.max_queue;
-                      rate 1e3 o.Workload.delivered;
-                      rate 1e6 o.Workload.cycles;
-                    ])
-                (Workload.run_suite ~shards ~domains:1 cases))
-            shard_axis)
+            (fun (o : Workload.outcome) ->
+              let rate scale v =
+                if !live_timings && o.Workload.seconds > 0. then
+                  Printf.sprintf "%.1f" (float_of_int v /. o.Workload.seconds /. scale)
+                else "-"
+              in
+              Tab.add_row t
+                [
+                  string_of_int r;
+                  w.Workload.name;
+                  o.Workload.case.Workload.label;
+                  string_of_int o.Workload.cycles;
+                  string_of_int o.Workload.delivered;
+                  string_of_int o.Workload.hops;
+                  string_of_int o.Workload.max_queue;
+                  rate 1e3 o.Workload.delivered;
+                  rate 1e6 o.Workload.cycles;
+                ])
+            (Workload.run_suite ~domains:1 cases))
         [ Workload.reduction; Workload.pingpong_sweep; Workload.permutation ])
     [ 5; 7; 9; 10 ];
   t

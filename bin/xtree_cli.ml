@@ -459,15 +459,7 @@ let suite_arg =
   let doc = "Replay every workload (natively and embedded) and print one table." in
   Arg.(value & flag & info [ "suite" ] ~doc)
 
-let shards_arg =
-  let doc =
-    "Partition the simulated host across N domain lanes (cycle-barrier \
-     sharding). Results are bit-identical at every setting; only the wall \
-     clock changes."
-  in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
-
-let simulate_suite ~family ~size ~link_capacity ~service_rate ~shards t
+let simulate_suite ~family ~size ~link_capacity ~service_rate t
     (res : Theorem1.result) =
   let cases =
     List.concat_map
@@ -475,7 +467,7 @@ let simulate_suite ~family ~size ~link_capacity ~service_rate ~shards t
         [ Workload.native_case w t; Workload.embedded_case w res.Theorem1.embedding ])
       Workload.workloads
   in
-  let outcomes = Workload.run_suite ~link_capacity ?service_rate ~shards cases in
+  let outcomes = Workload.run_suite ~link_capacity ?service_rate cases in
   let tab =
     Tab.create
       ~title:
@@ -501,14 +493,20 @@ let simulate_suite ~family ~size ~link_capacity ~service_rate ~shards t
   rows outcomes;
   Tab.print tab
 
-let simulate_run family size seed workload link_capacity service_rate suite shards tm =
+let simulate_run family size seed workload link_capacity service_rate suite tm =
+  if link_capacity <= 0 then begin
+    Printf.eprintf "link capacity must be positive\n";
+    exit 2
+  end;
+  if service_rate < 0 then begin
+    Printf.eprintf "service rate must be positive (or 0 for unlimited)\n";
+    exit 2
+  end;
   let service_rate = if service_rate = 0 then None else Some service_rate in
   obs_begin tm;
   let t = make_tree family size seed in
   let res = Theorem1.embed t in
-  (* the shard count is deliberately absent from the output: the
-     @shard-smoke alias byte-diffs runs at different --shards values *)
-  (if suite then simulate_suite ~family ~size ~link_capacity ~service_rate ~shards t res
+  (if suite then simulate_suite ~family ~size ~link_capacity ~service_rate t res
    else
      match
        List.find_opt (fun (w : Workload.spec) -> w.Workload.name = workload) Workload.workloads
@@ -517,10 +515,8 @@ let simulate_run family size seed workload link_capacity service_rate suite shar
          Printf.eprintf "unknown workload %S\n" workload;
          exit 2
      | Some w ->
-         let native = Workload.run_native ~link_capacity ?service_rate ~shards w t in
-         let sim, embedded =
-           Workload.run_on ~link_capacity ?service_rate ~shards w res.Theorem1.embedding
-         in
+         let native = Workload.run_native ~link_capacity ?service_rate w t in
+         let sim, embedded = Workload.run_on ~link_capacity ?service_rate w res.Theorem1.embedding in
          Printf.printf "%s on %s (n=%d): native=%d cycles, on X(%d)=%d cycles, slowdown %.2fx\n"
            workload family size native res.Theorem1.height embedded
            (float_of_int embedded /. float_of_int (max 1 native));
@@ -542,7 +538,7 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc)
     Term.(
       const simulate_run $ family_arg $ size_arg $ seed_arg $ workload_arg
-      $ link_capacity_arg $ service_rate_arg $ suite_arg $ shards_arg $ telemetry_term)
+      $ link_capacity_arg $ service_rate_arg $ suite_arg $ telemetry_term)
 
 (* ---------------- neighbourhood ---------------- *)
 

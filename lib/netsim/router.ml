@@ -109,12 +109,12 @@ let build t dst =
   t.parent_rows.(dst) <- parent
 
 (* Prebuild every dense row so [next_hop] never mutates the router
-   afterwards — required before sharing one router across the lanes of a
-   sharded simulation (lazy building from two domains would race on the
-   row slots). Each destination's rows are independent (distinct array
-   slots, deterministic BFS content), so the fill itself fans out over
-   the domain pool. Tree-mode routers are immutable after [create]
-   already; warming one is a no-op. *)
+   afterwards — required before sharing one router across domains (lazy
+   building from two domains would race on the row slots). Each
+   destination's rows are independent (distinct array slots,
+   deterministic BFS content), so the fill itself fans out over the
+   domain pool. Tree-mode routers are immutable after [create] already;
+   warming one is a no-op. *)
 let warm t =
   if not t.tree then
     Xt_prelude.Parallel.parallel_for (Graph.n t.graph) (fun dst ->

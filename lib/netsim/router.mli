@@ -23,8 +23,8 @@ val create : ?dense:bool -> Xt_topology.Graph.t -> t
 val warm : t -> unit
 (** Precompute every lazy next-hop row (fanned over the domain pool;
     no-op in tree mode). After [warm] the router is never mutated, so it
-    can be shared read-only across the domains of a sharded
-    simulation. *)
+    can be shared read-only across domains, and routing never pays a
+    row build. *)
 
 val next_hop : t -> current:int -> dst:int -> int
 (** The neighbour to forward to. Raises [Invalid_argument] if

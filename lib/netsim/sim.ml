@@ -1,13 +1,10 @@
 open Xt_obs
 open Xt_topology
-module Parallel = Xt_prelude.Parallel
 
 let c_sent = Obs.counter "netsim.sent"
 let c_delivered = Obs.counter "netsim.delivered"
 let c_hops = Obs.counter "netsim.hops"
-let c_boundary = Obs.counter "netsim.shard.boundary_msgs"
 let h_latency = Obs.histogram "netsim.latency_cycles"
-let h_barrier_wait = Obs.histogram "netsim.shard.barrier_wait_ns"
 
 (* Directed-link index: the undirected edge id from [Graph.edge_index]
    doubled, plus the direction bit (0 = towards the higher-numbered
@@ -31,91 +28,24 @@ let link_index g ~at ~hop = (2 * Graph.edge_index g at hop) + if at < hop then 0
    [run] skips the idle cycles entirely and fast-forwards the message
    along its whole remaining route in one jump.
 
-   Sharding. The host's vertices are partitioned into [nshards]
-   contiguous shards (on an X-tree host the partition follows the
-   recursive cut: each level's index range is split into equal wedges,
-   so a shard owns a sub-X-tree-shaped slab and cross-shard edges are
-   confined to the wedge boundaries; any other host falls back to equal
-   contiguous id ranges). A directed link is owned by the shard of its
-   RECEIVING endpoint, so the link drain — the pop side — touches only
-   owner state. That choice is what makes the parallel schedule
-   deterministic without any cross-shard ordering protocol: every
-   message pushed into ring (at -> hop) during a cycle was popped this
-   cycle at vertex [at], and all of [at]'s incoming links belong to
-   shard(at) — so each ring receives pushes from exactly ONE shard per
-   cycle, in that shard's drain order, which is the sequential
-   link-index order restricted to its links. Cross-shard forwards
-   (shard(at) <> shard(hop)) are staged in per-target outboxes as
-   (link, dst, tag, sent) quads and applied by the TARGET shard after a
-   barrier, in source-shard-then-FIFO order — again the sequential
-   order, because a given ring only ever has one source shard.
-
-   A stepped cycle is three barrier-separated phases on the
-   [Xt_prelude.Parallel] pool (one lane per shard):
-
-     1. links    — pop up to capacity per owned link in index order,
-                   re-enqueue locally or stage boundary quads;
-     2. boundary — adopt quads addressed to us (alloc in our arena,
-                   push into our rings);
-     3. service  — pop up to service_rate per owned inbox in vertex
-                   order into the per-shard served batch.
-
-   Phase bodies write only shard-owned state (rings, arenas, active
-   sets are owned; [link_load] and ring slots are indexed by owned
-   link), so the barriers are the only synchronisation needed. Delivery
-   callbacks are user code and run on the calling domain only: after
-   phase 3 the per-shard served batches are merged by walking each
-   backwards and always taking the highest vertex — exactly the
-   descending-vertex, reverse-pop order the sequential core produces.
-   Results are therefore bit-identical at every shard count, which the
-   equivalence suite checks against [Sim_ref] at shards {1,2,4}.
-
-   The 1-shard path never touches outboxes or the pool — it IS the
-   frozen PR 5 sequential core, and keeps its allocation-free
-   steady-state guarantee. *)
-
-type shard = {
-  (* message arena: parallel fields indexed by shard-local message id *)
-  mutable msg_dst : int array;
-  mutable msg_tag : int array;
-  mutable msg_sent : int array;   (* injection cycle *)
-  mutable free_ids : int array;   (* recycled ids, stack of size [n_free] *)
-  mutable n_free : int;
-  mutable arena_top : int;        (* ids below this have been handed out *)
-  (* active sets: dense stacks of the shard's non-empty links / inboxes;
-     sized to the owned-link / owned-vertex counts, so they never grow *)
-  act_link : int array;
-  mutable n_act_link : int;
-  act_inbox : int array;
-  mutable n_act_inbox : int;
-  (* per-cycle scratch, persistent so the run loop reallocates nothing *)
-  mutable moved_id : int array;   (* message popped off a link this cycle *)
-  mutable moved_at : int array;   (* ... and the endpoint it arrived at *)
-  mutable nmoved : int;
-  mutable served : int array;     (* messages completing service this cycle *)
-  mutable served_at : int array;  (* ... at which vertex (for the merge) *)
-  mutable nserved : int;
-  mutable nkeep : int;            (* compaction cursor for the active sets *)
-  mutable nboundary : int;        (* quads staged this cycle *)
-  (* boundary outboxes: per target shard, (link, dst, tag, sent) quads *)
-  out : int array array;
-  out_len : int array;
-  mutable high_water : int;
-  mutable inbox_high_water : int;
-  mutable busy_ns : int;          (* this cycle's phase work, for barrier-wait *)
-}
+   A stepped cycle is two passes over the active sets: [drain_links]
+   moves every non-empty link one batch forward, then [serve_inboxes]
+   completes up to [service_rate] messages per non-empty inbox, and the
+   served batch is handed to the delivery callbacks. *)
 
 type t = {
   graph : Graph.t;
   router : Router.t;
   link_capacity : int;
   service_rate : int;
-  nshards : int;
-  vshard : int array;             (* vertex -> owning shard *)
-  lshard : int array;             (* directed link -> shard of its receiver *)
-  shards : shard array;
-  (* FIFO ring per directed link, holding message ids; slots are only
-     ever touched by the owning shard's lane *)
+  (* message arena: parallel fields indexed by message id *)
+  mutable msg_dst : int array;
+  mutable msg_tag : int array;
+  mutable msg_sent : int array;   (* injection cycle *)
+  mutable free_ids : int array;   (* recycled ids, stack of size [n_free] *)
+  mutable n_free : int;
+  mutable arena_top : int;        (* ids below this have been handed out *)
+  (* FIFO ring per directed link, holding message ids *)
   lring : int array array;
   lhead : int array;
   llen : int array;
@@ -125,30 +55,28 @@ type t = {
   iring : int array array;
   ihead : int array;
   ilen : int array;
-  (* in-set flags for the active sets. These are int (word) arrays, not
-     Bytes: distinct shards write distinct indices concurrently, and
-     per-element word stores are unambiguously race-free under the
-     OCaml memory model, where adjacent byte stores would rely on the
-     hardware's byte-granular atomicity. *)
+  (* active sets: dense stacks of the non-empty links / inboxes, with
+     their in-set flags; sized to 2m / n, so they never grow *)
+  act_link : int array;
+  mutable n_act_link : int;
   link_in_set : int array;
+  act_inbox : int array;
+  mutable n_act_inbox : int;
   inbox_in_set : int array;
-  cursor : int array;             (* delivery-merge cursor, one per shard *)
-  mutable phases : (int -> unit) list; (* preallocated; one closure per phase *)
+  (* per-cycle scratch, persistent so the run loop reallocates nothing *)
+  mutable moved_id : int array;   (* message popped off a link this cycle *)
+  mutable moved_at : int array;   (* ... and the endpoint it arrived at *)
+  mutable nmoved : int;
+  mutable served : int array;     (* messages completing service this cycle *)
+  mutable nserved : int;
+  mutable nkeep : int;            (* compaction cursor for the active sets *)
+  mutable high_water : int;
+  mutable inbox_high_water : int;
   mutable cycle : int;
   mutable in_flight : int;
   mutable delivered : int;
   mutable latencies : int array;  (* first [nlat] entries, delivery order *)
   mutable nlat : int;
-  (* Adaptive sparse-cycle cutoff (see [step_par]): the phase bodies time
-     themselves into [busy_ns] when [measure_cycle] is set — on every
-     metered cycle, plus a 1-in-64 sample otherwise — and the EWMA cost
-     models below turn those samples into the break-even active-queue
-     count for a pool dispatch. *)
-  mutable measure_cycle : bool;
-  mutable cutoff_active : int;    (* dispatch to the pool at >= this many active queues *)
-  mutable barrier_ns : int;       (* EWMA dispatch overhead: wall minus critical lane *)
-  mutable queue_ns : int;         (* EWMA inline cost per active queue *)
-  mutable sample_tick : int;
 }
 
 type handler = tag:int -> t -> unit
@@ -156,43 +84,43 @@ type handler = tag:int -> t -> unit
 let empty_ring : int array = [||]
 
 (* ------------------------------------------------------------------ *)
-(* Message arena (one per shard)                                       *)
+(* Message arena                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let grow_arena sh =
-  let cap = Array.length sh.msg_dst in
+let grow_arena t =
+  let cap = Array.length t.msg_dst in
   let grow a =
     let b = Array.make (2 * cap) 0 in
     Array.blit a 0 b 0 cap;
     b
   in
-  sh.msg_dst <- grow sh.msg_dst;
-  sh.msg_tag <- grow sh.msg_tag;
-  sh.msg_sent <- grow sh.msg_sent;
-  sh.free_ids <- grow sh.free_ids
+  t.msg_dst <- grow t.msg_dst;
+  t.msg_tag <- grow t.msg_tag;
+  t.msg_sent <- grow t.msg_sent;
+  t.free_ids <- grow t.free_ids
 
-let alloc_msg sh ~dst ~tag ~sent =
+let alloc_msg t ~dst ~tag ~sent =
   let id =
-    if sh.n_free > 0 then begin
-      sh.n_free <- sh.n_free - 1;
-      sh.free_ids.(sh.n_free)
+    if t.n_free > 0 then begin
+      t.n_free <- t.n_free - 1;
+      t.free_ids.(t.n_free)
     end
     else begin
-      if sh.arena_top = Array.length sh.msg_dst then grow_arena sh;
-      let id = sh.arena_top in
-      sh.arena_top <- id + 1;
+      if t.arena_top = Array.length t.msg_dst then grow_arena t;
+      let id = t.arena_top in
+      t.arena_top <- id + 1;
       id
     end
   in
-  sh.msg_dst.(id) <- dst;
-  sh.msg_tag.(id) <- tag;
-  sh.msg_sent.(id) <- sent;
+  t.msg_dst.(id) <- dst;
+  t.msg_tag.(id) <- tag;
+  t.msg_sent.(id) <- sent;
   id
 
 (* [free_ids] is grown alongside the arena, so the push can't overflow *)
-let free_msg sh id =
-  sh.free_ids.(sh.n_free) <- id;
-  sh.n_free <- sh.n_free + 1
+let free_msg t id =
+  t.free_ids.(t.n_free) <- id;
+  t.n_free <- t.n_free + 1
 
 (* ------------------------------------------------------------------ *)
 (* Power-of-two ring buffers (shared across links and inboxes)         *)
@@ -260,69 +188,25 @@ let rec sort_range a lo hi =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Vertex partition                                                    *)
+(* Enqueue paths                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* level of a heap-order id: v sits on level l iff 2^l - 1 <= v < 2^{l+1} - 1 *)
-let level_of v =
-  let rec go l = if v + 1 < 1 lsl (l + 1) then l else go (l + 1) in
-  go 0
-
-(* Recognise X(r) in heap order (2^{r+1}-1 vertices; heap parent edges
-   plus a left-to-right chain on every level) and return the wedge
-   partition: the vertex at index i of level l goes to shard
-   i*S / 2^l, i.e. each level's index range is cut into S equal wedges
-   aligned with the recursive structure. A shard therefore owns a
-   contiguous slab of every level — a sub-X-tree-shaped wedge — and
-   cross-shard edges occur only at the O(r) wedge seams, which keeps
-   boundary traffic a small fraction of a cycle's work. *)
-let xtree_wedges graph ~shards =
-  let n = Graph.n graph in
-  if n < 3 || n land (n + 1) <> 0 then None
-  else begin
-    let r = level_of (n - 1) in
-    if Graph.m graph <> (2 * n) - r - 2 then None
-    else begin
-      let ok = ref true in
-      for v = 1 to n - 1 do
-        if not (Graph.has_edge graph v ((v - 1) / 2)) then ok := false
-      done;
-      for l = 0 to r do
-        let base = (1 lsl l) - 1 in
-        for i = 0 to (1 lsl l) - 2 do
-          if not (Graph.has_edge graph (base + i) (base + i + 1)) then ok := false
-        done
-      done;
-      if not !ok then None
-      else
-        Some
-          (Array.init n (fun v ->
-               let l = level_of v in
-               ((v - ((1 lsl l) - 1)) * shards) / (1 lsl l)))
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Enqueue paths. Callers guarantee [sh] owns the target slot: the
-   inbox's vertex, or the link's receiving endpoint.                   *)
-(* ------------------------------------------------------------------ *)
-
-let push_inbox t sh ~at id =
+let push_inbox t ~at id =
   rpush t.iring t.ihead t.ilen at id;
-  if t.ilen.(at) > sh.inbox_high_water then sh.inbox_high_water <- t.ilen.(at);
+  if t.ilen.(at) > t.inbox_high_water then t.inbox_high_water <- t.ilen.(at);
   if t.inbox_in_set.(at) = 0 then begin
     t.inbox_in_set.(at) <- 1;
-    sh.act_inbox.(sh.n_act_inbox) <- at;
-    sh.n_act_inbox <- sh.n_act_inbox + 1
+    t.act_inbox.(t.n_act_inbox) <- at;
+    t.n_act_inbox <- t.n_act_inbox + 1
   end
 
-let push_link t sh l id =
+let push_link t l id =
   rpush t.lring t.lhead t.llen l id;
-  if t.llen.(l) > sh.high_water then sh.high_water <- t.llen.(l);
+  if t.llen.(l) > t.high_water then t.high_water <- t.llen.(l);
   if t.link_in_set.(l) = 0 then begin
     t.link_in_set.(l) <- 1;
-    sh.act_link.(sh.n_act_link) <- l;
-    sh.n_act_link <- sh.n_act_link + 1
+    t.act_link.(t.n_act_link) <- l;
+    t.n_act_link <- t.n_act_link + 1
   end
 
 let send t ~src ~dst ~tag =
@@ -330,15 +214,10 @@ let send t ~src ~dst ~tag =
     invalid_arg "Sim.send: vertex out of range";
   t.in_flight <- t.in_flight + 1;
   Obs.incr c_sent;
-  if src = dst then begin
-    let sh = t.shards.(t.vshard.(src)) in
-    push_inbox t sh ~at:src (alloc_msg sh ~dst ~tag ~sent:t.cycle)
-  end
+  if src = dst then push_inbox t ~at:src (alloc_msg t ~dst ~tag ~sent:t.cycle)
   else begin
     let hop = Router.next_hop t.router ~current:src ~dst in
-    let l = link_index t.graph ~at:src ~hop in
-    let sh = t.shards.(t.lshard.(l)) in
-    push_link t sh l (alloc_msg sh ~dst ~tag ~sent:t.cycle)
+    push_link t (link_index t.graph ~at:src ~hop) (alloc_msg t ~dst ~tag ~sent:t.cycle)
   end
 
 let record_latency t v =
@@ -356,205 +235,107 @@ let record_latency t v =
 (* Scratch buffers                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let push_moved sh at id =
-  let cap = Array.length sh.moved_id in
-  if sh.nmoved = cap then begin
+let push_moved t at id =
+  let cap = Array.length t.moved_id in
+  if t.nmoved = cap then begin
     let a = Array.make (2 * cap) 0 and b = Array.make (2 * cap) 0 in
-    Array.blit sh.moved_id 0 a 0 cap;
-    Array.blit sh.moved_at 0 b 0 cap;
-    sh.moved_id <- a;
-    sh.moved_at <- b
+    Array.blit t.moved_id 0 a 0 cap;
+    Array.blit t.moved_at 0 b 0 cap;
+    t.moved_id <- a;
+    t.moved_at <- b
   end;
-  sh.moved_id.(sh.nmoved) <- id;
-  sh.moved_at.(sh.nmoved) <- at;
-  sh.nmoved <- sh.nmoved + 1
+  t.moved_id.(t.nmoved) <- id;
+  t.moved_at.(t.nmoved) <- at;
+  t.nmoved <- t.nmoved + 1
 
-let push_served sh at id =
-  let cap = Array.length sh.served in
-  if sh.nserved = cap then begin
-    let a = Array.make (2 * cap) 0 and b = Array.make (2 * cap) 0 in
-    Array.blit sh.served 0 a 0 cap;
-    Array.blit sh.served_at 0 b 0 cap;
-    sh.served <- a;
-    sh.served_at <- b
+let push_served t id =
+  let cap = Array.length t.served in
+  if t.nserved = cap then begin
+    let a = Array.make (2 * cap) 0 in
+    Array.blit t.served 0 a 0 cap;
+    t.served <- a
   end;
-  sh.served.(sh.nserved) <- id;
-  sh.served_at.(sh.nserved) <- at;
-  sh.nserved <- sh.nserved + 1
-
-let push_quad sh tgt l dst tag sent =
-  let len = sh.out_len.(tgt) in
-  let buf =
-    let b = sh.out.(tgt) in
-    if len + 4 > Array.length b then begin
-      let nb = Array.make (max 32 (2 * Array.length b)) 0 in
-      Array.blit b 0 nb 0 len;
-      sh.out.(tgt) <- nb;
-      nb
-    end
-    else b
-  in
-  buf.(len) <- l;
-  buf.(len + 1) <- dst;
-  buf.(len + 2) <- tag;
-  buf.(len + 3) <- sent;
-  sh.out_len.(tgt) <- len + 4
+  t.served.(t.nserved) <- id;
+  t.nserved <- t.nserved + 1
 
 (* ------------------------------------------------------------------ *)
-(* The three phases of a stepped cycle. Each runs as one lane of a
-   [Parallel.phased] dispatch (or inline, on the 1-shard path and on
-   sparse cycles) and writes only shard-owned state.                   *)
+(* The two passes of a stepped cycle                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* 1. links: advance one batch per non-empty owned link, in link-index
-   order (hence the sort) so runs are deterministic; arrivals join the
-   destination's inbox (always owned: the inbox's vertex IS the link's
-   receiver) and may still be served this cycle, forwards re-enter an
-   owned ring directly or are staged as boundary quads for the owning
-   shard. Links drained dry drop out of the active set in place. *)
-let phase_links t s =
-  let sh = t.shards.(s) in
-  let t0 = if t.measure_cycle then Obs.now_ns () else 0 in
-  if sh.n_act_link > 1 then sort_range sh.act_link 0 (sh.n_act_link - 1);
-  sh.nmoved <- 0;
-  sh.nboundary <- 0;
-  sh.nkeep <- 0;
-  for j = 0 to sh.n_act_link - 1 do
-    let l = sh.act_link.(j) in
+(* Advance one batch per non-empty link, in link-index order (hence the
+   sort) so runs are deterministic; arrivals join the destination's
+   inbox and may still be served this cycle, forwards re-enter the ring
+   of their next link. Links drained dry drop out of the active set in
+   place. *)
+let drain_links t =
+  if t.n_act_link > 1 then sort_range t.act_link 0 (t.n_act_link - 1);
+  t.nmoved <- 0;
+  t.nkeep <- 0;
+  for j = 0 to t.n_act_link - 1 do
+    let l = t.act_link.(j) in
     let npop = if t.link_capacity < t.llen.(l) then t.link_capacity else t.llen.(l) in
     for _ = 1 to npop do
       t.link_load.(l) <- t.link_load.(l) + 1;
-      push_moved sh t.link_dst.(l) (rpop t.lring t.lhead t.llen l)
+      push_moved t t.link_dst.(l) (rpop t.lring t.lhead t.llen l)
     done;
     if t.llen.(l) > 0 then begin
-      sh.act_link.(sh.nkeep) <- l;
-      sh.nkeep <- sh.nkeep + 1
+      t.act_link.(t.nkeep) <- l;
+      t.nkeep <- t.nkeep + 1
     end
     else t.link_in_set.(l) <- 0
   done;
-  sh.n_act_link <- sh.nkeep;
-  for k = 0 to sh.nmoved - 1 do
-    let at = sh.moved_at.(k) in
-    let id = sh.moved_id.(k) in
-    let dst = sh.msg_dst.(id) in
-    if dst = at then push_inbox t sh ~at id
+  t.n_act_link <- t.nkeep;
+  for k = 0 to t.nmoved - 1 do
+    let at = t.moved_at.(k) in
+    let id = t.moved_id.(k) in
+    let dst = t.msg_dst.(id) in
+    if dst = at then push_inbox t ~at id
     else begin
       let hop = Router.next_hop t.router ~current:at ~dst in
-      let l = link_index t.graph ~at ~hop in
-      let tgt = t.lshard.(l) in
-      if tgt = s then push_link t sh l id
-      else begin
-        push_quad sh tgt l dst sh.msg_tag.(id) sh.msg_sent.(id);
-        free_msg sh id;
-        sh.nboundary <- sh.nboundary + 1
-      end
+      push_link t (link_index t.graph ~at ~hop) id
     end
-  done;
-  if t0 <> 0 then sh.busy_ns <- sh.busy_ns + (Obs.now_ns () - t0)
+  done
 
-(* 2. boundary: adopt the quads other shards staged for us, scanning
-   source shards in index order. Any single ring only ever receives
-   quads from ONE source shard in a cycle (all pushes into ring
-   (at -> hop) come from messages that were at [at], whose incoming
-   links all belong to shard(at)), so this order reproduces the
-   sequential per-ring FIFO contents exactly. Writing [out_len.(s)]
-   back to zero is safe: distinct lanes touch distinct indices. *)
-let phase_boundary t s =
-  let sh = t.shards.(s) in
-  let t0 = if t.measure_cycle then Obs.now_ns () else 0 in
-  for src = 0 to t.nshards - 1 do
-    let o = t.shards.(src) in
-    let len = o.out_len.(s) in
-    if len > 0 then begin
-      let buf = o.out.(s) in
-      for q = 0 to (len / 4) - 1 do
-        let k = 4 * q in
-        push_link t sh buf.(k)
-          (alloc_msg sh ~dst:buf.(k + 1) ~tag:buf.(k + 2) ~sent:buf.(k + 3))
-      done;
-      o.out_len.(s) <- 0
-    end
-  done;
-  if t0 <> 0 then sh.busy_ns <- sh.busy_ns + (Obs.now_ns () - t0)
-
-(* 3. CPU service: each non-empty owned inbox completes up to
-   service_rate messages, swept in ascending vertex order. Delivery
-   callbacks do NOT run here — they are user code and run only on the
-   calling domain, after the barrier (see [deliver_batch] and
-   [deliver_merged]). *)
-let phase_service t s =
-  let sh = t.shards.(s) in
-  let t0 = if t.measure_cycle then Obs.now_ns () else 0 in
-  if sh.n_act_inbox > 1 then sort_range sh.act_inbox 0 (sh.n_act_inbox - 1);
-  sh.nserved <- 0;
-  sh.nkeep <- 0;
-  for j = 0 to sh.n_act_inbox - 1 do
-    let x = sh.act_inbox.(j) in
+(* CPU service: each non-empty inbox completes up to service_rate
+   messages, swept in ascending vertex order into the served batch. *)
+let serve_inboxes t =
+  if t.n_act_inbox > 1 then sort_range t.act_inbox 0 (t.n_act_inbox - 1);
+  t.nserved <- 0;
+  t.nkeep <- 0;
+  for j = 0 to t.n_act_inbox - 1 do
+    let x = t.act_inbox.(j) in
     let npop = if t.service_rate < t.ilen.(x) then t.service_rate else t.ilen.(x) in
     for _ = 1 to npop do
-      push_served sh x (rpop t.iring t.ihead t.ilen x)
+      push_served t (rpop t.iring t.ihead t.ilen x)
     done;
     if t.ilen.(x) > 0 then begin
-      sh.act_inbox.(sh.nkeep) <- x;
-      sh.nkeep <- sh.nkeep + 1
+      t.act_inbox.(t.nkeep) <- x;
+      t.nkeep <- t.nkeep + 1
     end
     else t.inbox_in_set.(x) <- 0
   done;
-  sh.n_act_inbox <- sh.nkeep;
-  if t0 <> 0 then sh.busy_ns <- sh.busy_ns + (Obs.now_ns () - t0)
+  t.n_act_inbox <- t.nkeep
 
 (* ------------------------------------------------------------------ *)
-(* Delivery: callbacks run on the calling domain, in the order the
-   reference core's list-consing produces — descending vertex, reverse
-   pop order within a vertex.                                          *)
+(* Delivery, in the order the reference core's list-consing produces —
+   descending vertex, reverse pop order within a vertex. The served
+   batch was built in ascending vertex order, so iterating it
+   backwards is already that order.                                    *)
 (* ------------------------------------------------------------------ *)
 
-let deliver_one t sh id ~on_deliver =
-  let tag = sh.msg_tag.(id) in
-  let sent = sh.msg_sent.(id) in
-  free_msg sh id;
+let deliver_one t id ~on_deliver =
+  let tag = t.msg_tag.(id) in
+  let sent = t.msg_sent.(id) in
+  free_msg t id;
   t.in_flight <- t.in_flight - 1;
   t.delivered <- t.delivered + 1;
   Obs.incr c_delivered;
   record_latency t (t.cycle - sent);
   on_deliver ~tag t
 
-(* 1-shard path: the served batch was built in ascending vertex order,
-   so iterating it backwards is already the reference order. *)
-let deliver_batch t sh ~on_deliver =
-  for k = sh.nserved - 1 downto 0 do
-    deliver_one t sh sh.served.(k) ~on_deliver
-  done
-
-(* Sharded path: each shard's batch, walked backwards, yields vertices
-   in descending order; vertices are uniquely owned, so merging by
-   "largest current vertex wins" linearises the batches into the exact
-   global reference order with no ties to break. *)
-let deliver_merged t ~on_deliver =
-  let cur = t.cursor in
-  for s = 0 to t.nshards - 1 do
-    cur.(s) <- t.shards.(s).nserved - 1
-  done;
-  let continue_ = ref true in
-  while !continue_ do
-    let best = ref (-1) in
-    let bestv = ref (-1) in
-    for s = 0 to t.nshards - 1 do
-      if cur.(s) >= 0 then begin
-        let v = t.shards.(s).served_at.(cur.(s)) in
-        if v > !bestv then begin
-          bestv := v;
-          best := s
-        end
-      end
-    done;
-    if !best < 0 then continue_ := false
-    else begin
-      let sh = t.shards.(!best) in
-      let k = cur.(!best) in
-      cur.(!best) <- k - 1;
-      deliver_one t sh sh.served.(k) ~on_deliver
-    end
+let deliver_batch t ~on_deliver =
+  for k = t.nserved - 1 downto 0 do
+    deliver_one t t.served.(k) ~on_deliver
   done
 
 (* ------------------------------------------------------------------ *)
@@ -563,123 +344,36 @@ let deliver_merged t ~on_deliver =
    called with tracing enabled (it allocates).                         *)
 (* ------------------------------------------------------------------ *)
 
-let trace_series t ~moved ~boundary =
+let trace_series t =
   let links = Array.length t.link_load in
   let maxq = ref 0 and queued = ref 0 and maxinbox = ref 0 in
-  for s = 0 to t.nshards - 1 do
-    let sh = t.shards.(s) in
-    for j = 0 to sh.n_act_link - 1 do
-      let l = t.llen.(sh.act_link.(j)) in
-      if l > !maxq then maxq := l;
-      queued := !queued + l
-    done;
-    for j = 0 to sh.n_act_inbox - 1 do
-      let l = t.ilen.(sh.act_inbox.(j)) in
-      if l > !maxinbox then maxinbox := l
-    done
+  for j = 0 to t.n_act_link - 1 do
+    let l = t.llen.(t.act_link.(j)) in
+    if l > !maxq then maxq := l;
+    queued := !queued + l
+  done;
+  for j = 0 to t.n_act_inbox - 1 do
+    let l = t.ilen.(t.act_inbox.(j)) in
+    if l > !maxinbox then maxinbox := l
   done;
   Obs.counter_event "netsim.in_flight" t.in_flight;
   Obs.counter_event "netsim.queued" !queued;
   Obs.counter_event "netsim.queue_depth_max" !maxq;
   Obs.counter_event "netsim.inbox_depth_max" !maxinbox;
   Obs.counter_event "netsim.link_util_pct"
-    (if links = 0 then 0 else 100 * moved / (links * t.link_capacity));
-  if t.nshards > 1 then begin
-    Obs.counter_event "netsim.shard.boundary" boundary;
-    for s = 0 to t.nshards - 1 do
-      Obs.counter_event ("netsim.shard.moved_" ^ string_of_int s) t.shards.(s).nmoved
-    done
-  end
+    (if links = 0 then 0 else 100 * t.nmoved / (links * t.link_capacity))
 
 (* ------------------------------------------------------------------ *)
 (* One simulated cycle, semantics identical to the [Sim_ref] sweep      *)
 (* ------------------------------------------------------------------ *)
 
-let step_seq t ~on_deliver =
+let step t ~on_deliver =
   t.cycle <- t.cycle + 1;
-  let sh = t.shards.(0) in
-  phase_links t 0;
-  Obs.add c_hops sh.nmoved;
-  phase_service t 0;
-  deliver_batch t sh ~on_deliver;
-  if Obs.tracing_enabled () then trace_series t ~moved:sh.nmoved ~boundary:0
-
-(* Sparse cycles (a handful of active queues per shard) run the phase
-   bodies inline in lane order — same writes, same results, no pool
-   dispatch. The cutoff only picks who executes the lanes, never what
-   they compute, so determinism is unaffected.
-
-   Where to put the cutoff is a cost question, so it is answered with
-   measured costs instead of a constant: sampled cycles (all metered
-   ones, plus 1 in 64 otherwise) time their phase work per lane, and two
-   EWMA estimates accumulate — [barrier_ns], what a pool dispatch costs
-   beyond its critical lane (wall minus max lane busy, the quantity the
-   [netsim.shard.barrier_wait_ns] histogram reports per lane), and
-   [queue_ns], what one active queue costs inline. Dispatching S lanes
-   saves at most busy·(S-1)/S ≈ active·queue_ns·(S-1)/S and pays
-   [barrier_ns], so the break-even point is
-   active ≈ barrier_ns·S / (queue_ns·(S-1)). Until both estimates have a
-   sample the cutoff stays at the historical 16·S prior; it is clamped
-   to [2·S, 1024·S] so one outlier sample can never pin the simulation
-   to either path. *)
-let initial_sparse_cutoff = 16
-
-let ewma old sample = if old = 0 then sample else old + ((sample - old) / 8)
-
-let step_par t ~on_deliver =
-  t.cycle <- t.cycle + 1;
-  let active = ref 0 in
-  for s = 0 to t.nshards - 1 do
-    let sh = t.shards.(s) in
-    active := !active + sh.n_act_link + sh.n_act_inbox
-  done;
-  let metered = Obs.metrics_enabled () in
-  t.sample_tick <- t.sample_tick + 1;
-  let timed = metered || t.sample_tick land 63 = 0 in
-  t.measure_cycle <- timed;
-  let t0 = if timed then Obs.now_ns () else 0 in
-  let dispatched = !active >= t.cutoff_active in
-  if not dispatched then
-    List.iter
-      (fun phase ->
-        for s = 0 to t.nshards - 1 do
-          phase s
-        done)
-      t.phases
-  else Parallel.phased ~lanes:t.nshards t.phases;
-  if timed then begin
-    let wall = Obs.now_ns () - t0 in
-    let busy_max = ref 0 in
-    for s = 0 to t.nshards - 1 do
-      let sh = t.shards.(s) in
-      if sh.busy_ns > !busy_max then busy_max := sh.busy_ns;
-      if metered && dispatched then begin
-        (* a lane's barrier wait is the cycle's wall time minus its own work *)
-        let w = wall - sh.busy_ns in
-        Obs.observe h_barrier_wait (if w < 0 then 0 else w)
-      end;
-      sh.busy_ns <- 0
-    done;
-    if dispatched then begin
-      let over = wall - !busy_max in
-      if over > 0 then t.barrier_ns <- ewma t.barrier_ns over
-    end
-    else if !active > 0 then t.queue_ns <- ewma t.queue_ns (max 1 (wall / !active));
-    if t.barrier_ns > 0 && t.queue_ns > 0 then begin
-      let s = t.nshards in
-      let c = t.barrier_ns * s / (t.queue_ns * max 1 (s - 1)) in
-      t.cutoff_active <- min (max c (2 * s)) (1024 * s)
-    end
-  end;
-  let moved = ref 0 and boundary = ref 0 in
-  for s = 0 to t.nshards - 1 do
-    moved := !moved + t.shards.(s).nmoved;
-    boundary := !boundary + t.shards.(s).nboundary
-  done;
-  Obs.add c_hops !moved;
-  Obs.add c_boundary !boundary;
-  deliver_merged t ~on_deliver;
-  if Obs.tracing_enabled () then trace_series t ~moved:!moved ~boundary:!boundary
+  drain_links t;
+  Obs.add c_hops t.nmoved;
+  serve_inboxes t;
+  deliver_batch t ~on_deliver;
+  if Obs.tracing_enabled () then trace_series t
 
 (* ------------------------------------------------------------------ *)
 (* Idle-cycle skipping                                                 *)
@@ -699,167 +393,93 @@ let rec walk_route t at dst =
 (* Exactly one message in flight, sitting on a link: every cycle until
    it arrives would move it one hop and touch nothing else, so jump the
    clock over all of them at once. Per-hop queue lengths never exceed 1
-   (the originating push already raised the owner's [high_water]); the
-   arrival passes through the destination inbox, raising its shard's
-   high-water to at least 1; the message is served on its arrival
-   cycle, as in the stepped semantics. Runs on the calling domain. *)
+   (the originating push already raised [high_water]); the arrival
+   passes through the destination inbox, raising [inbox_high_water] to
+   at least 1; the message is served on its arrival cycle, as in the
+   stepped semantics. *)
 let fast_forward t ~on_deliver =
-  let rec find s = if t.shards.(s).n_act_link = 1 then s else find (s + 1) in
-  let sh = t.shards.(find 0) in
-  let l = sh.act_link.(0) in
+  let l = t.act_link.(0) in
   let id = rpop t.lring t.lhead t.llen l in
-  sh.n_act_link <- 0;
+  t.n_act_link <- 0;
   t.link_in_set.(l) <- 0;
   t.link_load.(l) <- t.link_load.(l) + 1;
-  let dst = sh.msg_dst.(id) in
-  let hops = 1 + walk_route t t.link_dst.(l) dst in
-  let dsh = t.shards.(t.vshard.(dst)) in
-  if dsh.inbox_high_water < 1 then dsh.inbox_high_water <- 1;
+  let hops = 1 + walk_route t t.link_dst.(l) t.msg_dst.(id) in
+  if t.inbox_high_water < 1 then t.inbox_high_water <- 1;
   Obs.add c_hops hops;
   t.cycle <- t.cycle + hops;
   if Obs.tracing_enabled () then Obs.instant ~arg:hops "netsim.idle_skip";
-  deliver_one t sh id ~on_deliver
+  deliver_one t id ~on_deliver
 
 let run t ~on_deliver =
   Obs.span "netsim.run" @@ fun () ->
   let start = t.cycle in
-  if t.nshards = 1 then begin
-    let sh = t.shards.(0) in
-    while t.in_flight > 0 do
-      if t.in_flight = 1 && sh.n_act_link = 1 && sh.n_act_inbox = 0 then
-        fast_forward t ~on_deliver
-      else step_seq t ~on_deliver
-    done
-  end
-  else begin
-    let nl = ref 0 and ni = ref 0 in
-    while t.in_flight > 0 do
-      nl := 0;
-      ni := 0;
-      for s = 0 to t.nshards - 1 do
-        nl := !nl + t.shards.(s).n_act_link;
-        ni := !ni + t.shards.(s).n_act_inbox
-      done;
-      if t.in_flight = 1 && !nl = 1 && !ni = 0 then fast_forward t ~on_deliver
-      else step_par t ~on_deliver
-    done
-  end;
+  while t.in_flight > 0 do
+    if t.in_flight = 1 && t.n_act_link = 1 && t.n_act_inbox = 0 then
+      fast_forward t ~on_deliver
+    else step t ~on_deliver
+  done;
   t.cycle - start
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create ?(link_capacity = 1) ?(service_rate = max_int) ?(shards = 1) graph =
+let create ?(link_capacity = 1) ?(service_rate = max_int) graph =
   if link_capacity <= 0 then invalid_arg "Sim.create: link capacity";
   if service_rate <= 0 then invalid_arg "Sim.create: service rate";
-  if shards < 1 then invalid_arg "Sim.create: shards";
   let n = Graph.n graph in
   let m = Graph.m graph in
-  let nshards = min shards (max 1 n) in
   let link_dst = Array.make (2 * m) (-1) in
   Graph.iter_edges graph (fun u v ->
       let eid = Graph.edge_index graph u v in
       link_dst.(2 * eid) <- max u v;
       link_dst.((2 * eid) + 1) <- min u v);
-  let vshard =
-    if nshards = 1 then Array.make n 0
-    else
-      match xtree_wedges graph ~shards:nshards with
-      | Some a -> a
-      | None -> Array.init n (fun v -> v * nshards / n)
-  in
-  let lshard = Array.map (fun d -> vshard.(d)) link_dst in
-  let router = Router.create graph in
-  (* lazy dense rows would race when two lanes route concurrently *)
-  if nshards > 1 then Router.warm router;
-  let owned_links = Array.make nshards 0 in
-  Array.iter (fun s -> owned_links.(s) <- owned_links.(s) + 1) lshard;
-  let owned_verts = Array.make nshards 0 in
-  Array.iter (fun s -> owned_verts.(s) <- owned_verts.(s) + 1) vshard;
-  let mk_shard sid =
-    {
-      msg_dst = Array.make 64 0;
-      msg_tag = Array.make 64 0;
-      msg_sent = Array.make 64 0;
-      free_ids = Array.make 64 0;
-      n_free = 0;
-      arena_top = 0;
-      act_link = Array.make owned_links.(sid) 0;
-      n_act_link = 0;
-      act_inbox = Array.make owned_verts.(sid) 0;
-      n_act_inbox = 0;
-      moved_id = Array.make 64 0;
-      moved_at = Array.make 64 0;
-      nmoved = 0;
-      served = Array.make 64 0;
-      served_at = Array.make 64 0;
-      nserved = 0;
-      nkeep = 0;
-      nboundary = 0;
-      out = Array.make nshards empty_ring;
-      out_len = Array.make nshards 0;
-      high_water = 0;
-      inbox_high_water = 0;
-      busy_ns = 0;
-    }
-  in
-  let t =
-    {
-      graph;
-      router;
-      link_capacity;
-      service_rate;
-      nshards;
-      vshard;
-      lshard;
-      shards = Array.init nshards mk_shard;
-      lring = Array.make (2 * m) empty_ring;
-      lhead = Array.make (2 * m) 0;
-      llen = Array.make (2 * m) 0;
-      link_dst;
-      link_load = Array.make (2 * m) 0;
-      iring = Array.make n empty_ring;
-      ihead = Array.make n 0;
-      ilen = Array.make n 0;
-      link_in_set = Array.make (2 * m) 0;
-      inbox_in_set = Array.make n 0;
-      cursor = Array.make nshards 0;
-      phases = [];
-      cycle = 0;
-      in_flight = 0;
-      delivered = 0;
-      latencies = [||];
-      nlat = 0;
-      measure_cycle = false;
-      cutoff_active = initial_sparse_cutoff * nshards;
-      barrier_ns = 0;
-      queue_ns = 0;
-      sample_tick = 0;
-    }
-  in
-  t.phases <- [ phase_links t; phase_boundary t; phase_service t ];
-  t
+  {
+    graph;
+    router = Router.create graph;
+    link_capacity;
+    service_rate;
+    msg_dst = Array.make 64 0;
+    msg_tag = Array.make 64 0;
+    msg_sent = Array.make 64 0;
+    free_ids = Array.make 64 0;
+    n_free = 0;
+    arena_top = 0;
+    lring = Array.make (2 * m) empty_ring;
+    lhead = Array.make (2 * m) 0;
+    llen = Array.make (2 * m) 0;
+    link_dst;
+    link_load = Array.make (2 * m) 0;
+    iring = Array.make n empty_ring;
+    ihead = Array.make n 0;
+    ilen = Array.make n 0;
+    act_link = Array.make (2 * m) 0;
+    n_act_link = 0;
+    link_in_set = Array.make (2 * m) 0;
+    act_inbox = Array.make n 0;
+    n_act_inbox = 0;
+    inbox_in_set = Array.make n 0;
+    moved_id = Array.make 64 0;
+    moved_at = Array.make 64 0;
+    nmoved = 0;
+    served = Array.make 64 0;
+    nserved = 0;
+    nkeep = 0;
+    high_water = 0;
+    inbox_high_water = 0;
+    cycle = 0;
+    in_flight = 0;
+    delivered = 0;
+    latencies = [||];
+    nlat = 0;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let delivered t = t.delivered
-
-let max_link_queue t =
-  Array.fold_left (fun acc sh -> if sh.high_water > acc then sh.high_water else acc) 0 t.shards
-
-let max_inbox_queue t =
-  Array.fold_left
-    (fun acc sh -> if sh.inbox_high_water > acc then sh.inbox_high_water else acc)
-    0 t.shards
-
+let max_link_queue t = t.high_water
+let max_inbox_queue t = t.inbox_high_water
 let link_loads t = Array.copy t.link_load
 let latencies t = Array.sub t.latencies 0 t.nlat
-let shards t = t.nshards
-let sparse_cutoff t = t.cutoff_active
-
-let shard_of t v =
-  if v < 0 || v >= Graph.n t.graph then invalid_arg "Sim.shard_of: vertex out of range";
-  t.vshard.(v)

@@ -19,26 +19,12 @@
     serial workloads cost O(total hops) instead of
     O(cycles × topology).
 
-    With [?shards] > 1 the host vertices are partitioned into
-    contiguous shards (following the X-tree's recursive cut when the
-    host is an X-tree, equal id ranges otherwise) and each stepped
-    cycle runs as three barrier-separated phases on the
-    [Xt_prelude.Parallel] domain pool — link drain, boundary exchange,
-    inbox service — with delivery callbacks replayed on the calling
-    domain in the reference order. Every observable is bit-identical at
-    every shard count; see the determinism argument in sim.ml and the
-    "Sharded simulation" section of EXPERIMENTS.md. The 1-shard path is
-    the frozen sequential core and never touches the pool.
-
     The simulator records through [Xt_obs.Obs]: the [netsim.sent] /
     [netsim.delivered] / [netsim.hops] counters and the
-    [netsim.latency_cycles] histogram when metrics are enabled
-    (sharded runs add the [netsim.shard.boundary_msgs] counter and the
-    [netsim.shard.barrier_wait_ns] histogram), and per-cycle
-    [netsim.in_flight] / [netsim.queued] / [netsim.queue_depth_max] /
-    [netsim.inbox_depth_max] / [netsim.link_util_pct] counter tracks
-    when tracing is enabled (sharded runs add [netsim.shard.boundary]
-    and a per-shard [netsim.shard.moved_<s>] utilization track; all
+    [netsim.latency_cycles] histogram when metrics are enabled, and
+    per-cycle [netsim.in_flight] / [netsim.queued] /
+    [netsim.queue_depth_max] / [netsim.inbox_depth_max] /
+    [netsim.link_util_pct] counter tracks when tracing is enabled (all
     emitted only on stepped cycles; a skipped stretch leaves a
     [netsim.idle_skip] instant carrying the number of cycles
     jumped). *)
@@ -49,20 +35,17 @@ type handler = tag:int -> t -> unit
 (** Called when a message with the given [tag] is delivered; may call
     {!send} to continue the protocol. *)
 
-val create :
-  ?link_capacity:int -> ?service_rate:int -> ?shards:int -> Xt_topology.Graph.t -> t
-(** [service_rate] (default unlimited) caps how many arrived messages one
-    vertex can {e complete} per cycle — the computation side of the
-    paper's load factor: a vertex carrying 16 guest nodes serialises their
-    work. Arrivals beyond the rate wait in the vertex inbox.
-
-    [shards] (default 1) partitions the host across that many domain
-    lanes; it is clamped to the vertex count. Raises [Invalid_argument]
-    if [< 1]. Results are bit-identical at every setting — shards only
-    changes who executes the work, never what is computed. *)
+val create : ?link_capacity:int -> ?service_rate:int -> Xt_topology.Graph.t -> t
+(** [link_capacity] (default 1) caps how many messages one directed link
+    carries per cycle. [service_rate] (default unlimited) caps how many
+    arrived messages one vertex can {e complete} per cycle — the
+    computation side of the paper's load factor: a vertex carrying 16
+    guest nodes serialises their work. Arrivals beyond the rate wait in
+    the vertex inbox. Raises [Invalid_argument] if either is [<= 0]. *)
 
 val send : t -> src:int -> dst:int -> tag:int -> unit
-(** Inject a message at the current cycle. *)
+(** Inject a message at the current cycle. Raises [Invalid_argument] if
+    [src] or [dst] is not a host vertex. *)
 
 val run : t -> on_deliver:handler -> int
 (** Drive the network to quiescence; returns the number of cycles taken
@@ -90,23 +73,3 @@ val latencies : t -> int array
 (** Per-message end-to-end latency in cycles (injection to service
     completion), in delivery order — feed to [Stats.of_ints] /
     [Stats.quantiles_of_ints] for p50/p90/p99. *)
-
-val shards : t -> int
-(** The number of shards the host was partitioned into (>= 1). *)
-
-val sparse_cutoff : t -> int
-(** The current active-queue count at which a stepped cycle dispatches
-    to the domain pool rather than running its lanes inline. Sized from
-    measured costs: sampled cycles feed EWMA estimates of the pool
-    dispatch overhead (the quantity behind [netsim.shard.barrier_wait_ns])
-    and of the per-active-queue inline cost, and the cutoff sits at
-    their break-even point, clamped to [2·S, 1024·S]. Starts at [16·S]
-    until both estimates have a sample. The cutoff only selects who
-    executes a cycle's lanes, never what they compute, so every
-    observable stays bit-identical whatever value it takes. *)
-
-val shard_of : t -> int -> int
-(** The shard owning a vertex. On an X-tree host shards are wedges of
-    the recursive cut (each level's index range split into equal
-    contiguous bands); otherwise contiguous vertex-id ranges. Raises
-    [Invalid_argument] if the vertex is out of range. *)

@@ -30,10 +30,7 @@ type t = {
   mutable nlat : int;
 }
 
-(* [shards] is accepted so this module keeps satisfying [Workload.CORE]
-   next to the sharded [Sim], and ignored: the sweep is the sequential
-   specification, whatever the caller's shard setting. *)
-let create ?(link_capacity = 1) ?(service_rate = max_int) ?shards:(_ = 1) graph =
+let create ?(link_capacity = 1) ?(service_rate = max_int) graph =
   if link_capacity <= 0 then invalid_arg "Sim_ref.create: link capacity";
   if service_rate <= 0 then invalid_arg "Sim_ref.create: service rate";
   let m = Graph.m graph in

@@ -13,15 +13,11 @@
     [BENCH_1.json].
 
     The interface is the {!Workload.CORE} subset of {!Sim}'s, with the
-    same defaults and the same [Invalid_argument] conditions. [shards]
-    is accepted for signature compatibility and ignored — the sweep is
-    the sequential specification at every shard setting, which is
-    exactly what makes it the oracle for the sharded core. *)
+    same defaults and the same [Invalid_argument] conditions. *)
 
 type t
 
-val create :
-  ?link_capacity:int -> ?service_rate:int -> ?shards:int -> Xt_topology.Graph.t -> t
+val create : ?link_capacity:int -> ?service_rate:int -> Xt_topology.Graph.t -> t
 val send : t -> src:int -> dst:int -> tag:int -> unit
 val run : t -> on_deliver:(tag:int -> t -> unit) -> int
 val delivered : t -> int

@@ -10,7 +10,7 @@ open Xt_embedding
 module type CORE = sig
   type t
 
-  val create : ?link_capacity:int -> ?service_rate:int -> ?shards:int -> Graph.t -> t
+  val create : ?link_capacity:int -> ?service_rate:int -> Graph.t -> t
   val send : t -> src:int -> dst:int -> tag:int -> unit
   val run : t -> on_deliver:(tag:int -> t -> unit) -> int
 end
@@ -132,17 +132,17 @@ module Make (C : CORE) = struct
   let workloads = [ reduction; broadcast; all_reduce; pingpong_sweep; permutation ]
   let guest_graph tree = Graph.of_edges ~n:(Bintree.n tree) (Bintree.edges tree)
 
-  let run_native ?link_capacity ?service_rate ?shards spec tree =
-    let sim = C.create ?link_capacity ?service_rate ?shards (guest_graph tree) in
+  let run_native ?link_capacity ?service_rate spec tree =
+    let sim = C.create ?link_capacity ?service_rate (guest_graph tree) in
     let place = Array.init (Bintree.n tree) Fun.id in
     spec.run sim ~place ~tree
 
-  let run_embedded ?link_capacity ?service_rate ?shards spec (e : Embedding.t) =
-    let sim = C.create ?link_capacity ?service_rate ?shards e.host in
+  let run_embedded ?link_capacity ?service_rate spec (e : Embedding.t) =
+    let sim = C.create ?link_capacity ?service_rate e.host in
     spec.run sim ~place:e.place ~tree:e.tree
 
-  let run_on ?link_capacity ?service_rate ?shards spec (e : Embedding.t) =
-    let sim = C.create ?link_capacity ?service_rate ?shards e.host in
+  let run_on ?link_capacity ?service_rate spec (e : Embedding.t) =
+    let sim = C.create ?link_capacity ?service_rate e.host in
     let cycles = spec.run sim ~place:e.place ~tree:e.tree in
     (sim, cycles)
 
@@ -183,14 +183,14 @@ let embedded_case ?label workload (e : Embedding.t) =
   let label = match label with Some l -> l | None -> workload.name ^ "/embedded" in
   { label; workload; tree = e.tree; embedding = Some e }
 
-let run_case ?link_capacity ?service_rate ?shards case =
+let run_case ?link_capacity ?service_rate case =
   Xt_obs.Obs.span "netsim.case" @@ fun () ->
   let sim, place =
     match case.embedding with
     | None ->
-        ( Sim.create ?link_capacity ?service_rate ?shards (guest_graph case.tree),
+        ( Sim.create ?link_capacity ?service_rate (guest_graph case.tree),
           Array.init (Bintree.n case.tree) Fun.id )
-    | Some e -> (Sim.create ?link_capacity ?service_rate ?shards e.host, e.place)
+    | Some e -> (Sim.create ?link_capacity ?service_rate e.host, e.place)
   in
   let t0 = Xt_obs.Obs.now_ns () in
   let cycles = case.workload.run sim ~place ~tree:case.tree in
@@ -206,5 +206,5 @@ let run_case ?link_capacity ?service_rate ?shards case =
     seconds = float_of_int (t1 - t0) *. 1e-9;
   }
 
-let run_suite ?link_capacity ?service_rate ?shards ?domains cases =
-  Xt_prelude.Parallel.map ?domains (run_case ?link_capacity ?service_rate ?shards) cases
+let run_suite ?link_capacity ?service_rate ?domains cases =
+  Xt_prelude.Parallel.map ?domains (run_case ?link_capacity ?service_rate) cases

@@ -21,8 +21,7 @@
 module type CORE = sig
   type t
 
-  val create :
-    ?link_capacity:int -> ?service_rate:int -> ?shards:int -> Xt_topology.Graph.t -> t
+  val create : ?link_capacity:int -> ?service_rate:int -> Xt_topology.Graph.t -> t
   val send : t -> src:int -> dst:int -> tag:int -> unit
   val run : t -> on_deliver:(tag:int -> t -> unit) -> int
 end
@@ -42,23 +41,13 @@ module Make (C : CORE) : sig
   val guest_graph : Xt_bintree.Bintree.t -> Xt_topology.Graph.t
 
   val run_native :
-    ?link_capacity:int -> ?service_rate:int -> ?shards:int -> spec -> Xt_bintree.Bintree.t -> int
+    ?link_capacity:int -> ?service_rate:int -> spec -> Xt_bintree.Bintree.t -> int
 
   val run_embedded :
-    ?link_capacity:int ->
-    ?service_rate:int ->
-    ?shards:int ->
-    spec ->
-    Xt_embedding.Embedding.t ->
-    int
+    ?link_capacity:int -> ?service_rate:int -> spec -> Xt_embedding.Embedding.t -> int
 
   val run_on :
-    ?link_capacity:int ->
-    ?service_rate:int ->
-    ?shards:int ->
-    spec ->
-    Xt_embedding.Embedding.t ->
-    C.t * int
+    ?link_capacity:int -> ?service_rate:int -> spec -> Xt_embedding.Embedding.t -> C.t * int
 
   val slowdown : spec -> Xt_embedding.Embedding.t -> float
 end
@@ -95,22 +84,15 @@ val guest_graph : Xt_bintree.Bintree.t -> Xt_topology.Graph.t
 (** The guest tree as a host graph (identity placement target). *)
 
 val run_native :
-  ?link_capacity:int -> ?service_rate:int -> ?shards:int -> spec -> Xt_bintree.Bintree.t -> int
-(** Cycles on the guest tree itself (identity placement). [shards]
-    partitions the simulated host as in {!Sim.create} — the result is
-    identical at every setting. *)
+  ?link_capacity:int -> ?service_rate:int -> spec -> Xt_bintree.Bintree.t -> int
+(** Cycles on the guest tree itself (identity placement). *)
 
 val run_embedded :
-  ?link_capacity:int -> ?service_rate:int -> ?shards:int -> spec -> Xt_embedding.Embedding.t -> int
+  ?link_capacity:int -> ?service_rate:int -> spec -> Xt_embedding.Embedding.t -> int
 (** Cycles on the embedding's host. *)
 
 val run_on :
-  ?link_capacity:int ->
-  ?service_rate:int ->
-  ?shards:int ->
-  spec ->
-  Xt_embedding.Embedding.t ->
-  Sim.t * int
+  ?link_capacity:int -> ?service_rate:int -> spec -> Xt_embedding.Embedding.t -> Sim.t * int
 (** Like {!run_embedded} but also returns the finished simulator, for
     queue statistics. *)
 
@@ -146,18 +128,10 @@ type outcome = {
 val native_case : ?label:string -> spec -> Xt_bintree.Bintree.t -> case
 val embedded_case : ?label:string -> spec -> Xt_embedding.Embedding.t -> case
 
-val run_case : ?link_capacity:int -> ?service_rate:int -> ?shards:int -> case -> outcome
-(** Replay one case on a fresh simulator ([shards] as in
-    {!Sim.create}). *)
+val run_case : ?link_capacity:int -> ?service_rate:int -> case -> outcome
+(** Replay one case on a fresh simulator. *)
 
 val run_suite :
-  ?link_capacity:int ->
-  ?service_rate:int ->
-  ?shards:int ->
-  ?domains:int ->
-  case list ->
-  outcome list
+  ?link_capacity:int -> ?service_rate:int -> ?domains:int -> case list -> outcome list
 (** Replay every case, outcomes in input order; independent cases run on
-    the domain pool ([domains] as in {!Xt_prelude.Parallel.map}).
-    [shards] additionally parallelises {e within} each replay — useful
-    when one big replay dominates the suite. *)
+    the domain pool ([domains] as in {!Xt_prelude.Parallel.map}). *)

@@ -279,19 +279,6 @@ let fork_cutoff ~size ~cutoff fa fb =
     fork_join fa fb
   end
 
-(* Per-cycle barrier combinator: a fixed team of [lanes] runs each
-   phase in parallel, and no lane enters phase p+1 until every lane has
-   finished phase p. Each phase is one [parallel_for] dispatch with one
-   lane per chunk, so the join of the dispatch IS the barrier and the
-   failure protocol carries over unchanged (the exception propagated is
-   the lowest-lane one of the earliest failing phase; later phases are
-   not started). Callers that drive a simulation loop keep the phase
-   closures preallocated and pass the same list every cycle, so a cycle
-   costs three pool dispatches and no closure allocation. *)
-let phased ?domains ~lanes bodies =
-  if lanes < 0 then invalid_arg "Parallel.phased";
-  List.iter (fun body -> parallel_for ?domains ~chunk:1 lanes body) bodies
-
 let map_array ?domains ?chunk f xs =
   let n = Array.length xs in
   let out = Array.make n None in

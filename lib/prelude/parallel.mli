@@ -70,19 +70,6 @@ val fork_cutoff : size:int -> cutoff:int -> (unit -> 'a) -> (unit -> 'b) -> 'a *
     [parallel.forks_sequentialized], so traces show where the cutoff
     bites. *)
 
-val phased : ?domains:int -> lanes:int -> (int -> unit) list -> unit
-(** [phased ~lanes [p1; p2; …]] runs phase [p1] as [p1 lane] for every
-    [lane = 0 .. lanes-1] in parallel, waits for {e all} lanes to finish
-    (a full barrier), then runs [p2] the same way, and so on — the
-    per-cycle barrier schedule of the sharded network simulator. Each
-    phase is a single {!parallel_for} dispatch with one lane per chunk,
-    so the {!parallel_for} failure protocol applies per phase and a
-    failing phase prevents the ones after it from starting. With a
-    domain budget of 1 the lanes of each phase run sequentially in lane
-    order; either way every lane of phase [p] happens-before every lane
-    of phase [p+1], so phase bodies that only write lane-owned state
-    need no further synchronisation. *)
-
 type 'a slots
 (** Per-domain storage: one ['a] per domain that asks, created lazily.
     The canonical use is a scratch workspace (separator arrays, arena

@@ -221,112 +221,24 @@ let test_run_suite_matches_single_runs () =
       checkb (w.Workload.name ^ " inbox mark") true (o.Workload.max_inbox >= 1))
     Workload.workloads outcomes
 
-(* ---------------- sharding: partition and plumbing (ISSUE 8) --------- *)
+(* ---------------- input checks ---------------- *)
 
-let test_shard_partition_xtree () =
-  let g = Xtree.graph (Xtree.create ~height:4) in
-  let sim = Sim.create ~shards:4 g in
-  check "shard count" 4 (Sim.shards sim);
-  check "root in shard 0" 0 (Sim.shard_of sim 0);
-  (* wedge partition: the vertex at index i of level l lands in shard
-     i*S / 2^l, so each level is cut into contiguous index bands aligned
-     with the recursive structure *)
-  for l = 0 to 4 do
-    let width = 1 lsl l in
-    let base = width - 1 in
-    for i = 0 to width - 1 do
-      check
-        (Printf.sprintf "level %d index %d" l i)
-        (i * 4 / width)
-        (Sim.shard_of sim (base + i))
-    done
-  done
-
-let test_shard_partition_generic () =
-  let sim = Sim.create ~shards:3 (path_host 10) in
-  check "shard count" 3 (Sim.shards sim);
-  (* fallback: contiguous id ranges, non-decreasing, all shards populated *)
-  let seen = Array.make 3 0 in
-  let prev = ref 0 in
-  for v = 0 to 9 do
-    let s = Sim.shard_of sim v in
-    check (Printf.sprintf "vertex %d" v) (v * 3 / 10) s;
-    checkb "non-decreasing" true (s >= !prev);
-    prev := s;
-    seen.(s) <- seen.(s) + 1
-  done;
-  Array.iteri
-    (fun s c -> checkb (Printf.sprintf "shard %d populated" s) true (c > 0))
-    seen
-
-let test_shard_clamp_and_validate () =
-  check "clamped to n" 2 (Sim.shards (Sim.create ~shards:8 (path_host 2)));
-  check "default is 1" 1 (Sim.shards (Sim.create (path_host 4)));
-  Alcotest.check_raises "shards 0 rejected" (Invalid_argument "Sim.create: shards")
-    (fun () -> ignore (Sim.create ~shards:0 (path_host 4)))
-
-let test_sharded_run_matches () =
-  (* the full equivalence battery lives in test_netsim_ref.ml; this is
-     the quick in-suite version: an embedded all_reduce on an X-tree
-     host must agree exactly across shard settings *)
-  let rng = Xt_prelude.Rng.make ~seed:42 in
-  let t = Gen.uniform rng (Theorem1.optimal_size 4) in
-  let e = (Theorem1.embed t).Theorem1.embedding in
-  let base = Workload.run_embedded ~service_rate:2 Workload.all_reduce e in
+let test_sim_input_checks () =
+  let host = path_host 4 in
+  Alcotest.check_raises "link capacity 0" (Invalid_argument "Sim.create: link capacity")
+    (fun () -> ignore (Sim.create ~link_capacity:0 host));
+  Alcotest.check_raises "service rate 0" (Invalid_argument "Sim.create: service rate")
+    (fun () -> ignore (Sim.create ~service_rate:0 host));
+  let sim = Sim.create host in
   List.iter
-    (fun shards ->
-      check
-        (Printf.sprintf "all_reduce at shards=%d" shards)
-        base
-        (Workload.run_embedded ~service_rate:2 ~shards Workload.all_reduce e))
-    [ 2; 3; 4 ]
-
-let test_run_suite_sharded_matches () =
-  let t = Gen.complete 31 in
-  let cases = List.map (fun w -> Workload.native_case w t) Workload.workloads in
-  let plain = Workload.run_suite cases in
-  let sharded = Workload.run_suite ~shards:4 ~domains:1 cases in
-  List.iter2
-    (fun (a : Workload.outcome) (b : Workload.outcome) ->
-      let what = a.Workload.case.Workload.label in
-      check (what ^ " cycles") a.Workload.cycles b.Workload.cycles;
-      check (what ^ " delivered") a.Workload.delivered b.Workload.delivered;
-      check (what ^ " hops") a.Workload.hops b.Workload.hops;
-      check (what ^ " max queue") a.Workload.max_queue b.Workload.max_queue;
-      check (what ^ " max inbox") a.Workload.max_inbox b.Workload.max_inbox)
-    plain sharded
-
-(* The cutoff starts at the 16·S prior, adapts only from measured
-   samples, and stays inside its clamps; a run across the cutoff keeps
-   results identical (covered above — this pins the sizing contract). *)
-let test_sparse_cutoff_adapts () =
-  let g = Xtree.graph (Xtree.create ~height:4) in
-  let sim = Sim.create ~shards:4 g in
-  check "initial cutoff is the 16*S prior" 64 (Sim.sparse_cutoff sim);
-  let rng = Xt_prelude.Rng.make ~seed:9 in
-  let t = Gen.uniform rng (Theorem1.optimal_size 4) in
-  let e = (Theorem1.embed t).Theorem1.embedding in
-  List.iter
-    (fun shards ->
-      ignore (Workload.run_embedded ~service_rate:2 ~shards Workload.all_reduce e))
-    [ 4; 4; 4 ];
-  let sim2 = Sim.create ~shards:4 g in
-  let c = Sim.sparse_cutoff sim2 in
-  checkb "fresh sim back at prior" true (c = 64);
-  (* drive one sim long enough for sampled cycles to fire, then check
-     the clamp window *)
-  let host = Xtree.graph (Xtree.create ~height:6) in
-  let sim3 = Sim.create ~shards:4 host in
-  let n = Graph.n host in
-  for v = 1 to n - 1 do
-    Sim.send sim3 ~src:v ~dst:0 ~tag:v
-  done;
-  ignore (Sim.run sim3 ~on_deliver:(fun ~tag:_ _ -> ()));
-  let c3 = Sim.sparse_cutoff sim3 in
-  checkb
-    (Printf.sprintf "cutoff %d within clamps [8, 4096]" c3)
-    true
-    (c3 >= 8 && c3 <= 4096)
+    (fun (src, dst) ->
+      Alcotest.check_raises
+        (Printf.sprintf "send %d -> %d" src dst)
+        (Invalid_argument "Sim.send: vertex out of range")
+        (fun () -> Sim.send sim ~src ~dst ~tag:0))
+    [ (-1, 0); (4, 0); (0, -1); (0, 4) ];
+  (* a rejected send leaves nothing in flight *)
+  check "quiescent" 0 (Sim.run sim ~on_deliver:(fun ~tag:_ _ -> ()))
 
 (* ---------------- router: dense rows == tree-mode lifting ------------ *)
 
@@ -376,16 +288,11 @@ let qcheck_router_modes =
 let suite =
   suite
   @ [
-      ("sparse cutoff sizing contract", `Quick, test_sparse_cutoff_adapts);
       ("permutation workload", `Quick, test_permutation_workload);
       ("service rate serialises", `Quick, test_service_rate_serialises);
       ("service rate models load", `Quick, test_service_rate_models_load);
       ("max inbox queue", `Quick, test_max_inbox_queue);
       ("run_suite matches single runs", `Quick, test_run_suite_matches_single_runs);
-      ("shard partition: x-tree wedges", `Quick, test_shard_partition_xtree);
-      ("shard partition: generic fallback", `Quick, test_shard_partition_generic);
-      ("shard count clamp and validation", `Quick, test_shard_clamp_and_validate);
-      ("sharded run matches unsharded", `Quick, test_sharded_run_matches);
-      ("run_suite sharded matches", `Quick, test_run_suite_sharded_matches);
+      ("sim input checks", `Quick, test_sim_input_checks);
       QCheck_alcotest.to_alcotest ~long:false qcheck_router_modes;
     ]

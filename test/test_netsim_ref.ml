@@ -3,10 +3,7 @@
    on native and embedded placements, [Sim] must produce exactly the
    same cycle count, deliveries, per-link loads, per-message latencies
    (in delivery order — stronger than the multiset), and both queue
-   high-water marks as [Sim_ref]. Since ISSUE 8 every comparison runs
-   the active-set core at shards 1, 2 and 4 — the sharded cycle-barrier
-   schedule must be bit-identical to the sweep at every setting. Plus
-   the zero-allocation guard on the steady-state run loop and the
+   high-water marks as [Sim_ref]. Plus the zero-allocation guard on the steady-state run loop and the
    degenerate cases (zero messages, single host, single link) that fall
    outside the workload sweeps. *)
 
@@ -24,31 +21,23 @@ let checkb = Alcotest.(check bool)
 let families = [ "complete"; "path"; "caterpillar"; "random-bst"; "uniform"; "skewed" ]
 let n_workloads = List.length Workload.workloads
 
-(* Both cores, same placement, same knobs; compare every observable,
-   running the active-set core once per shard count. *)
-let compare_runs ~what ?link_capacity ?service_rate ?(shard_counts = [ 1; 2; 4 ]) ~graph
-    ~place ~tree widx =
+(* Both cores, same placement, same knobs; compare every observable. *)
+let compare_runs ~what ?link_capacity ?service_rate ~graph ~place ~tree widx =
   let fast = List.nth Workload.workloads widx in
   let slow = List.nth RefW.workloads widx in
   let rsim = Sim_ref.create ?link_capacity ?service_rate graph in
   let rcycles = slow.RefW.run rsim ~place ~tree in
-  List.iter
-    (fun shards ->
-      let what = Printf.sprintf "%s [shards=%d]" what shards in
-      let sim = Sim.create ?link_capacity ?service_rate ~shards graph in
-      let cycles = fast.Workload.run sim ~place ~tree in
-      check (what ^ ": cycles") rcycles cycles;
-      check (what ^ ": delivered") (Sim_ref.delivered rsim) (Sim.delivered sim);
-      Alcotest.(check (array int))
-        (what ^ ": link loads") (Sim_ref.link_loads rsim) (Sim.link_loads sim);
-      Alcotest.(check (array int))
-        (what ^ ": latencies in delivery order")
-        (Sim_ref.latencies rsim) (Sim.latencies sim);
-      check (what ^ ": max link queue") (Sim_ref.max_link_queue rsim)
-        (Sim.max_link_queue sim);
-      check (what ^ ": max inbox queue") (Sim_ref.max_inbox_queue rsim)
-        (Sim.max_inbox_queue sim))
-    shard_counts
+  let sim = Sim.create ?link_capacity ?service_rate graph in
+  let cycles = fast.Workload.run sim ~place ~tree in
+  check (what ^ ": cycles") rcycles cycles;
+  check (what ^ ": delivered") (Sim_ref.delivered rsim) (Sim.delivered sim);
+  Alcotest.(check (array int))
+    (what ^ ": link loads") (Sim_ref.link_loads rsim) (Sim.link_loads sim);
+  Alcotest.(check (array int))
+    (what ^ ": latencies in delivery order")
+    (Sim_ref.latencies rsim) (Sim.latencies sim);
+  check (what ^ ": max link queue") (Sim_ref.max_link_queue rsim) (Sim.max_link_queue sim);
+  check (what ^ ": max inbox queue") (Sim_ref.max_inbox_queue rsim) (Sim.max_inbox_queue sim)
 
 let workload_name widx = (List.nth Workload.workloads widx).Workload.name
 
@@ -108,15 +97,14 @@ type eq_case = {
   cap : int;
   rate : int option;
   mode : int; (* 0 = native, 1 = Theorem 1 embedded, 2 = random placement *)
-  shards : int;
   seed : int;
 }
 
 let print_case c =
-  Printf.sprintf "%s(%d) %s cap=%d rate=%s mode=%d shards=%d seed=%d" c.fname c.size
+  Printf.sprintf "%s(%d) %s cap=%d rate=%s mode=%d seed=%d" c.fname c.size
     (workload_name c.widx) c.cap
     (match c.rate with None -> "inf" | Some r -> string_of_int r)
-    c.mode c.shards c.seed
+    c.mode c.seed
 
 let case_gen =
   QCheck2.Gen.(
@@ -126,9 +114,8 @@ let case_gen =
     let* cap = map (fun k -> k + 1) (int_bound 2) in
     let* rate = oneofl [ None; Some 1; Some 2 ] in
     let* mode = int_bound 2 in
-    let* shards = oneofl [ 1; 2; 3; 4 ] in
     let* seed = int_bound 1_000_000 in
-    return { fname = List.nth families fi; size; widx; cap; rate; mode; shards; seed })
+    return { fname = List.nth families fi; size; widx; cap; rate; mode; seed })
 
 let run_eq_case c =
   let rng = Xt_prelude.Rng.make ~seed:c.seed in
@@ -146,8 +133,8 @@ let run_eq_case c =
         let place = Array.init c.size (fun _ -> Xt_prelude.Rng.int rng order) in
         (Xtree.graph xt, place, tree)
   in
-  compare_runs ~what:(print_case c) ~link_capacity:c.cap ?service_rate:c.rate
-    ~shard_counts:[ c.shards ] ~graph ~place ~tree c.widx;
+  compare_runs ~what:(print_case c) ~link_capacity:c.cap ?service_rate:c.rate ~graph ~place
+    ~tree c.widx;
   true
 
 let qcheck_equivalence =
@@ -157,31 +144,23 @@ let qcheck_equivalence =
 (* ---------------- degenerate cases outside the workload sweeps ------- *)
 
 (* Raw send lists rather than tree workloads, so the empty/singleton
-   shapes the generators never produce are pinned too. Each case runs
-   the reference once and the active-set core at shards 1, 2 and 4
-   (clamped to the vertex count where the host is smaller). *)
+   shapes the generators never produce are pinned too. *)
 let compare_direct ~what ?link_capacity ?service_rate ~graph sends =
   let quiet ~tag:_ _ = () in
   let rsim = Sim_ref.create ?link_capacity ?service_rate graph in
   List.iter (fun (src, dst, tag) -> Sim_ref.send rsim ~src ~dst ~tag) sends;
   let rcycles = Sim_ref.run rsim ~on_deliver:quiet in
-  List.iter
-    (fun shards ->
-      let what = Printf.sprintf "%s [shards=%d]" what shards in
-      let sim = Sim.create ?link_capacity ?service_rate ~shards graph in
-      List.iter (fun (src, dst, tag) -> Sim.send sim ~src ~dst ~tag) sends;
-      let cycles = Sim.run sim ~on_deliver:quiet in
-      check (what ^ ": cycles") rcycles cycles;
-      check (what ^ ": delivered") (Sim_ref.delivered rsim) (Sim.delivered sim);
-      Alcotest.(check (array int))
-        (what ^ ": link loads") (Sim_ref.link_loads rsim) (Sim.link_loads sim);
-      Alcotest.(check (array int))
-        (what ^ ": latencies") (Sim_ref.latencies rsim) (Sim.latencies sim);
-      check (what ^ ": max link queue") (Sim_ref.max_link_queue rsim)
-        (Sim.max_link_queue sim);
-      check (what ^ ": max inbox queue") (Sim_ref.max_inbox_queue rsim)
-        (Sim.max_inbox_queue sim))
-    [ 1; 2; 4 ]
+  let sim = Sim.create ?link_capacity ?service_rate graph in
+  List.iter (fun (src, dst, tag) -> Sim.send sim ~src ~dst ~tag) sends;
+  let cycles = Sim.run sim ~on_deliver:quiet in
+  check (what ^ ": cycles") rcycles cycles;
+  check (what ^ ": delivered") (Sim_ref.delivered rsim) (Sim.delivered sim);
+  Alcotest.(check (array int))
+    (what ^ ": link loads") (Sim_ref.link_loads rsim) (Sim.link_loads sim);
+  Alcotest.(check (array int))
+    (what ^ ": latencies") (Sim_ref.latencies rsim) (Sim.latencies sim);
+  check (what ^ ": max link queue") (Sim_ref.max_link_queue rsim) (Sim.max_link_queue sim);
+  check (what ^ ": max inbox queue") (Sim_ref.max_inbox_queue rsim) (Sim.max_inbox_queue sim)
 
 let test_degenerate_zero_messages () =
   (* quiescent networks: run returns 0 cycles without stepping at all *)
