@@ -32,9 +32,19 @@ let seed_arg =
   let doc = "Random seed (all randomness is derived from it)." in
   Arg.(value & opt int 42 & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
 
+(* Checked up front, like a bad size: every subcommand taking it would
+   otherwise die deep inside the embedder (or, for loadgen, in the
+   spawned server). *)
 let capacity_arg =
   let doc = "Host vertex capacity (the paper's load factor is 16)." in
-  Arg.(value & opt int 16 & info [ "c"; "capacity" ] ~docv:"CAP" ~doc)
+  let positive c =
+    if c <= 0 then begin
+      Printf.eprintf "capacity must be positive\n";
+      exit 2
+    end;
+    c
+  in
+  Term.(const positive $ Arg.(value & opt int 16 & info [ "c"; "capacity" ] ~docv:"CAP" ~doc))
 
 let make_tree family size seed =
   match List.find_opt (fun (f : Gen.family) -> f.Gen.name = family) Gen.families with

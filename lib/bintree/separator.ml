@@ -127,9 +127,6 @@ let load ws nodes r1 =
 
 let prepare ws piece = load ws piece.nodes piece.r1
 
-let iter_children ws v f =
-  Bintree.iter_neighbours ws.tree v (fun w -> if member ws w && ws.par.(w) = v then f w)
-
 (* Exclusion bookkeeping: effective size of T(v) once some subtrees have
    been carved out. [exclude] walks the root path adding the carved size. *)
 let reset_exclusions ws = ws.exgen <- ws.exgen + 1
@@ -148,24 +145,39 @@ let exclude ws u =
 
 let eff ws v = ws.size.(v) - if ws.exq.(v) = ws.exgen then ws.exval.(v) else 0
 
-(* Procedure find1 of the paper: starting at [start], descend into the
-   child of maximal (effective) cardinality while the current subtree is
+(* [c] is a child of [v] in the rooted piece. Callers pass [v]'s tree
+   neighbours inline in parent, left, right order (the order of
+   [Bintree.iter_neighbours]): a closure per step would put minor words
+   on every node of every descent. *)
+let is_child ws v c = c >= 0 && member ws c && ws.par.(c) = v
+
+(* [c] when it is a child of [v] strictly heavier than [best] (effective
+   sizes; [best = -1] weighs 0), else [best]: the first heaviest child
+   wins ties. *)
+let heavier ws v c best =
+  if is_child ws v c && eff ws c > (if best < 0 then 0 else eff ws best) then c else best
+
+(* Procedure find1 of the paper: starting at [v], descend into the child
+   of maximal (effective) cardinality while the current subtree is
    bigger than 4A/3. Integer form of |T(u)| > 4A/3 is 3|T(u)| > 4A. *)
-let find1 ws start ~target =
-  let rec descend v =
-    if 3 * eff ws v <= 4 * target then v
-    else begin
-      let best = ref (-1) and best_size = ref 0 in
-      iter_children ws v (fun c ->
-          let s = eff ws c in
-          if s > !best_size then begin
-            best := c;
-            best_size := s
-          end);
-      if !best < 0 then v else descend !best
-    end
-  in
-  descend start
+let rec find1 ws v ~target =
+  if 3 * eff ws v <= 4 * target then v
+  else begin
+    let t = ws.tree in
+    let best =
+      heavier ws v (Bintree.right_id t v)
+        (heavier ws v (Bintree.left_id t v) (heavier ws v (Bintree.parent_id t v) (-1)))
+    in
+    if best < 0 then v else find1 ws best ~target
+  end
+
+(* Push child [c] of [v] when it is non-empty; returns the stack height. *)
+let push_child ws v c sp =
+  if is_child ws v c && eff ws c > 0 then begin
+    ws.stack.(sp) <- c;
+    sp + 1
+  end
+  else sp
 
 (* Collect the nodes of T(u) minus currently excluded subtrees. The
    excluded subtree roots have effective size 0 and are skipped whole. *)
@@ -176,15 +188,14 @@ let subtree_nodes ws u =
     ws.stack.(0) <- u;
     sp := 1
   end;
+  let t = ws.tree in
   while !sp > 0 do
     decr sp;
     let v = ws.stack.(!sp) in
     acc := v :: !acc;
-    iter_children ws v (fun c ->
-        if eff ws c > 0 then begin
-          ws.stack.(!sp) <- c;
-          incr sp
-        end)
+    sp :=
+      push_child ws v (Bintree.right_id t v)
+        (push_child ws v (Bintree.left_id t v) (push_child ws v (Bintree.parent_id t v) !sp))
   done;
   !acc
 
@@ -402,35 +413,77 @@ let lemma2 ws piece ~target =
 (* Components and verification                                         *)
 (* ------------------------------------------------------------------ *)
 
-let components ws ~nodes ~removed =
+type boundary = { bnode : int; anchor : int }
+
+type component = { members : int list; count : int; bounds : boundary list }
+
+let rec stamp a g = function
+  | [] -> ()
+  | v :: rest ->
+      a.(v) <- g;
+      stamp a g rest
+
+(* Push [w] when it is in the set and not yet visited; returns the new
+   stack height. *)
+let visit ws w sp =
+  if w >= 0 && member ws w && ws.vis.(w) <> ws.visgen then begin
+    ws.vis.(w) <- ws.visgen;
+    ws.stack.(sp) <- w;
+    sp + 1
+  end
+  else sp
+
+(* Prepend [u]'s boundary towards neighbour [x] when [x] is placed. *)
+let bound place u x acc =
+  if x >= 0 && place.(x) >= 0 then { bnode = u; anchor = place.(x) } :: acc else acc
+
+(* One component: DFS from [v], neighbours pushed parent, left, right —
+   the node order of every re-formed piece, and so every placement,
+   depends on it. Members come out last-popped first. Boundaries are
+   prepended right, left, parent per node and reversed once at the end:
+   popped order, right, left, parent within a node — what a scan of the
+   finished member list would give. No closure captures the refs, so the
+   walk allocates only its output. *)
+let grow ws ~place v =
+  ws.vis.(v) <- ws.visgen;
+  ws.stack.(0) <- v;
+  let t = ws.tree in
+  let sp = ref 1 and members = ref [] and count = ref 0 and bounds = ref [] in
+  while !sp > 0 do
+    decr sp;
+    let u = ws.stack.(!sp) in
+    members := u :: !members;
+    incr count;
+    let p = Bintree.parent_id t u and l = Bintree.left_id t u and r = Bintree.right_id t u in
+    sp := visit ws r (visit ws l (visit ws p !sp));
+    match place with
+    | Some place -> bounds := bound place u p (bound place u l (bound place u r !bounds))
+    | None -> ()
+  done;
+  let bounds = match !bounds with ([] | [ _ ]) as b -> b | b -> List.rev b in
+  { members = !members; count = !count; bounds }
+
+(* Components in reverse order of discovery; a component is discovered
+   at the first occurrence of one of its nodes in [nodes]. Removed nodes
+   are stamped out of the set, so skipping them gives exactly the order
+   a filtered copy of [nodes] would. *)
+let walk ws ~place ~nodes ~removed =
   ws.gen <- ws.gen + 1;
-  List.iter (fun v -> ws.mark.(v) <- ws.gen) nodes;
-  List.iter (fun v -> ws.mark.(v) <- ws.gen - 1) removed;
+  stamp ws.mark ws.gen nodes;
+  stamp ws.mark (ws.gen - 1) removed;
   ws.visgen <- ws.visgen + 1;
-  let seen v = ws.vis.(v) = ws.visgen in
-  let comps = ref [] in
-  List.iter
-    (fun v ->
-      if member ws v && not (seen v) then begin
-        let comp = ref [] in
-        let sp = ref 1 in
-        ws.stack.(0) <- v;
-        ws.vis.(v) <- ws.visgen;
-        while !sp > 0 do
-          decr sp;
-          let u = ws.stack.(!sp) in
-          comp := u :: !comp;
-          Bintree.iter_neighbours ws.tree u (fun w ->
-              if member ws w && not (seen w) then begin
-                ws.vis.(w) <- ws.visgen;
-                ws.stack.(!sp) <- w;
-                incr sp
-              end)
-        done;
-        comps := !comp :: !comps
-      end)
-    nodes;
-  !comps
+  let rec scan acc = function
+    | [] -> acc
+    | v :: rest ->
+        if member ws v && ws.vis.(v) <> ws.visgen then scan (grow ws ~place v :: acc) rest
+        else scan acc rest
+  in
+  scan [] nodes
+
+let components ws ~nodes ~removed =
+  List.map (fun c -> c.members) (walk ws ~place:None ~nodes ~removed)
+
+let components_with_bounds ws ~place ~nodes ~removed = walk ws ~place:(Some place) ~nodes ~removed
 
 let verify_split ws piece sp =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in

@@ -73,8 +73,27 @@ val lemma2 : ws -> piece -> target:int -> split
 
 val components : ws -> nodes:int list -> removed:int list -> int list list
 (** Connected components (in the underlying tree) of [nodes] minus
-    [removed]. Used to re-form pieces after a split's [s1]/[s2] have been
-    laid out. *)
+    [removed], in reverse order of discovery along [nodes]; each lists its
+    nodes in reverse DFS order (neighbours visited parent, left, right).
+    Passing [removed] is the same as filtering it out of [nodes] first,
+    without the copy. The walk allocates only its output lists. *)
+
+type boundary = { bnode : int; anchor : int }
+(** A component node [bnode] next to a placed node, and that node's host
+    vertex [anchor]. *)
+
+type component = {
+  members : int list;      (** As in {!components}. *)
+  count : int;             (** [List.length members]. *)
+  bounds : boundary list;
+      (** In DFS order of [bnode]; right, left, parent within a node. *)
+}
+
+val components_with_bounds :
+  ws -> place:int array -> nodes:int list -> removed:int list -> component list
+(** {!components} with each component's size and its boundaries against
+    [place] (guest node -> host vertex, negative when unplaced), collected
+    in the same walk. Used to re-form pieces after nodes have been laid. *)
 
 val verify_split : ws -> piece -> split -> (unit, string) result
 (** Structural check used by the test suite: partition, designated-node

@@ -11,30 +11,19 @@ let clamp_vertex st ~floor_level v =
   in
   down v
 
-let reattach st ~floor_level ~fallback nodes =
-  if nodes <> [] then begin
-    let comps = Separator.components st.State.ws ~nodes ~removed:[] in
-    List.iter
-      (fun comp ->
-        let piece = State.make_piece st comp in
-        let vertex =
-          match piece.State.bounds with
-          | b :: _ -> clamp_vertex st ~floor_level b.State.anchor
-          | [] -> fallback
-        in
-        State.attach st ~vertex piece)
-      comps
-  end
+let reattach st ~floor_level ~fallback ?(removed = []) nodes =
+  List.iter
+    (fun (piece : State.piece) ->
+      let vertex =
+        match piece.bounds with
+        | b :: _ -> clamp_vertex st ~floor_level b.anchor
+        | [] -> fallback
+      in
+      State.attach st ~vertex piece)
+    (State.reform st ~nodes ~removed)
 
-let reattach_to st ~vertex nodes =
-  if nodes <> [] then begin
-    let comps = Separator.components st.State.ws ~nodes ~removed:[] in
-    List.iter
-      (fun comp ->
-        let piece = State.make_piece st comp in
-        State.attach st ~vertex piece)
-      comps
-  end
+let reattach_to st ~vertex ?(removed = []) nodes =
+  List.iter (State.attach st ~vertex) (State.reform st ~nodes ~removed)
 
 let apply_split st ~max_level ~floor_level (sp : Separator.split) ~dest1 ~dest2 =
   List.iter (fun v -> State.lay st ~max_level ~node:v ~vertex:dest1) sp.s1;
@@ -45,7 +34,4 @@ let apply_split st ~max_level ~floor_level (sp : Separator.split) ~dest1 ~dest2 
 let move_whole st ~max_level ~floor_level (piece : State.piece) ~dest =
   let designated = List.sort_uniq compare (List.map (fun b -> b.State.bnode) piece.bounds) in
   List.iter (fun v -> State.lay st ~max_level ~node:v ~vertex:dest) designated;
-  let rest = List.filter (fun v -> not (List.mem v designated)) piece.nodes in
-  reattach st ~floor_level ~fallback:dest rest
-
-let laid_nodes_of_split (sp : Separator.split) = (List.length sp.s1, List.length sp.s2)
+  reattach st ~floor_level ~fallback:dest ~removed:designated piece.nodes

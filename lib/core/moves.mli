@@ -8,12 +8,15 @@ val clamp_vertex : State.t -> floor_level:int -> int -> int
     attachment level. Vertices already at or below the floor are
     returned unchanged. *)
 
-val reattach : State.t -> floor_level:int -> fallback:int -> int list -> unit
-(** Wrap the connected components of the given residual nodes as pieces
-    and attach each at its first boundary's anchor (clamped to the floor
-    level), or at [fallback] when it has no boundary. *)
+val reattach :
+  State.t -> floor_level:int -> fallback:int -> ?removed:int list -> int list -> unit
+(** Wrap the connected components of the given residual nodes, minus
+    [removed] (default none; typically the nodes just laid), as pieces
+    ({!State.reform}) and attach each at its first boundary's anchor
+    (clamped to the floor level), or at [fallback] when it has no
+    boundary. *)
 
-val reattach_to : State.t -> vertex:int -> int list -> unit
+val reattach_to : State.t -> vertex:int -> ?removed:int list -> int list -> unit
 (** Like {!reattach} but attaching every component at the given vertex,
     regardless of its anchors — used by SPLIT, which owns the assignment
     of pieces to the two child leaves. *)
@@ -34,6 +37,3 @@ val move_whole : State.t -> max_level:int -> floor_level:int -> State.piece -> d
 (** Lay all boundary nodes of the piece at [dest] and re-attach the
     remaining components (which are then anchored at [dest]). The caller
     must already have detached the piece. *)
-
-val laid_nodes_of_split : Xt_bintree.Separator.split -> int * int
-(** [(|s1|, |s2|)] — for budget accounting. *)

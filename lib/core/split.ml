@@ -98,8 +98,7 @@ let run ?(options = Options.default) ?outer_weight st ~round:i ~alpha =
         if to_lay = [] then State.attach st ~vertex:child p
         else begin
           List.iter (fun v -> State.lay st ~max_level:i ~node:v ~vertex:child) to_lay;
-          let rest = List.filter (fun v -> not (List.mem v to_lay)) p.State.nodes in
-          Moves.reattach_to st ~vertex:child rest
+          Moves.reattach_to st ~vertex:child ~removed:to_lay p.State.nodes
         end)
       pieces
   in
@@ -149,8 +148,7 @@ let run ?(options = Options.default) ?outer_weight st ~round:i ~alpha =
           in
           State.lay st ~max_level:i ~node:peel ~vertex:child;
           Obs.incr c_fill;
-          let rest = List.filter (fun v -> v <> peel) p.State.nodes in
-          Moves.reattach_to st ~vertex:child rest
+          Moves.reattach_to st ~vertex:child ~removed:[ peel ] p.State.nodes
     done
   in
   fill c0;

@@ -7,7 +7,11 @@ open Xt_bintree
    Scheduling-dependent: only forked views have a barrier above root. *)
 let c_barrier_stops = Obs.counter "state.weight_barrier_stops"
 
-type boundary = { bnode : int; anchor : int }
+(* Guest nodes walked while re-forming pieces after a placement: the
+   work [reform] does. Schedule-independent, like ADJUST's counters. *)
+let c_reform_nodes = Obs.counter "state.reform_nodes"
+
+type boundary = Separator.boundary = { bnode : int; anchor : int }
 
 type piece = { pid : int; size : int; nodes : int list; bounds : boundary list }
 
@@ -61,15 +65,12 @@ let weight_of st v = st.weight.(v)
    to the swept subtree; the sweep driver restores the ancestor weights
    in one additive fixup after the parallel batch. The default barrier 0
    propagates all the way to the root. *)
-let add_weight st v delta =
-  let rec up v =
-    st.weight.(v) <- st.weight.(v) + delta;
-    match Xtree.parent v with
-    | Some p when p >= st.weight_barrier -> up p
-    | Some _ -> Obs.incr c_barrier_stops
-    | None -> ()
-  in
-  up v
+let rec add_weight st v delta =
+  st.weight.(v) <- st.weight.(v) + delta;
+  if v > 0 then begin
+    let p = (v - 1) / 2 in
+    if p >= st.weight_barrier then add_weight st p delta else Obs.incr c_barrier_stops
+  end
 
 (* Nearest vertex with a free slot among levels <= max_level, by BFS from
    [from_] in the X-tree. *)
@@ -123,12 +124,15 @@ let attach st ~vertex piece =
   st.attached.(vertex) <- piece :: st.attached.(vertex);
   add_weight st vertex piece.size
 
+(* Piece ids are unique, so the first match is the only one; a piece at
+   the head of the list (the fill loop's case) goes in O(1). *)
+let rec remove_pid pid = function
+  | [] -> invalid_arg "State.detach: piece not attached here"
+  | p :: rest -> if p.pid = pid then rest else p :: remove_pid pid rest
+
 let detach st ~vertex piece =
   st.on_touch vertex;
-  let before = List.length st.attached.(vertex) in
-  st.attached.(vertex) <- List.filter (fun p -> p.pid <> piece.pid) st.attached.(vertex);
-  if List.length st.attached.(vertex) <> before - 1 then
-    invalid_arg "State.detach: piece not attached here";
+  st.attached.(vertex) <- remove_pid piece.pid st.attached.(vertex);
   add_weight st vertex (-piece.size)
 
 let make_piece st nodes =
@@ -144,6 +148,24 @@ let make_piece st nodes =
   st.next_pid <- pid + st.pid_stride;
   { pid; size = List.length nodes; nodes; bounds }
 
+let piece_of st (c : Separator.component) =
+  (match c.bounds with _ :: _ :: _ :: _ -> st.wide_pieces <- st.wide_pieces + 1 | _ -> ());
+  let pid = st.next_pid in
+  st.next_pid <- pid + st.pid_stride;
+  Obs.add c_reform_nodes c.count;
+  { pid; size = c.count; nodes = c.members; bounds = c.bounds }
+
+(* Ids are drawn in list order, as [make_piece] over each component
+   would draw them. *)
+let reform st ~nodes ~removed =
+  let rec wrap = function
+    | [] -> []
+    | c :: rest ->
+        let p = piece_of st c in
+        p :: wrap rest
+  in
+  wrap (Separator.components_with_bounds st.ws ~place:st.place ~nodes ~removed)
+
 let pieces_at st v = st.attached.(v)
 
 let separator_piece p =
@@ -156,19 +178,6 @@ let separator_piece p =
           None rest
       in
       { Separator.nodes = p.nodes; r1 = b.bnode; r2 }
-
-let reattach_components st nodes ~default_vertex =
-  if nodes <> [] then begin
-    let comps = Separator.components st.ws ~nodes ~removed:[] in
-    List.iter
-      (fun comp ->
-        let piece = make_piece st comp in
-        let vertex = match piece.bounds with b :: _ -> b.anchor | [] -> default_vertex in
-        attach st ~vertex piece)
-      comps
-  end
-
-let total_capacity st = st.capacity * Xtree.order st.xt
 
 (* A fork is a view of the same embedding (the big arrays are shared) for
    one task of a parallel sweep. It differs from the base state in what

@@ -11,7 +11,7 @@
     two boundaries sharing one anchor; this implementation tolerates more
     anchors and simply measures the resulting dilation. *)
 
-type boundary = { bnode : int; anchor : int }
+type boundary = Xt_bintree.Separator.boundary = { bnode : int; anchor : int }
 
 type piece = {
   pid : int;
@@ -61,18 +61,20 @@ val make_piece : t -> int list -> piece
 (** Builds a piece from its node list, scanning for boundaries against the
     current placement. *)
 
+val reform : t -> nodes:int list -> removed:int list -> piece list
+(** The connected components of [nodes] minus [removed], wrapped as
+    pieces in one walk: exactly
+    [List.map (make_piece st) (Separator.components st.ws ~nodes:kept ~removed:[])]
+    with [kept] the nodes not in [removed] — the same pieces in the same
+    order, node order, sizes, boundary order, ids and [wide_pieces]
+    count — without the filtered copy or the second boundary scan.
+    Counts the nodes walked in [state.reform_nodes]. *)
+
 val pieces_at : t -> int -> piece list
 
 val separator_piece : piece -> Xt_bintree.Separator.piece
 (** View a piece as input for the separator lemmas ([r1]/[r2] are the
     boundary nodes). Raises [Invalid_argument] on a boundary-less piece. *)
-
-val reattach_components : t -> int list -> default_vertex:int -> unit
-(** Split the given residual nodes into connected components, wrap each as
-    a piece, and attach every piece to the anchor of its first boundary
-    (or to [default_vertex] if it has none). *)
-
-val total_capacity : t -> int
 
 val fork :
   t ->

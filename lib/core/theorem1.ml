@@ -21,9 +21,12 @@ type result = {
   trace : trace option;
 }
 
-let optimal_size ?(capacity = 16) r = capacity * (Bits.pow2 (r + 1) - 1)
+let optimal_size ?(capacity = 16) r =
+  if capacity <= 0 then invalid_arg "Theorem1.optimal_size: capacity must be positive";
+  capacity * (Bits.pow2 (r + 1) - 1)
 
 let height_for ?(capacity = 16) n =
+  if capacity <= 0 then invalid_arg "Theorem1.height_for: capacity must be positive";
   if n <= 0 then invalid_arg "Theorem1.height_for";
   let rec find r = if optimal_size ~capacity r >= n then r else find (r + 1) in
   find 0
@@ -76,37 +79,46 @@ let snapshot_spread st ~height =
 
 (* Place every node still living in a piece: breadth-first from the
    piece's boundary nodes, each node next to an already-placed tree
-   neighbour (State.lay diverts to the nearest free slot if needed). *)
+   neighbour (State.lay diverts to the nearest free slot if needed).
+   One stamp array serves every piece: the [k]-th piece drained marks its
+   nodes [2k+1] and raises a node to [2k+2] once queued. *)
 let final_fill st =
   let height = st.State.height in
   let order = Xtree.order st.State.xt in
+  let tree = st.State.tree and place = st.State.place in
+  let stamp = Array.make (Bintree.n tree) 0 in
+  let gen = ref 0 in
+  let queue = Queue.create () in
+  (* the last placed neighbour in parent, left, right order, else [h] *)
+  let hint x h = if x >= 0 && place.(x) >= 0 then place.(x) else h in
   for v = 0 to order - 1 do
     let rec drain () =
       match State.pieces_at st v with
       | [] -> ()
       | (p : State.piece) :: _ ->
           State.detach st ~vertex:v p;
-          let member = Hashtbl.create (List.length p.nodes) in
-          List.iter (fun w -> Hashtbl.replace member w ()) p.nodes;
-          let queue = Queue.create () in
-          let seen = Hashtbl.create 16 in
-          let seed w =
-            if not (Hashtbl.mem seen w) then begin
-              Hashtbl.replace seen w ();
+          gen := !gen + 2;
+          let member = !gen - 1 and queued = !gen in
+          List.iter (fun w -> stamp.(w) <- member) p.nodes;
+          let enqueue w =
+            if stamp.(w) <> queued then begin
+              stamp.(w) <- queued;
               Queue.add w queue
             end
           in
+          let follow x = if x >= 0 && stamp.(x) = member && place.(x) < 0 then enqueue x in
           (match p.bounds with
-          | [] -> seed (List.hd p.nodes)
-          | bs -> List.iter (fun b -> seed b.State.bnode) bs);
+          | [] -> enqueue (List.hd p.nodes)
+          | bs -> List.iter (fun b -> enqueue b.State.bnode) bs);
           while not (Queue.is_empty queue) do
             let w = Queue.pop queue in
-            let hint = ref v in
-            Bintree.iter_neighbours st.State.tree w (fun x ->
-                if st.State.place.(x) >= 0 then hint := st.State.place.(x));
-            State.lay st ~max_level:height ~node:w ~vertex:!hint;
-            Bintree.iter_neighbours st.State.tree w (fun x ->
-                if Hashtbl.mem member x && st.State.place.(x) < 0 then seed x)
+            let pw = Bintree.parent_id tree w
+            and lw = Bintree.left_id tree w
+            and rw = Bintree.right_id tree w in
+            State.lay st ~max_level:height ~node:w ~vertex:(hint rw (hint lw (hint pw v)));
+            follow pw;
+            follow lw;
+            follow rw
           done;
           drain ()
     in
@@ -302,8 +314,7 @@ let embed_uncached ?(capacity = 16) ?height ?(record_trace = false) ?(options = 
   (* Round 0: the initial subtree D0 at the root. *)
   let d0 = bfs_prefix tree (min capacity n) in
   List.iter (fun node -> State.lay st ~max_level:0 ~node ~vertex:Xtree.root) d0;
-  let rest = List.filter (fun v -> st.State.place.(v) < 0) (List.init n Fun.id) in
-  Moves.reattach st ~floor_level:0 ~fallback:Xtree.root rest;
+  Moves.reattach st ~floor_level:0 ~fallback:Xtree.root ~removed:d0 (List.init n Fun.id);
   (* Rounds 1..r. *)
   let rows = ref [] and spread_rows = ref [] in
   Obs.span ~arg:n "theorem1.embed" (fun () ->

@@ -7,12 +7,12 @@ DOCS="$1"
 LIB="$2"
 
 names_in_docs() {
-  grep -ohE '\b(obs|parallel|cache|netsim|congestion|serve|loadgen)(\.[a-z_0-9]+)+\b' "$DOCS" \
+  grep -ohE '\b(obs|parallel|state|cache|netsim|congestion|serve|loadgen)(\.[a-z_0-9]+)+\b' "$DOCS" \
     | sort -u
 }
 
 names_in_lib() {
-  grep -rohE '"(obs|parallel|cache|netsim|congestion|serve|loadgen)(\.[a-z_0-9]+)+"' \
+  grep -rohE '"(obs|parallel|state|cache|netsim|congestion|serve|loadgen)(\.[a-z_0-9]+)+"' \
     --include='*.ml' "$LIB" \
     | tr -d '"' | sort -u
 }

@@ -10,5 +10,5 @@ diff -u embed-jobs1.out embed-jobs4.out
 grep -q '^theorem1: ' embed-jobs1.out
 grep -q '^host: X(' embed-jobs1.out
 
-# workspace hot path allocates nothing
+# workspace hot path allocates nothing; components allocates only its output
 grep -q '^guard PASS$' guard.out

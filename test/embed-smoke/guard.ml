@@ -1,20 +1,37 @@
-(* Allocation guard for the @embed-smoke alias: [Separator.prepare] — the
-   O(n) hot path under every lemma call of the Theorem 1 pipeline — must
-   not allocate on a warm workspace. Prints one parseable line for
-   check.sh; the richer equivalence suite lives in test_theorem1_ref.ml. *)
+(* Allocation guard for the @embed-smoke alias, on one 4 093-node tree:
+
+   - [Separator.prepare], the O(n) hot path under every lemma call of
+     the Theorem 1 pipeline, must not allocate on a warm workspace;
+   - [Separator.components], which re-forms pieces after every
+     placement, must allocate only its output: one cons cell (3 words)
+     per node plus a few words per component.
+
+   Prints one parseable line per check and one verdict for check.sh; the
+   richer equivalence suite lives in test_theorem1_ref.ml. *)
+
+let minor_words f =
+  for _ = 1 to 4 do
+    ignore (f ())
+  done;
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  let r = f () in
+  (Gc.minor_words () -. before, r)
 
 let () =
   let open Xt_prelude in
   let open Xt_bintree in
   let tree = Gen.uniform (Rng.make ~seed:11) 4093 in
   let ws = Separator.make_ws tree in
-  let piece = { Separator.nodes = Bintree.preorder tree; r1 = Bintree.root tree; r2 = None } in
-  for _ = 1 to 4 do
-    ignore (Separator.prepare ws piece)
-  done;
-  Gc.minor ();
-  let before = Gc.minor_words () in
-  ignore (Separator.prepare ws piece);
-  let allocated = Gc.minor_words () -. before in
-  Printf.printf "prepare-minor-words = %.0f\n" allocated;
-  print_endline (if allocated < 256. then "guard PASS" else "guard FAIL")
+  let nodes = Bintree.preorder tree in
+  let piece = { Separator.nodes; r1 = Bintree.root tree; r2 = None } in
+  let prepared, _ = minor_words (fun () -> Separator.prepare ws piece) in
+  Printf.printf "prepare-minor-words = %.0f\n" prepared;
+  (* cutting every 512th preorder node leaves several components *)
+  let removed = List.filteri (fun i _ -> i mod 512 = 0) nodes in
+  let walked, comps = minor_words (fun () -> Separator.components ws ~nodes ~removed) in
+  let kept = List.fold_left (fun acc c -> acc + List.length c) 0 comps in
+  let bound = float_of_int ((3 * kept) + (16 * List.length comps) + 64) in
+  Printf.printf "components-minor-words = %.0f (bound %.0f: %d nodes, %d components)\n" walked
+    bound kept (List.length comps);
+  print_endline (if prepared < 256. && walked <= bound then "guard PASS" else "guard FAIL")

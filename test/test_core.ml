@@ -20,6 +20,21 @@ let test_height_for () =
   check "optimal r=3" 240 (Theorem1.optimal_size 3);
   check "custom capacity" 2 (Theorem1.height_for ~capacity:1 7)
 
+(* A capacity below one fits nothing at any height: rejected by name,
+   not by running the height search into [Bits.pow2]'s range check. *)
+let test_height_for_bad_capacity () =
+  List.iter
+    (fun capacity ->
+      Alcotest.check_raises
+        (Printf.sprintf "height_for capacity %d" capacity)
+        (Invalid_argument "Theorem1.height_for: capacity must be positive")
+        (fun () -> ignore (Theorem1.height_for ~capacity 100));
+      Alcotest.check_raises
+        (Printf.sprintf "optimal_size capacity %d" capacity)
+        (Invalid_argument "Theorem1.optimal_size: capacity must be positive")
+        (fun () -> ignore (Theorem1.optimal_size ~capacity 3)))
+    [ 0; -1; min_int ]
+
 (* ---------------- Theorem 1 core guarantees ---------------- *)
 
 let embed_all f =
@@ -228,4 +243,5 @@ let suite =
     ("state lay fallback", `Quick, test_state_lay_fallback);
     ("state attach/detach", `Quick, test_state_attach_detach);
     ("make_piece boundaries", `Quick, test_make_piece_boundaries);
+    ("height_for rejects non-positive capacity", `Quick, test_height_for_bad_capacity);
   ]

@@ -135,6 +135,95 @@ let test_move_whole_lays_designated () =
   check "rest attached at dest" 1 (List.length (State.pieces_at st 5));
   check "weight accounted" 24 (State.weight_of st 5)
 
+(* ---------------- re-forming pieces in one walk ---------------- *)
+
+(* [State.reform] must equal the two-pass pipeline it replaces — a
+   filtered copy, [Separator.components], then [State.make_piece] per
+   component — down to piece order, node order, sizes, boundary order,
+   piece ids and the [wide_pieces] count. Cases: a random tree, a random
+   connected node set in random order, random placements around it, and
+   0-4 removed set nodes laid as a caller lays them before re-forming;
+   half the cases run on a forked view with interleaved ids. *)
+type reform_case = { fam : string; n : int; seed : int; removed_count : int; forked : bool }
+
+let print_reform_case c =
+  Printf.sprintf "%s(%d) seed=%d removed=%d forked=%b" c.fam c.n c.seed c.removed_count c.forked
+
+let reform_case_gen =
+  QCheck2.Gen.(
+    let* fam = oneofl [ "uniform"; "path"; "caterpillar"; "complete"; "random-bst"; "skewed" ] in
+    let* n = int_range 2 400 in
+    let* seed = int_bound 1_000_000 in
+    let* removed_count = int_range 0 4 in
+    let* forked = bool in
+    return { fam; n; seed; removed_count; forked })
+
+(* Everything derives from the case seed, so two calls build identical
+   states: one for each side of the comparison. *)
+let reform_scenario c =
+  let open Xt_prelude in
+  let rng = Rng.make ~seed:c.seed in
+  let tree = (Gen.family c.fam).generate (Rng.split rng) c.n in
+  let n = Bintree.n tree in
+  (* grow a connected set from a random node, one random frontier pick
+     at a time *)
+  let inset = Array.make n false in
+  let pool = Array.make ((3 * n) + 1) 0 and m = ref 1 in
+  pool.(0) <- Rng.int rng n;
+  let k = Rng.int_in rng 1 n and members = ref [] and count = ref 0 in
+  while !count < k && !m > 0 do
+    let i = Rng.int rng !m in
+    let v = pool.(i) in
+    pool.(i) <- pool.(!m - 1);
+    decr m;
+    if not inset.(v) then begin
+      inset.(v) <- true;
+      members := v :: !members;
+      incr count;
+      Bintree.iter_neighbours tree v (fun w ->
+          if not inset.(w) then begin
+            pool.(!m) <- w;
+            incr m
+          end)
+    end
+  done;
+  let nodes = Array.of_list !members in
+  Rng.shuffle rng nodes;
+  let height = 5 in
+  let st = State.create ~tree ~height ~capacity:16 in
+  let order = Xt_topology.Xtree.order st.State.xt in
+  let lay v = State.lay st ~max_level:height ~node:v ~vertex:(Rng.int rng order) in
+  for v = 0 to n - 1 do
+    if (not inset.(v)) && Rng.bool rng then lay v
+  done;
+  let picks = Array.copy nodes in
+  Rng.shuffle rng picks;
+  let removed = List.filteri (fun i _ -> i < c.removed_count) (Array.to_list picks) in
+  List.iter lay removed;
+  let st =
+    if c.forked then
+      State.fork st ~ws:(Separator.make_ws tree) ~pid_base:(Rng.int rng 10) ~pid_stride:3
+        ~weight_barrier:0
+    else st
+  in
+  (st, Array.to_list nodes, removed)
+
+let run_reform_case c =
+  let st1, nodes, removed = reform_scenario c in
+  let kept = List.filter (fun v -> not (List.mem v removed)) nodes in
+  let comps = Separator.components st1.State.ws ~nodes:kept ~removed:[] in
+  (* rev_map applies make_piece front to back, drawing ids in list order *)
+  let expected = List.rev (List.rev_map (State.make_piece st1) comps) in
+  let st2, nodes, removed = reform_scenario c in
+  let got = State.reform st2 ~nodes ~removed in
+  got = expected
+  && st1.State.wide_pieces = st2.State.wide_pieces
+  && st1.State.next_pid = st2.State.next_pid
+
+let qcheck_reform =
+  QCheck2.Test.make ~count:500 ~name:"reform == components + make_piece" ~print:print_reform_case
+    reform_case_gen run_reform_case
+
 let suite =
   [
     ("clamp vertex", `Quick, test_clamp_vertex);
@@ -146,4 +235,5 @@ let suite =
     ("reattach by anchor", `Quick, test_reattach_components_by_anchor);
     ("reattach to explicit vertex", `Quick, test_reattach_to_explicit_vertex);
     ("move whole lays designated", `Quick, test_move_whole_lays_designated);
+    QCheck_alcotest.to_alcotest ~long:false qcheck_reform;
   ]

@@ -5,8 +5,9 @@
    placements. Checked exhaustively over every binary-tree shape up to 14
    nodes, by qcheck over random family x size x capacity cases swept
    across domain budgets {1,2,4}, and on deterministic large trees where
-   the parallel sweeps actually engage. Plus the [Gc.minor_words] guard
-   pinning [Separator.prepare] as allocation-free. *)
+   the parallel sweeps actually engage. Plus the [Gc.minor_words] guards
+   pinning [Separator.prepare] as allocation-free and
+   [Separator.components] as allocating only its output. *)
 
 open Xt_prelude
 open Xt_bintree
@@ -167,7 +168,9 @@ let test_large_budget_sweep () =
           check (what ^ ": dilation") (Embedding.dilation ~dist ef) (Embedding.dilation ~dist e);
           check (what ^ ": load") (Embedding.load ef) (Embedding.load e))
         [ 1; 2; 4 ])
-    [ ("uniform", 30_000); ("caterpillar", 60_000); ("random-split", 100_000) ]
+    (* path: the family with the most fallbacks, where every fill peel
+       reverses the remaining piece's node order *)
+    [ ("uniform", 30_000); ("path", 30_000); ("caterpillar", 60_000); ("random-split", 100_000) ]
 
 (* ---------------- separator hot path allocates nothing --------------- *)
 
@@ -186,6 +189,32 @@ let test_prepare_allocation_free () =
   checkb
     (Printf.sprintf "prepare allocated %.0f minor words" allocated)
     true (allocated < 256.)
+
+(* [Separator.components] re-forms pieces after every placement, so it
+   must allocate only its output: one cons cell (3 words) per node, plus
+   a few words per component. A closure per visited node would cost 9
+   words per node. *)
+let test_components_allocation () =
+  let tree = Gen.uniform (Rng.make ~seed:5) 4093 in
+  let ws = Separator.make_ws tree in
+  let nodes = Bintree.preorder tree in
+  (* cutting every 512th preorder node leaves several components *)
+  let removed = List.filteri (fun i _ -> i mod 512 = 0) nodes in
+  for _ = 1 to 4 do
+    ignore (Separator.components ws ~nodes ~removed)
+  done;
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  let comps = Separator.components ws ~nodes ~removed in
+  let allocated = Gc.minor_words () -. before in
+  let kept = List.fold_left (fun acc c -> acc + List.length c) 0 comps in
+  let ncomps = List.length comps in
+  check "every kept node in a component" (4093 - 8) kept;
+  checkb "several components" true (ncomps > 1);
+  let bound = float_of_int ((3 * kept) + (16 * ncomps) + 64) in
+  checkb
+    (Printf.sprintf "components allocated %.0f minor words (bound %.0f)" allocated bound)
+    true (allocated <= bound)
 
 (* Rebinding a workspace to a bigger tree grows in one step and keeps
    serving; stamp generations survive the move. *)
@@ -215,4 +244,5 @@ let suite =
     ("large trees, budget sweep", `Slow, test_large_budget_sweep);
     ("separator prepare allocation free", `Quick, test_prepare_allocation_free);
     ("workspace rebind", `Quick, test_rebind_grows);
+    ("separator components allocates only its output", `Quick, test_components_allocation);
   ]
