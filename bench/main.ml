@@ -50,7 +50,10 @@ let json_escape s =
    simulator core over the retained sweep-based reference on the
    latency-bound pingpong workload, r = 9 X-tree host. Runs with
    metrics disabled (before the table pass enables them) so the replays
-   don't pollute the counters block. *)
+   don't pollute the counters block. The host's routes are built before
+   either core is timed: both cores read the host graph's one next-hop
+   table, so otherwise the second core would ride on the rows the first
+   built. *)
 
 module RefW = Xt_netsim.Workload.Make (Xt_netsim.Sim_ref)
 
@@ -67,6 +70,7 @@ let measure_sim_speedup () =
   let tree = Tables.tree_of "uniform" (Xt_core.Theorem1.optimal_size r) in
   let res = Xt_core.Theorem1.embed tree in
   let e = res.Xt_core.Theorem1.embedding in
+  Xt_netsim.Router.warm (Xt_netsim.Router.create e.Xt_embedding.Embedding.host);
   let time f =
     let t0 = Unix.gettimeofday () in
     let v = f () in

@@ -987,6 +987,11 @@ let d2_sim_throughput () =
       let tree = tree_of "uniform" n in
       let t1 = Theorem1.embed tree in
       let t3 = Hypercube_transfer.embed tree in
+      (* build both hosts' routes before any replay, so the rate cells
+         time the replay alone *)
+      List.iter
+        (fun (e : Embedding.t) -> Router.warm (Router.create e.host))
+        [ t1.Theorem1.embedding; t3.Hypercube_transfer.embedding ];
       List.iter
         (fun (w : Workload.spec) ->
           let cases =

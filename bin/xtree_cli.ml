@@ -533,7 +533,8 @@ let simulate_run family size seed workload link_capacity service_rate suite tm =
          let lats = Sim.latencies sim in
          if Array.length lats > 0 then begin
            let q = Stats.quantiles_of_ints lats in
-           let busiest = Stats.max_int_array (Sim.link_loads sim) in
+           (* an X(0) host has no links: its busiest link carried 0 *)
+           let busiest = Array.fold_left max 0 (Sim.link_loads sim) in
            Printf.printf
              "latency cycles: p50=%.0f p90=%.0f p99=%.0f max=%d; busiest link carried %d, max queue %d, max inbox %d\n"
              q.Stats.p50 q.Stats.p90 q.Stats.p99

@@ -6,15 +6,13 @@ open Xt_topology
      guest-tree run): shortest paths are unique, so the next hop is
      forced. One BFS gives parent and depth; a binary-lifting ancestor
      table gives the descend step. O(n log n) memory total, O(log n)
-     per hop, no per-destination state — the dense rows below would
-     cost O(n^2) memory on large native guests (tens of GB at n = 32k
-     in the D2 sweep).
+     per hop, no per-destination state — a next-hop table would cost
+     O(n^2) memory on large native guests (tens of GB at n = 32k in the
+     D2 sweep).
 
-   - General hosts (X-trees, hypercubes, ...): next-hop rows are
-     memoised in dense per-destination arrays (a shared zero-length
-     sentinel marks the rows not yet computed), so the hot path is two
-     array loads and a comparison: no hashing, no option allocation.
-     Hosts are small (2^{r+1}-1 vertices), so the rows stay cheap.
+   - General hosts (X-trees, hypercubes, ...): the host graph's own
+     next-hop table ([Graph.next_hop]). Each row is built by whichever
+     router first needs it, then reused by every simulator on the host.
 
    Both modes follow BFS-tree routes, so on a tree they agree exactly
    (the unique path *is* the BFS path) and routing stays deterministic.
@@ -24,8 +22,6 @@ open Xt_topology
 
 type t = {
   graph : Graph.t;
-  dist_rows : int array array;   (* dense: dst -> distance row *)
-  parent_rows : int array array; (* dense: dst -> BFS parent towards dst *)
   tree : bool;
   parent : int array;            (* tree: parent.(root) = root *)
   depth : int array;
@@ -33,13 +29,9 @@ type t = {
   levels : int;
 }
 
-let absent : int array = [||]
-
-let no_rows : int array array = [||]
-
-let create ?(dense = false) graph =
+let create graph =
   let n = Graph.n graph in
-  if (not dense) && n > 0 && Graph.m graph = n - 1 && Graph.is_connected graph then begin
+  if n > 0 && Graph.m graph = n - 1 && Graph.is_connected graph then begin
     let dist, parent = Graph.bfs_parents graph 0 in
     let max_depth = Array.fold_left (fun a d -> if d > a then d else a) 0 dist in
     let levels =
@@ -55,28 +47,9 @@ let create ?(dense = false) graph =
       done;
       up.(k) <- row
     done;
-    {
-      graph;
-      dist_rows = no_rows;
-      parent_rows = no_rows;
-      tree = true;
-      parent;
-      depth = dist;
-      up;
-      levels;
-    }
+    { graph; tree = true; parent; depth = dist; up; levels }
   end
-  else
-    {
-      graph;
-      dist_rows = Array.make n absent;
-      parent_rows = Array.make n absent;
-      tree = false;
-      parent = absent;
-      depth = absent;
-      up = no_rows;
-      levels = 0;
-    }
+  else { graph; tree = false; parent = [||]; depth = [||]; up = [||]; levels = 0 }
 
 (* [lift t v d] is the [d]-th ancestor of [v] (tree mode). The helpers
    are top-level (not closures over [t]) so the hot path allocates
@@ -103,22 +76,9 @@ let lca_deep t u v =
 let lca t u v =
   if t.depth.(u) >= t.depth.(v) then lca_deep t u v else lca_deep t v u
 
-let build t dst =
-  let dist, parent = Graph.bfs_parents t.graph dst in
-  t.dist_rows.(dst) <- dist;
-  t.parent_rows.(dst) <- parent
-
-(* Prebuild every dense row so [next_hop] never mutates the router
-   afterwards — required before sharing one router across domains (lazy
-   building from two domains would race on the row slots). Each
-   destination's rows are independent (distinct array slots,
-   deterministic BFS content), so the fill itself fans out over the
-   domain pool. Tree-mode routers are immutable after [create] already;
-   warming one is a no-op. *)
-let warm t =
-  if not t.tree then
-    Xt_prelude.Parallel.parallel_for (Graph.n t.graph) (fun dst ->
-        if t.parent_rows.(dst) == absent then build t dst)
+(* Tree-mode routers are complete after [create]; warming one is a
+   no-op. *)
+let warm t = if not t.tree then Graph.warm_routes t.graph
 
 let next_hop t ~current ~dst =
   if current = dst then invalid_arg "Router.next_hop: already there";
@@ -134,15 +94,18 @@ let next_hop t ~current ~dst =
     else t.parent.(current)
   end
   else begin
-    if t.parent_rows.(dst) == absent then build t dst;
-    let hop = t.parent_rows.(dst).(current) in
+    let hop = Graph.next_hop t.graph ~current ~dst in
     if hop < 0 then invalid_arg "Router.next_hop: unreachable";
     hop
   end
 
+let rec walk g at dst hops =
+  if at = dst then hops
+  else begin
+    let hop = Graph.next_hop g ~current:at ~dst in
+    if hop < 0 then -1 else walk g hop dst (hops + 1)
+  end
+
 let path_length t ~src ~dst =
   if t.tree then t.depth.(src) + t.depth.(dst) - (2 * t.depth.(lca t src dst))
-  else begin
-    if t.dist_rows.(dst) == absent then build t dst;
-    t.dist_rows.(dst).(src)
-  end
+  else walk t.graph src dst 0

@@ -52,6 +52,25 @@ val bfs_parents : t -> int -> int array * int array
     [parent.(v) = -1] for unreachable [v]; otherwise [parent.(v)] is the
     predecessor of [v] on some shortest path from [s]. *)
 
+val next_hop : t -> current:int -> dst:int -> int
+(** The neighbour of [current] on its BFS route to [dst]: exactly
+    [(snd (bfs_parents g dst)).(current)] for [current <> dst], or [-1]
+    when [current = dst] or [dst] is unreachable from [current].
+
+    Routes come from a next-hop table stored on the graph and shared by
+    every caller: one row per destination, 2 bytes per vertex (the hop's
+    position in [current]'s sorted adjacency), so 2n{^2} bytes once every
+    row exists, freed with the graph. Nothing is allocated until the
+    first call; the first call for a destination builds its row with one
+    BFS. A row is published only once complete, so any number of domains
+    may call this on one graph at once. Allocation-free once [dst]'s row
+    exists. Raises [Invalid_argument] if a vertex has more than 65535
+    neighbours. *)
+
+val warm_routes : t -> unit
+(** Build every row of the {!next_hop} table not built yet, so that no
+    later call pays a BFS. *)
+
 val distance : t -> int -> int -> int
 (** Hop distance, [-1] if disconnected. A full BFS per call; for bulk
     queries prefer [bfs]. *)

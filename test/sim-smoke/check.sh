@@ -12,3 +12,9 @@ sent=$(sed -n 's/^netsim.sent = //p' sim-smoke.out)
 delivered=$(sed -n 's/^netsim.delivered = //p' sim-smoke.out)
 test "$sent" -gt 0
 test "$sent" -eq "$delivered"
+
+# route sharing: the five embedded cases share one next-hop table on
+# their X(4) host, so at most one BFS row per host vertex (31) is built
+rows=$(sed -n 's/^netsim.route_rows = //p' sim-smoke.out)
+test "$rows" -gt 0
+test "$rows" -le 31

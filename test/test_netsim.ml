@@ -240,7 +240,34 @@ let test_sim_input_checks () =
   (* a rejected send leaves nothing in flight *)
   check "quiescent" 0 (Sim.run sim ~on_deliver:(fun ~tag:_ _ -> ()))
 
-(* ---------------- router: dense rows == tree-mode lifting ------------ *)
+(* ---------------- router == the BFS spec ---------------------------- *)
+
+(* Every route must be the one [Graph.bfs_parents] names: for each
+   (current, dst) pair, [next_hop] is current's BFS parent towards dst
+   and [path_length] is the BFS distance; pairs in different components
+   raise "unreachable" and measure -1. Both router modes answer to this
+   spec, and [Sim_ref] shares [Router], so nothing else pins routing. *)
+let routes_match_bfs ~what g r =
+  let n = Graph.n g in
+  for dst = 0 to n - 1 do
+    let parent = snd (Graph.bfs_parents g dst) in
+    let dist = Graph.bfs g dst in
+    for cur = 0 to n - 1 do
+      if cur <> dst then begin
+        match Router.next_hop r ~current:cur ~dst with
+        | hop ->
+            if hop <> parent.(cur) then
+              Alcotest.failf "%s: next_hop %d->%d = %d, BFS parent %d" what cur dst hop
+                parent.(cur)
+        | exception Invalid_argument msg ->
+            if dist.(cur) >= 0 || msg <> "Router.next_hop: unreachable" then
+              Alcotest.failf "%s: next_hop %d->%d raised %S" what cur dst msg
+      end;
+      let len = Router.path_length r ~src:cur ~dst in
+      if len <> dist.(cur) then
+        Alcotest.failf "%s: path_length %d->%d = %d, BFS distance %d" what cur dst len dist.(cur)
+    done
+  done
 
 type route_case = { fname : string; size : int; seed : int }
 
@@ -255,35 +282,104 @@ let route_case_gen =
     let* seed = int_bound 1_000_000 in
     return { fname = List.nth route_families fi; size; seed })
 
-(* On a tree the shortest path is unique, so the binary-lifting mode and
-   the forced-dense BFS rows must agree on EVERY (current, dst) pair —
-   the guarantee the fault-reroute escape hatch leans on. [warm] on the
-   dense router must be equivalent to lazy row building. *)
+(* On a tree the shortest path is unique, so the binary-lifting mode
+   must name the BFS parent on EVERY (current, dst) pair. *)
 let run_route_case c =
   let rng = Xt_prelude.Rng.make ~seed:c.seed in
   let tree = (Gen.family c.fname).generate rng c.size in
   let g = Workload.guest_graph tree in
-  let lifted = Router.create g in
-  let dense = Router.create ~dense:true g in
-  Router.warm dense;
-  for dst = 0 to c.size - 1 do
-    for cur = 0 to c.size - 1 do
-      if cur <> dst then begin
-        let a = Router.next_hop lifted ~current:cur ~dst in
-        let b = Router.next_hop dense ~current:cur ~dst in
-        if a <> b then
-          Alcotest.failf "%s: next_hop %d->%d: lifted %d, dense %d" (print_route_case c)
-            cur dst a b
-      end;
-      if Router.path_length lifted ~src:cur ~dst <> Router.path_length dense ~src:cur ~dst
-      then Alcotest.failf "%s: path_length %d->%d differs" (print_route_case c) cur dst
-    done
-  done;
+  routes_match_bfs ~what:(print_route_case c) g (Router.create g);
   true
 
 let qcheck_router_modes =
   QCheck2.Test.make ~count:80 ~name:"router: tree-mode lifting == dense BFS rows"
     ~print:print_route_case route_case_gen run_route_case
+
+(* General hosts: random connected graphs (a random spanning tree plus
+   random chords), X-trees and hypercubes of heights 1-6, and random
+   graphs of two components. *)
+type host_case = { host : string; height : int; hseed : int }
+
+let print_host_case c = Printf.sprintf "%s(%d) seed=%d" c.host c.height c.hseed
+
+let host_case_gen =
+  QCheck2.Gen.(
+    let* host = oneofl [ "connected"; "xtree"; "hypercube"; "two-components" ] in
+    let* height = map (fun k -> k + 1) (int_bound 5) in
+    let* hseed = int_bound 1_000_000 in
+    return { host; height; hseed })
+
+(* Edges of a random connected graph on [base, base + n). *)
+let random_connected rng ~base n =
+  let tree = List.init (n - 1) (fun i -> (base + i + 1, base + Xt_prelude.Rng.int rng (i + 1))) in
+  let chords =
+    List.init (Xt_prelude.Rng.int rng (n + 1)) (fun _ ->
+        (base + Xt_prelude.Rng.int rng n, base + Xt_prelude.Rng.int rng n))
+  in
+  tree @ chords
+
+let host_of_case c =
+  let rng = Xt_prelude.Rng.make ~seed:c.hseed in
+  match c.host with
+  | "xtree" -> Xtree.graph (Xtree.create ~height:c.height)
+  | "hypercube" -> Hypercube.graph (Hypercube.create ~dim:c.height)
+  | "connected" ->
+      let n = 2 + Xt_prelude.Rng.int rng 47 in
+      Graph.of_edges ~n (random_connected rng ~base:0 n)
+  | _ ->
+      let a = 1 + Xt_prelude.Rng.int rng 24 and b = 1 + Xt_prelude.Rng.int rng 24 in
+      Graph.of_edges ~n:(a + b) (random_connected rng ~base:0 a @ random_connected rng ~base:a b)
+
+let qcheck_routes_bfs_spec =
+  QCheck2.Test.make ~count:120 ~name:"router: general hosts route on the BFS spec"
+    ~print:print_host_case host_case_gen (fun c ->
+      let g = host_of_case c in
+      routes_match_bfs ~what:(print_host_case c) g (Router.create g);
+      true)
+
+(* ---------------- one route table, two domains ---------------------- *)
+
+(* The 10 embedded cases of one guest (the five workloads on its Theorem 1
+   X-tree and Theorem 3 hypercube embeddings), replayed on two domains
+   from cold tables, so both domains build and read rows of the same two
+   host graphs at once. Every observable must match a sequential replay
+   on separately built (equally cold) hosts. *)
+let test_two_domains_share_routes () =
+  let tree = Gen.uniform (Xt_prelude.Rng.make ~seed:5) (Theorem1.optimal_size 4) in
+  let cases () =
+    let hosts =
+      [
+        (Theorem1.embed tree).Theorem1.embedding;
+        (Hypercube_transfer.embed tree).Hypercube_transfer.embedding;
+      ]
+    in
+    List.concat_map (fun e -> List.map (fun w -> (w, e)) Workload.workloads) hosts
+  in
+  let replay (w, e) =
+    let sim, cycles = Workload.run_on w e in
+    (cycles, Sim.link_loads sim, Sim.latencies sim)
+  in
+  let seq = List.map replay (cases ()) in
+  let par = Xt_prelude.Parallel.map ~domains:2 replay (cases ()) in
+  List.iteri
+    (fun i ((cycles, loads, lats), (cycles', loads', lats')) ->
+      let what = Printf.sprintf "case %d" i in
+      check (what ^ ": cycles") cycles cycles';
+      Alcotest.(check (array int)) (what ^ ": link loads") loads loads';
+      Alcotest.(check (array int)) (what ^ ": latencies") lats lats')
+    (List.combine seq par);
+  let outcomes domains =
+    Workload.run_suite ~domains (List.map (fun (w, e) -> Workload.embedded_case w e) (cases ()))
+  in
+  List.iteri
+    (fun i ((o : Workload.outcome), (o' : Workload.outcome)) ->
+      let what = Printf.sprintf "suite case %d" i in
+      check (what ^ ": cycles") o.cycles o'.cycles;
+      check (what ^ ": hops") o.hops o'.hops;
+      check (what ^ ": delivered") o.delivered o'.delivered;
+      check (what ^ ": max queue") o.max_queue o'.max_queue;
+      check (what ^ ": max inbox") o.max_inbox o'.max_inbox)
+    (List.combine (outcomes 1) (outcomes 2))
 
 let suite =
   suite
@@ -295,4 +391,6 @@ let suite =
       ("run_suite matches single runs", `Quick, test_run_suite_matches_single_runs);
       ("sim input checks", `Quick, test_sim_input_checks);
       QCheck_alcotest.to_alcotest ~long:false qcheck_router_modes;
+      QCheck_alcotest.to_alcotest ~long:false qcheck_routes_bfs_spec;
+      ("two domains share route tables", `Quick, test_two_domains_share_routes);
     ]

@@ -231,6 +231,42 @@ let test_fast_forward_allocation_free () =
     (Printf.sprintf "fast-forward allocated %.0f minor words" allocated)
     true (allocated < 256.)
 
+(* General-mode routing reads the host graph's shared next-hop table: a
+   second simulator on an already-routed X-tree host builds no rows, and
+   once its own buffers are sized its replays allocate nothing. *)
+let test_shared_routes_allocation_free () =
+  let host = Xtree.graph (Xtree.create ~height:4) in
+  let n = Graph.n host in
+  let on_deliver ~tag:_ _ = () in
+  let batch sim =
+    for v = 0 to n - 1 do
+      Sim.send sim ~src:v ~dst:(n - 1 - v) ~tag:v
+    done;
+    ignore (Sim.run sim ~on_deliver)
+  in
+  let rows () = List.assoc "netsim.route_rows" (Xt_obs.Obs.snapshot ()).Xt_obs.Obs.counters in
+  let metrics_were_on = Xt_obs.Obs.metrics_enabled () in
+  Xt_obs.Obs.enable_metrics ();
+  let before = rows () in
+  batch (Sim.create host);
+  let built = rows () - before in
+  let sim = Sim.create host in
+  for _ = 1 to 16 do
+    batch sim
+  done;
+  let rebuilt = rows () - before - built in
+  if not metrics_were_on then Xt_obs.Obs.disable_metrics ();
+  (* every vertex but the middle one (a self-send) is a destination *)
+  check "first simulator builds one row per destination" (n - 1) built;
+  check "second simulator builds none" 0 rebuilt;
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  batch sim;
+  let allocated = Gc.minor_words () -. before in
+  checkb
+    (Printf.sprintf "shared-table replay allocated %.0f minor words" allocated)
+    true (allocated < 256.)
+
 let suite =
   [
     ("native exhaustive equivalence", `Quick, test_native_exhaustive);
@@ -242,4 +278,5 @@ let suite =
     ("degenerate: single link", `Quick, test_degenerate_single_link);
     ("run loop allocation free", `Quick, test_run_allocation_free);
     ("fast forward allocation free", `Quick, test_fast_forward_allocation_free);
+    ("shared routes allocation free", `Quick, test_shared_routes_allocation_free);
   ]
