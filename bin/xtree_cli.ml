@@ -32,19 +32,24 @@ let seed_arg =
   let doc = "Random seed (all randomness is derived from it)." in
   Arg.(value & opt int 42 & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
 
-(* Checked up front, like a bad size: every subcommand taking it would
-   otherwise die deep inside the embedder (or, for loadgen, in the
-   spawned server). *)
-let capacity_arg =
-  let doc = "Host vertex capacity (the paper's load factor is 16)." in
-  let positive c =
-    if c <= 0 then begin
-      Printf.eprintf "capacity must be positive\n";
+(* A flag checked up front, like a bad size: a bad value prints
+   "<what> must be <must>" and exits 2, instead of dying later inside
+   the library (or, for loadgen, in its spawned server). *)
+let checked ~what ~must ok arg =
+  let check v =
+    if not (ok v) then begin
+      Printf.eprintf "%s must be %s\n" what must;
       exit 2
     end;
-    c
+    v
   in
-  Term.(const positive $ Arg.(value & opt int 16 & info [ "c"; "capacity" ] ~docv:"CAP" ~doc))
+  Term.(const check $ arg)
+
+let positive what arg = checked ~what ~must:"positive" (fun v -> v > 0) arg
+
+let capacity_arg =
+  let doc = "Host vertex capacity (the paper's load factor is 16)." in
+  positive "capacity" Arg.(value & opt int 16 & info [ "c"; "capacity" ] ~docv:"CAP" ~doc)
 
 let make_tree family size seed =
   match List.find_opt (fun (f : Gen.family) -> f.Gen.name = family) Gen.families with
@@ -749,11 +754,13 @@ let trace_cmd =
 
 let cache_entries_arg =
   let doc = "Shape-cache capacity in entries." in
-  Arg.(value & opt int 4096 & info [ "cache-entries" ] ~docv:"N" ~doc)
+  positive "cache entries" Arg.(value & opt int 4096 & info [ "cache-entries" ] ~docv:"N" ~doc)
 
 let cache_bytes_arg =
   let doc = "Shape-cache byte bound (default unlimited)." in
-  Arg.(value & opt (some int) None & info [ "cache-bytes" ] ~docv:"BYTES" ~doc)
+  checked ~what:"cache bytes" ~must:"positive"
+    (function Some b -> b > 0 | None -> true)
+    Arg.(value & opt (some int) None & info [ "cache-bytes" ] ~docv:"BYTES" ~doc)
 
 let snapshot_arg =
   let doc =
@@ -963,22 +970,24 @@ let loadgen_cmd =
   in
   let requests =
     let doc = "Number of requests to generate." in
-    Arg.(value & opt int 256 & info [ "r"; "requests" ] ~docv:"N" ~doc)
+    checked ~what:"requests" ~must:"non-negative" (fun r -> r >= 0)
+      Arg.(value & opt int 256 & info [ "r"; "requests" ] ~docv:"N" ~doc)
   in
   let shapes =
     let doc = "Size of the distinct-shape pool the stream draws from." in
-    Arg.(value & opt int 16 & info [ "shapes" ] ~docv:"K" ~doc)
+    positive "shapes" Arg.(value & opt int 16 & info [ "shapes" ] ~docv:"K" ~doc)
   in
   let skew =
     let doc =
       "Shape skew: 0 samples the pool uniformly, larger values concentrate \
        requests on a hot subset."
     in
-    Arg.(value & opt float 1.0 & info [ "skew" ] ~docv:"S" ~doc)
+    checked ~what:"skew" ~must:"non-negative" (fun s -> s >= 0.0)
+      Arg.(value & opt float 1.0 & info [ "skew" ] ~docv:"S" ~doc)
   in
   let window =
     let doc = "Requests in flight per window (each window ends in a flush marker)." in
-    Arg.(value & opt int 64 & info [ "window" ] ~docv:"W" ~doc)
+    positive "window" Arg.(value & opt int 64 & info [ "window" ] ~docv:"W" ~doc)
   in
   let out =
     let doc = "Write the framed request stream to $(docv) and exit (no replay)." in
@@ -1006,8 +1015,8 @@ let loadgen_cmd =
   Cmd.v
     (Cmd.info "loadgen" ~doc)
     Term.(
-      const loadgen_run $ requests $ shapes $ size_arg $ skew $ seed_arg $ window $ out
-      $ codec_out $ replay_file $ connect $ capacity_arg $ cache_entries_arg
+      const loadgen_run $ requests $ shapes $ positive "size" size_arg $ skew $ seed_arg
+      $ window $ out $ codec_out $ replay_file $ connect $ capacity_arg $ cache_entries_arg
       $ snapshot_arg $ snapshot_every_arg $ print_lines $ jobs_arg $ telemetry_term)
 
 (* ---------------- main ---------------- *)

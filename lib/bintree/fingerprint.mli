@@ -5,9 +5,9 @@
     fingerprint of a tree agrees with equality of its {!Codec.to_string}
     canonical form. Each fingerprint combines two independent 63-bit hash
     lanes (≈126 bits), driving the collision probability for realistic
-    working sets far below anything a cache would notice; consumers that
-    cannot tolerate collisions at all verify a hit against the stored
-    canonical string (see {!Xt_prelude.Cache}).
+    working sets far below anything a dedupe would notice. A consumer
+    that cannot tolerate collisions at all keys on the canonical
+    {!Codec.to_string} itself, as {!Xt_embedding.Shape_memo} does.
 
     All of a tree's subtree fingerprints are computed bottom-up in one
     O(n) pass over the structure arrays, with no per-node allocation. *)

@@ -389,30 +389,35 @@ let cache_stats = Shape_memo.stats
 (* Snapshot meta codec: the host [Xtree.t] is fully determined by its
    height, so only the three integers travel; reloads rebuild the host
    once per distinct height and share it across entries, exactly as the
-   live cache shares it across hits. *)
+   live cache shares it across hits. An entry's height must be the one
+   its key's prefix names. *)
 let encode_cache_meta m = Printf.sprintf "%d %d %d" m.m_height m.m_fallbacks m.m_wide
 
 let make_cache_meta_decoder () =
   let hosts = Hashtbl.create 4 in
-  fun s ->
-    match Scanf.sscanf s " %d %d %d %!" (fun h f w -> (h, f, w)) with
+  fun ~prefix s ->
+    let named_height () =
+      Scanf.sscanf prefix "t1|c=%_d|h=%d|o=%_c%_c%_c%!" Fun.id
+    in
+    match (Scanf.sscanf s " %d %d %d %!" (fun h f w -> (h, f, w)), named_height ()) with
     | exception _ -> None
-    | h, f, w when h >= 0 && f >= 0 && w >= 0 ->
-        let xt =
-          match Hashtbl.find_opt hosts h with
-          | Some xt -> xt
-          | None ->
-              let xt = Xtree.create ~height:h in
-              Hashtbl.add hosts h xt;
-              xt
-        in
-        Some { m_xt = xt; m_height = h; m_fallbacks = f; m_wide = w }
+    | (h, f, w), h' when h = h' && f >= 0 && w >= 0 -> (
+        match Hashtbl.find_opt hosts h with
+        | Some xt -> Some { m_xt = xt; m_height = h; m_fallbacks = f; m_wide = w }
+        | None -> (
+            match Xtree.create ~height:h with
+            | exception Invalid_argument _ -> None
+            | xt ->
+                Hashtbl.add hosts h xt;
+                Some { m_xt = xt; m_height = h; m_fallbacks = f; m_wide = w }))
     | _ -> None
 
 let cache_save cache ~file = Shape_memo.save cache ~encode_meta:encode_cache_meta ~file
 
 let cache_load cache ~file =
-  Shape_memo.load cache ~decode_meta:(make_cache_meta_decoder ()) ~file
+  Shape_memo.load cache ~decode_meta:(make_cache_meta_decoder ())
+    ~vertices:(fun m -> Xtree.order m.m_xt)
+    ~file
 
 let flag b = if b then 't' else 'f'
 
@@ -421,6 +426,9 @@ let cache_prefix ~name ~capacity ~height (options : Options.t) =
      sequential ones, so both populate and consume the same entries. *)
   Printf.sprintf "%s|c=%d|h=%d|o=%c%c%c" name capacity height (flag options.adjust)
     (flag options.pairing) (flag options.balance_split)
+
+let cache_meta (r : result) =
+  { m_xt = r.xt; m_height = r.height; m_fallbacks = r.fallbacks; m_wide = r.wide_pieces }
 
 let embed ?capacity ?height ?record_trace ?options ?par ?cache tree =
   match cache with
@@ -434,9 +442,7 @@ let embed ?capacity ?height ?record_trace ?options ?par ?cache tree =
       let place, m =
         Shape_memo.memo memo ~prefix ~tree ~compute:(fun () ->
             let r = embed_uncached ~capacity:cap ~height:h ~options:opts ?par tree in
-            ( r.embedding.Embedding.place,
-              { m_xt = r.xt; m_height = r.height; m_fallbacks = r.fallbacks; m_wide = r.wide_pieces }
-            ))
+            (r.embedding.Embedding.place, cache_meta r))
       in
       {
         embedding = Embedding.make ~tree ~host:(Xtree.graph m.m_xt) ~place;
@@ -448,5 +454,29 @@ let embed ?capacity ?height ?record_trace ?options ?par ?cache tree =
         trace = None;
       }
   | _ -> embed_uncached ?capacity ?height ?record_trace ?options ?par tree
+
+type packed = { p_height : int; p_fallbacks : int; p_place : string }
+
+let packed_of (place, m) = { p_height = m.m_height; p_fallbacks = m.m_fallbacks; p_place = place }
+
+(* The key prefix [embed ~capacity ~cache] uses for an [n]-node guest. *)
+let default_prefix ~capacity n =
+  cache_prefix ~name:"t1" ~capacity ~height:(height_for ~capacity n) Options.default
+
+let find_packed cache ~capacity payload =
+  (* A canonical Codec string of n nodes is 3n + 1 bytes: one '(' and
+     one ')' per node and one '.' per empty child slot. *)
+  let len = String.length payload in
+  if len < 4 || (len - 1) mod 3 <> 0 then None
+  else
+    let prefix = default_prefix ~capacity ((len - 1) / 3) in
+    Option.map packed_of (Shape_memo.find cache ~prefix payload)
+
+let embed_packed cache ~capacity ~canon tree =
+  let prefix = default_prefix ~capacity (Bintree.n tree) in
+  packed_of
+    (Shape_memo.memo_canonical cache ~prefix ~canon ~compute:(fun () ->
+         let r = embed_uncached ~capacity tree in
+         (r.embedding.Embedding.place, cache_meta r)))
 
 let distance_oracle result = Xtree.distance result.xt

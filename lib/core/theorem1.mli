@@ -36,11 +36,13 @@ val optimal_size : ?capacity:int -> int -> int
 (** [capacity·(2{^r+1} - 1)], the paper's [n] for height [r]. *)
 
 type cache
-(** A canonical-shape memo of Theorem 1 results (placement plus shared
-    host), keyed by tree fingerprint, capacity, height and options. See
-    {!Xt_embedding.Shape_memo} for the exactness guarantee: for
-    preorder-labelled trees (everything {!Xt_bintree.Codec} parses) a hit
-    is bit-identical to the uncached run. *)
+(** A canonical-shape memo of Theorem 1 results (packed placement plus
+    shared host), keyed by capacity, height, options and the guest's
+    canonical {!Xt_bintree.Codec} string. The key is exact, so a hit
+    never needs verifying. See {!Xt_embedding.Shape_memo} for the
+    exactness guarantee: for preorder-labelled trees (everything
+    {!Xt_bintree.Codec} parses) a hit is bit-identical to the uncached
+    run. *)
 
 val make_cache : ?shards:int -> ?capacity:int -> ?max_bytes:int -> unit -> cache
 (** Parameters as in {!Xt_prelude.Cache.create}; [capacity] counts cached
@@ -61,8 +63,10 @@ val cache_save : cache -> file:string -> int
 val cache_load : cache -> file:string -> (int, string) Stdlib.result
 (** Restore a snapshot written by {!cache_save} into the memo; returns
     the entry count, or [Error] (atomically, inserting nothing) on a
-    missing/corrupt/mis-versioned file. Hits on restored entries are
-    bit-identical to hits on the original process's live entries. *)
+    missing, corrupt or mis-versioned file, or on an entry that fails
+    {!Xt_embedding.Shape_memo.load}'s checks or names a height its key
+    does not. Hits on restored entries are bit-identical to hits on the
+    original process's live entries. *)
 
 val embed :
   ?capacity:int ->
@@ -90,6 +94,31 @@ val embed :
     capacity, height and options) reuses the stored placement and host
     X-tree instead of re-running the pipeline. Traced runs
     ([record_trace]) bypass the cache, as traces are not stored. *)
+
+(** {1 Packed results for the serve byte path} *)
+
+type packed = {
+  p_height : int;
+  p_fallbacks : int;
+  p_place : string;
+      (** The placement by preorder rank, packed by
+          {!Xt_embedding.Shape_memo.blit_packed}: the bytes a serve
+          reply carries. *)
+}
+
+val find_packed : cache -> capacity:int -> string -> packed option
+(** [find_packed cache ~capacity payload] is the cached result for the
+    guest whose canonical Codec string is exactly [payload], embedded at
+    [capacity] with the default height and options, found without
+    parsing: the payload's length gives the node count and so the
+    height. A payload that is not a cached canonical string gets [None],
+    which is not counted as a miss. *)
+
+val embed_packed : cache -> capacity:int -> canon:string -> Xt_bintree.Bintree.t -> packed
+(** [embed_packed cache ~capacity ~canon tree] is
+    [embed ~capacity ~cache tree] with the placement packed, where
+    [tree] is [Codec.of_string canon] and [canon] is canonical. The
+    lookup is counted as a hit or a miss. *)
 
 val distance_oracle : result -> int -> int -> int
 (** Memoised X-tree distance for use with {!Xt_embedding.Embedding}

@@ -2,8 +2,7 @@ open Xt_prelude
 open Xt_bintree
 
 type 'meta entry = {
-  canon : string;       (* Codec.to_string of the shape, for hit verification *)
-  cplace : int array;   (* placement indexed by preorder rank *)
+  packed : string;  (* placement by preorder rank, 4 bytes per node (see [blit_packed]) *)
   meta : 'meta;
 }
 
@@ -11,29 +10,49 @@ type 'meta t = 'meta entry Cache.t
 
 let create ?shards ?capacity ?max_bytes () = Cache.create ?shards ?capacity ?max_bytes ()
 
-let entry_bytes e =
-  (* Rough heap footprint: header + fields, string bytes, one word per
-     placement slot. The meta is charged a flat constant. *)
-  64 + String.length e.canon + (8 * Array.length e.cplace)
+let blit_packed place b off =
+  Array.iteri (fun i p -> Bytes.set_int32_be b (off + (4 * i)) (Int32.of_int p)) place
+
+let pack place =
+  let b = Bytes.create (4 * Array.length place) in
+  blit_packed place b 0;
+  Bytes.unsafe_to_string b
+
+let packed_at packed i = Int32.to_int (String.get_int32_be packed (4 * i))
+
+let key ~prefix canon = String.concat "|" [ prefix; canon ]
+
+let entry_bytes key e =
+  (* Rough heap footprint: header + fields, the key (which holds the
+     canonical string) and the packed placement. The meta is charged a
+     flat constant. *)
+  64 + String.length key + String.length e.packed
+
+let find t ~prefix canon =
+  Option.map (fun e -> (e.packed, e.meta)) (Cache.probe t (key ~prefix canon))
+
+let memo_canonical t ~prefix ~canon ~compute =
+  let key = key ~prefix canon in
+  let e =
+    Cache.with_memo t ~bytes:(entry_bytes key) key (fun () ->
+        let place, meta = compute () in
+        { packed = pack place; meta })
+  in
+  (e.packed, e.meta)
 
 let memo t ~prefix ~tree ~compute =
-  let key = prefix ^ "|" ^ Fingerprint.canonical_key tree in
-  let canon = Codec.to_string tree in
   let rank = Fingerprint.preorder_ranks tree in
   let n = Bintree.n tree in
-  let e =
-    Cache.with_memo t ~bytes:entry_bytes
-      ~validate:(fun e -> String.equal e.canon canon)
-      key
-      (fun () ->
+  let packed, meta =
+    memo_canonical t ~prefix ~canon:(Codec.to_string tree) ~compute:(fun () ->
         let place, meta = compute () in
         let cplace = Array.make n (-1) in
         for v = 0 to n - 1 do
           cplace.(rank.(v)) <- place.(v)
         done;
-        { canon; cplace; meta })
+        (cplace, meta))
   in
-  (Array.init n (fun v -> e.cplace.(rank.(v))), e.meta)
+  (Array.init n (fun v -> packed_at packed rank.(v)), meta)
 
 let length = Cache.length
 let clear = Cache.clear
@@ -42,21 +61,22 @@ let stats = Cache.stats
 (* -------------------------------------------------------------------- *)
 (* Snapshot codec.
 
-   Layout (all integers little-endian, fixed width):
+   Layout (lengths and the checksum little-endian, fixed width):
 
      "XTSM" | u32 version | u32 entry count
      repeated per entry:
        u32 body length | body | u64 FNV-1a checksum of the body
      body:
-       u32 key length | key | u32 canon length | canon
-       u32 meta length | meta | u32 n | n x i32 cplace
+       u32 key length | key | u32 meta length | meta
+       u32 placement length | packed placement
 
-   The whole file is parsed and verified before the first insertion, so
-   a truncated or corrupted snapshot rejects atomically and leaves the
-   memo untouched. *)
+   The key is "<prefix>|<canonical Codec string>"; the packed placement
+   is the entry's bytes verbatim. The whole file is parsed and verified
+   before the first insertion, so a truncated, corrupted or inconsistent
+   snapshot rejects atomically and leaves the memo untouched. *)
 
 let magic = "XTSM"
-let version = 1
+let version = 2
 
 (* 64-bit FNV-1a; Int64 keeps the wrap-around exact. *)
 let fnv1a s =
@@ -68,16 +88,14 @@ let fnv1a s =
   !h
 
 let encode_entry buf ~key ~encode_meta e =
-  let body = Buffer.create (String.length key + String.length e.canon + 64) in
+  let body = Buffer.create (String.length key + String.length e.packed + 64) in
   let str s =
     Buffer.add_int32_le body (Int32.of_int (String.length s));
     Buffer.add_string body s
   in
   str key;
-  str e.canon;
   str (encode_meta e.meta);
-  Buffer.add_int32_le body (Int32.of_int (Array.length e.cplace));
-  Array.iter (fun p -> Buffer.add_int32_le body (Int32.of_int p)) e.cplace;
+  str e.packed;
   let body = Buffer.contents body in
   Buffer.add_int32_le buf (Int32.of_int (String.length body));
   Buffer.add_string buf body;
@@ -109,7 +127,35 @@ let save t ~encode_meta ~file =
 
 exception Bad of string
 
-let load t ~decode_meta ~file =
+(* An entry is only as trustworthy as its checks: the byte path answers
+   a request whose bytes equal the key's Codec part, so that part must be
+   canonical, and the placement must cover its n nodes with host
+   vertices. *)
+let check_entry ~decode_meta ~vertices key packed meta_s =
+  let prefix, canon =
+    match String.rindex_opt key '|' with
+    | Some i -> (String.sub key 0 i, String.sub key (i + 1) (String.length key - i - 1))
+    | None -> raise (Bad "entry key has no prefix")
+  in
+  let n =
+    match Codec.of_string canon with
+    | Ok t when String.equal (Codec.to_string t) canon -> Bintree.n t
+    | _ -> raise (Bad "entry key is not a canonical Codec string")
+  in
+  if String.length packed <> 4 * n then raise (Bad "entry placement length mismatch");
+  let meta =
+    match decode_meta ~prefix meta_s with
+    | Some m -> m
+    | None -> raise (Bad "undecodable entry metadata")
+  in
+  let order = vertices meta in
+  for i = 0 to n - 1 do
+    let v = packed_at packed i in
+    if v < 0 || v >= order then raise (Bad "entry placement outside its host")
+  done;
+  { packed; meta }
+
+let load t ~decode_meta ~vertices ~file =
   match
     let s = In_channel.with_open_bin file In_channel.input_all in
     let len = String.length s in
@@ -140,43 +186,26 @@ let load t ~decode_meta ~file =
       if not (Int64.equal sum (fnv1a body)) then raise (Bad "entry checksum mismatch");
       (* Re-parse the verified body with its own cursor. *)
       let bpos = ref 0 in
-      let bneed n = if !bpos + n > body_len then raise (Bad "malformed entry body") in
-      let bu32 () =
-        bneed 4;
-        let v = Int32.to_int (String.get_int32_le body !bpos) in
-        bpos := !bpos + 4;
-        if v < 0 then raise (Bad "malformed entry body");
-        v
-      in
       let bstr () =
-        let n = bu32 () in
-        bneed n;
+        if !bpos + 4 > body_len then raise (Bad "malformed entry body");
+        let n = Int32.to_int (String.get_int32_le body !bpos) in
+        bpos := !bpos + 4;
+        if n < 0 || !bpos + n > body_len then raise (Bad "malformed entry body");
         let r = String.sub body !bpos n in
         bpos := !bpos + n;
         r
       in
       let key = bstr () in
-      let canon = bstr () in
       let meta_s = bstr () in
-      let n = bu32 () in
-      bneed (4 * n);
-      let cplace =
-        Array.init n (fun i -> Int32.to_int (String.get_int32_le body (!bpos + (4 * i))))
-      in
-      bpos := !bpos + (4 * n);
+      let packed = bstr () in
       if !bpos <> body_len then raise (Bad "malformed entry body");
-      let meta =
-        match decode_meta meta_s with
-        | Some m -> m
-        | None -> raise (Bad "undecodable entry metadata")
-      in
-      parsed := (key, { canon; cplace; meta }) :: !parsed
+      parsed := (key, check_entry ~decode_meta ~vertices key packed meta_s) :: !parsed
     done;
     if !pos <> len then raise (Bad "trailing bytes");
     List.rev !parsed
   with
   | entries ->
-      List.iter (fun (key, e) -> Cache.add t ~bytes:(entry_bytes e) key e) entries;
+      List.iter (fun (key, e) -> Cache.add t ~bytes:(entry_bytes key e) key e) entries;
       Ok (List.length entries)
   | exception Bad msg -> Error msg
   | exception Sys_error msg -> Error msg

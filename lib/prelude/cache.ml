@@ -3,10 +3,21 @@ open Xt_obs
 let c_hits = Obs.counter "cache.hits"
 let c_misses = Obs.counter "cache.misses"
 let c_evictions = Obs.counter "cache.evictions"
-let c_verify_rejects = Obs.counter "cache.verify_rejects"
+
+(* A key carries its hash, so a lookup hashes the key string once, for
+   both the shard and the shard's table: keys can be long (a guest's
+   Codec string). The shard takes bits above those the table indexes by. *)
+module Key = struct
+  type t = { hash : int; s : string }
+
+  let equal a b = a.hash = b.hash && String.equal a.s b.s
+  let hash k = k.hash
+end
+
+module Tbl = Hashtbl.Make (Key)
 
 type 'a entry = {
-  key : string;
+  key : Key.t;
   value : 'a;
   size : int;
   mutable prev : 'a entry option; (* towards the head (more recent) *)
@@ -19,8 +30,8 @@ type latch = { lm : Mutex.t; lc : Condition.t; mutable done_ : bool }
 
 type 'a shard = {
   lock : Mutex.t;
-  table : (string, 'a entry) Hashtbl.t;
-  inflight : (string, latch) Hashtbl.t;
+  table : 'a entry Tbl.t;
+  inflight : latch Tbl.t;
   mutable head : 'a entry option;
   mutable tail : 'a entry option;
   mutable count : int;
@@ -62,8 +73,8 @@ let create ?(shards = 8) ?(capacity = 256) ?max_bytes () =
       Array.init nshards (fun _ ->
           {
             lock = Mutex.create ();
-            table = Hashtbl.create 64;
-            inflight = Hashtbl.create 8;
+            table = Tbl.create 64;
+            inflight = Tbl.create 8;
             head = None;
             tail = None;
             count = 0;
@@ -76,7 +87,9 @@ let create ?(shards = 8) ?(capacity = 256) ?max_bytes () =
           });
   }
 
-let shard_of t key = t.shards.(Hashtbl.hash key land t.mask)
+let locate t key =
+  let hash = Hashtbl.hash key in
+  (t.shards.((hash lsr 16) land t.mask), { Key.hash; s = key })
 
 (* List surgery; callers hold the shard lock. *)
 
@@ -99,7 +112,7 @@ let promote sh e =
   end
 
 let drop sh e =
-  Hashtbl.remove sh.table e.key;
+  Tbl.remove sh.table e.key;
   unlink sh e;
   sh.count <- sh.count - 1;
   sh.nbytes <- sh.nbytes - e.size
@@ -114,9 +127,9 @@ let evict_over sh =
   done
 
 let insert sh key value size =
-  (match Hashtbl.find_opt sh.table key with Some old -> drop sh old | None -> ());
+  (match Tbl.find_opt sh.table key with Some old -> drop sh old | None -> ());
   let e = { key; value; size; prev = None; next = None } in
-  Hashtbl.replace sh.table key e;
+  Tbl.replace sh.table key e;
   push_front sh e;
   sh.count <- sh.count + 1;
   sh.nbytes <- sh.nbytes + size;
@@ -125,39 +138,44 @@ let insert sh key value size =
 (* Public operations. *)
 
 let add t ?(bytes = 0) key value =
-  let sh = shard_of t key in
+  let sh, key = locate t key in
   Mutex.lock sh.lock;
   insert sh key value bytes;
   Mutex.unlock sh.lock
 
-let find t key =
-  let sh = shard_of t key in
+let lookup t key ~count_miss =
+  let sh, key = locate t key in
   Mutex.lock sh.lock;
   let r =
-    match Hashtbl.find_opt sh.table key with
+    match Tbl.find_opt sh.table key with
     | Some e ->
         promote sh e;
         sh.n_hits <- sh.n_hits + 1;
         Some e.value
     | None ->
-        sh.n_misses <- sh.n_misses + 1;
+        if count_miss then sh.n_misses <- sh.n_misses + 1;
         None
   in
   Mutex.unlock sh.lock;
-  (match r with Some _ -> Obs.incr c_hits | None -> Obs.incr c_misses);
+  (match r with
+  | Some _ -> Obs.incr c_hits
+  | None -> if count_miss then Obs.incr c_misses);
   r
 
+let find t key = lookup t key ~count_miss:true
+let probe t key = lookup t key ~count_miss:false
+
 let mem t key =
-  let sh = shard_of t key in
+  let sh, key = locate t key in
   Mutex.lock sh.lock;
-  let r = Hashtbl.mem sh.table key in
+  let r = Tbl.mem sh.table key in
   Mutex.unlock sh.lock;
   r
 
 let remove t key =
-  let sh = shard_of t key in
+  let sh, key = locate t key in
   Mutex.lock sh.lock;
-  (match Hashtbl.find_opt sh.table key with Some e -> drop sh e | None -> ());
+  (match Tbl.find_opt sh.table key with Some e -> drop sh e | None -> ());
   Mutex.unlock sh.lock
 
 let length t =
@@ -211,7 +229,7 @@ let fold t ~init ~f =
       while Option.is_some !cur do
         (match !cur with
         | Some e ->
-            chain := (e.key, e.value, e.size) :: !chain;
+            chain := (e.key.Key.s, e.value, e.size) :: !chain;
             cur := e.next
         | None -> ());
       done;
@@ -223,7 +241,7 @@ let clear t =
   Array.iter
     (fun sh ->
       Mutex.lock sh.lock;
-      Hashtbl.reset sh.table;
+      Tbl.reset sh.table;
       sh.head <- None;
       sh.tail <- None;
       sh.count <- 0;
@@ -237,30 +255,25 @@ let release latch =
   Condition.broadcast latch.lc;
   Mutex.unlock latch.lm
 
-let with_memo t ?bytes ?validate key f =
-  let sh = shard_of t key in
+let with_memo t ?bytes key f =
+  let sh, key = locate t key in
   let size_of v = match bytes with Some g -> g v | None -> 0 in
-  let valid v = match validate with Some g -> g v | None -> true in
   (* [allow_wait] is true only on the first pass: a waiter woken by a latch
      whose computation failed (or whose result was already evicted) computes
      the value itself instead of queueing behind yet another latch. *)
   let rec attempt allow_wait =
     Mutex.lock sh.lock;
-    match Hashtbl.find_opt sh.table key with
-    | Some e when valid e.value ->
+    match Tbl.find_opt sh.table key with
+    | Some e ->
         promote sh e;
         sh.n_hits <- sh.n_hits + 1;
         Mutex.unlock sh.lock;
         Obs.incr c_hits;
         e.value
-    | Some e ->
-        drop sh e;
-        Obs.incr c_verify_rejects;
-        miss allow_wait
     | None -> miss allow_wait
   (* Called with the shard lock held; always releases it. *)
   and miss allow_wait =
-    match Hashtbl.find_opt sh.inflight key with
+    match Tbl.find_opt sh.inflight key with
     | Some latch when allow_wait ->
         Mutex.unlock sh.lock;
         Mutex.lock latch.lm;
@@ -271,7 +284,7 @@ let with_memo t ?bytes ?validate key f =
         attempt false
     | _ ->
         let latch = { lm = Mutex.create (); lc = Condition.create (); done_ = false } in
-        Hashtbl.replace sh.inflight key latch;
+        Tbl.replace sh.inflight key latch;
         sh.n_misses <- sh.n_misses + 1;
         Mutex.unlock sh.lock;
         Obs.incr c_misses;
@@ -279,8 +292,8 @@ let with_memo t ?bytes ?validate key f =
           Mutex.lock sh.lock;
           (* Only remove our own latch: a failed computation may have been
              superseded by another domain's in-flight entry. *)
-          (match Hashtbl.find_opt sh.inflight key with
-          | Some l when l == latch -> Hashtbl.remove sh.inflight key
+          (match Tbl.find_opt sh.inflight key with
+          | Some l when l == latch -> Tbl.remove sh.inflight key
           | _ -> ());
           Mutex.unlock sh.lock
         in
@@ -293,8 +306,8 @@ let with_memo t ?bytes ?validate key f =
         in
         Mutex.lock sh.lock;
         insert sh key v (size_of v);
-        (match Hashtbl.find_opt sh.inflight key with
-        | Some l when l == latch -> Hashtbl.remove sh.inflight key
+        (match Tbl.find_opt sh.inflight key with
+        | Some l when l == latch -> Tbl.remove sh.inflight key
         | _ -> ());
         Mutex.unlock sh.lock;
         release latch;

@@ -9,9 +9,9 @@
 
     Capacity is bounded both in entries and (approximately) in bytes;
     least-recently-used entries are evicted when either bound is
-    exceeded. Global {!Xt_obs.Obs} counters [cache.hits], [cache.misses],
-    [cache.evictions] and [cache.verify_rejects] aggregate over all cache
-    instances in the process.
+    exceeded. Global {!Xt_obs.Obs} counters [cache.hits], [cache.misses]
+    and [cache.evictions] aggregate over all cache instances in the
+    process.
 
     {!with_memo} is the intended entry point: concurrent misses on the
     same key compute the value once (per-key in-flight latch) while
@@ -25,24 +25,20 @@ val create : ?shards:int -> ?capacity:int -> ?max_bytes:int -> unit -> 'a t
     unlimited) bounds the sum of the per-entry byte estimates supplied at
     insertion. Both bounds are split evenly across shards. *)
 
-val with_memo :
-  'a t ->
-  ?bytes:('a -> int) ->
-  ?validate:('a -> bool) ->
-  string ->
-  (unit -> 'a) ->
-  'a
+val with_memo : 'a t -> ?bytes:('a -> int) -> string -> (unit -> 'a) -> 'a
 (** [with_memo t key f] returns the cached value for [key], or computes
-    [f ()], stores it and returns it. A hit for which [validate] returns
-    [false] (hash collision, counted as a verify-reject) is dropped and
-    recomputed. If another domain is already computing [key], the call
-    waits on the in-flight latch instead of duplicating the work; [f] runs
-    outside all locks. [bytes] estimates the stored size for the byte
-    bound. Exceptions from [f] propagate (after waking any waiters) and
-    cache nothing. *)
+    [f ()], stores it and returns it. If another domain is already
+    computing [key], the call waits on the in-flight latch instead of
+    duplicating the work; [f] runs outside all locks. [bytes] estimates
+    the stored size for the byte bound. Exceptions from [f] propagate
+    (after waking any waiters) and cache nothing. *)
 
 val find : 'a t -> string -> 'a option
 (** Counts a hit or a miss, and promotes the entry on hit. *)
+
+val probe : 'a t -> string -> 'a option
+(** Like {!find}, but a miss is not counted: for a fast path whose
+    misses fall through to {!with_memo}, which counts them. *)
 
 val mem : 'a t -> string -> bool
 (** Neutral: no counters, no promotion. *)

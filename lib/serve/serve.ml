@@ -60,8 +60,18 @@ let make_state config =
   in
   (cache, loaded)
 
+(* How one request of a batch is answered. *)
+type answer =
+  | Packed of Theorem1.packed  (* a cache hit on the request's bytes *)
+  | Shape of int  (* a miss: this distinct shape of the batch *)
+  | Failed of string  (* the payload does not parse *)
+
 let run ?(config = default) ?state ic oc =
+  (* A client that hangs up must cost only its own connection: ignore
+     SIGPIPE, so that a write to it fails with [Sys_error] instead. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let cache, loaded = match state with Some s -> s | None -> make_state config in
+  let capacity = config.capacity in
   let requests = ref 0 and batches = ref 0 and errors = ref 0 in
   let saved = ref 0 and since_flush = ref 0 in
   let flush_snapshot () =
@@ -73,56 +83,59 @@ let run ?(config = default) ?state ic oc =
         since_flush := 0;
         Obs.add c_snapshot_saved n
   in
+  (* [batch] holds the payloads in input order, each with the time its
+     frame was read. *)
   let process batch =
     incr batches;
     Obs.incr c_batches;
     Obs.span "serve.batch" (fun () ->
         let metered = Obs.metrics_enabled () in
-        let parsed = List.map Codec.of_string batch in
-        let seen = Hashtbl.create 16 in
-        let unique =
-          List.filter_map
-            (function
-              | Error _ -> None
-              | Ok t ->
-                  let key = Fingerprint.canonical_key t in
-                  if Hashtbl.mem seen key then None
-                  else begin
-                    Hashtbl.add seen key ();
-                    Some t
-                  end)
-            parsed
+        (* Hits are answered from the request bytes. Misses alone are
+           parsed, deduplicated on their canonical string, and each
+           distinct shape is embedded once on the domain pool. *)
+        let index = Hashtbl.create 16 and shapes = ref [] in
+        let answers =
+          Array.map
+            (fun (payload, _) ->
+              match Theorem1.find_packed cache ~capacity payload with
+              | Some p -> Packed p
+              | None -> (
+                  match Codec.of_string payload with
+                  | Error msg -> Failed msg
+                  | Ok t -> (
+                      let canon = Codec.to_string t in
+                      match Hashtbl.find_opt index canon with
+                      | Some k -> Shape k
+                      | None ->
+                          let k = Hashtbl.length index in
+                          Hashtbl.add index canon k;
+                          shapes := (canon, t) :: !shapes;
+                          Shape k)))
+            batch
         in
-        Obs.add c_unique (List.length unique);
-        (* Populate the cache for every unique shape in parallel; the
-           per-request pass below then serves pure hits in input order. *)
-        ignore
-          (Parallel.map
-             (fun t -> ignore (Theorem1.embed ~capacity:config.capacity ~cache t))
-             unique);
-        List.iter
-          (fun p ->
-            let t0 = if metered then Obs.now_ns () else 0 in
-            let resp =
-              match p with
-              | Error msg ->
-                  incr errors;
-                  Obs.incr c_errors;
-                  Wire.encode_error msg
-              | Ok t ->
-                  let r = Theorem1.embed ~capacity:config.capacity ~cache t in
-                  Wire.encode_ok
-                    {
-                      Wire.height = r.Theorem1.height;
-                      fallbacks = r.Theorem1.fallbacks;
-                      place = r.Theorem1.embedding.Xt_embedding.Embedding.place;
-                    }
-            in
-            Wire.write_frame oc resp;
+        let shapes = Array.of_list (List.rev !shapes) in
+        Obs.add c_unique (Array.length shapes);
+        let embedded =
+          Parallel.map_array
+            (fun (canon, t) -> Theorem1.embed_packed cache ~capacity ~canon t)
+            shapes
+        in
+        let write_packed (p : Theorem1.packed) =
+          Wire.write_ok oc ~height:p.p_height ~fallbacks:p.p_fallbacks p.p_place
+        in
+        Array.iteri
+          (fun i (_, read_ns) ->
+            (match answers.(i) with
+            | Packed p -> write_packed p
+            | Shape k -> write_packed embedded.(k)
+            | Failed msg ->
+                incr errors;
+                Obs.incr c_errors;
+                Wire.write_frame oc (Wire.encode_error msg));
             incr requests;
             Obs.incr c_requests;
-            if metered then Obs.observe h_request_ns (Obs.now_ns () - t0))
-          parsed;
+            if metered then Obs.observe h_request_ns (Obs.now_ns () - read_ns))
+          batch;
         flush oc);
     if config.status then begin
       let s = Theorem1.cache_stats cache in
@@ -133,32 +146,36 @@ let run ?(config = default) ?state ic oc =
         !batches !requests !errors s.Cache.hits s.Cache.misses s.Cache.evictions
         s.Cache.entries s.Cache.resident_bytes
     end;
-    since_flush := !since_flush + List.length batch;
+    since_flush := !since_flush + Array.length batch;
     if config.snapshot_every > 0 && !since_flush >= config.snapshot_every then
       flush_snapshot ()
   in
   let pending = ref [] and npending = ref 0 in
   let flush_pending () =
     if !npending > 0 then begin
-      let batch = List.rev !pending in
+      let batch = Array.of_list (List.rev !pending) in
       pending := [];
       npending := 0;
       process batch
     end
   in
   (try
-     let eof = ref false in
-     while not !eof do
-       match Wire.read_frame ic with
-       | None -> eof := true
-       | Some "" -> flush_pending ()
-       | Some payload ->
-           pending := payload :: !pending;
-           incr npending;
-           if !npending >= config.max_batch then flush_pending ()
-     done
-   with Wire.Protocol msg -> Printf.eprintf "serve: protocol error: %s\n%!" msg);
-  flush_pending ();
+     (try
+        let eof = ref false in
+        while not !eof do
+          match Wire.read_frame ic with
+          | None -> eof := true
+          | Some "" -> flush_pending ()
+          | Some payload ->
+              pending := (payload, Obs.now_ns ()) :: !pending;
+              incr npending;
+              if !npending >= config.max_batch then flush_pending ()
+        done
+      with Wire.Protocol msg -> Printf.eprintf "serve: protocol error: %s\n%!" msg);
+     flush_pending ()
+   with Sys_error msg ->
+     (* The client went away; whatever is pending has no reader left. *)
+     if config.status then Printf.eprintf "serve: connection lost: %s\n%!" msg);
   flush_snapshot ();
   {
     requests = !requests;
@@ -192,8 +209,9 @@ let listen ?(config = default) ?max_conns ~path () =
         if config.status then
           Printf.eprintf "serve: connection %d closed after %d requests\n%!" !conns
             summary.requests;
-        (try flush oc with Sys_error _ -> ());
-        Unix.close fd
+        (* Flushes what a live client still awaits and closes [fd]; the
+           buffer of a client that hung up is dropped with it. *)
+        close_out_noerr oc
       done)
 
 let in_process ?(config = default) ?state client =

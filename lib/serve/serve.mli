@@ -1,15 +1,22 @@
 (** The [xtree serve] engine: a long-lived embedding service.
 
     Requests ({!Xt_bintree.Codec} strings, length-framed per {!Wire})
-    are buffered until a flush marker, the batch limit or EOF, then the
-    batch is deduplicated by {!Xt_bintree.Fingerprint} canonical shape,
-    each unique shape is embedded once on the {!Xt_prelude.Parallel}
-    domain pool through a shared {!Xt_core.Theorem1} shape cache, and
-    one response per request is written back in input order — exactly
-    the [embed-batch] pipeline, kept alive between batches. Codec
-    numbers nodes in preorder, so every response is bit-identical to a
-    direct [Theorem1.embed] on that request (the equivalence suite in
+    are buffered until a flush marker, the batch limit or EOF, and one
+    response per request is written back in input order. A request
+    whose bytes are a cached canonical Codec string is answered from
+    those bytes, unparsed ({!Xt_core.Theorem1.find_packed}): one hash,
+    one string compare and one write of the stored packed placement.
+    The rest are parsed; those that parse are deduplicated on their
+    canonical string, and each distinct shape is embedded once on the
+    {!Xt_prelude.Parallel} domain pool through the shared
+    {!Xt_core.Theorem1} shape cache. Codec numbers nodes in preorder, so
+    every response is byte-identical to the encoding of a direct
+    [Theorem1.embed] on that request (the equivalence suite in
     [test/test_serve.ml] checks this).
+
+    The server ignores SIGPIPE: a client that hangs up before reading
+    its replies makes a write fail with [Sys_error], which ends that
+    stream only. {!run} returns, and {!listen} goes on accepting.
 
     With [config.snapshot] set, the shape cache is restored from the
     snapshot file at startup and flushed back (atomically, see
@@ -17,10 +24,11 @@
     at EOF, so a restarted server resumes warm.
 
     Instruments: [serve.requests] / [serve.batches] / [serve.errors] /
-    [serve.unique_shapes] / [serve.snapshot_loaded] /
-    [serve.snapshot_saved] counters, the [serve.request_ns] histogram
-    (per-response service time, metrics-gated) and a [serve.batch]
-    trace span per batch. *)
+    [serve.unique_shapes] (distinct shapes among a batch's misses) /
+    [serve.snapshot_loaded] / [serve.snapshot_saved] counters, the
+    [serve.request_ns] histogram (from a request's frame read to its
+    response write, metrics-gated) and a [serve.batch] trace span per
+    batch. *)
 
 type config = {
   capacity : int;  (** Embedding capacity (the paper's load factor). *)
@@ -39,7 +47,7 @@ val default : config
     no status lines. *)
 
 type summary = {
-  requests : int;  (** Responses written. *)
+  requests : int;  (** Responses written (to the channel's buffer). *)
   batches : int;
   errors : int;  (** Error responses (undecodable request payloads). *)
   loaded : int;  (** Snapshot entries restored at startup. *)
@@ -61,15 +69,17 @@ val run :
   in_channel ->
   out_channel ->
   summary
-(** Serve one request stream to EOF. [state] defaults to a fresh
-    {!make_state}; pass it explicitly to keep the cache (and its
-    snapshot warmth) across streams. *)
+(** Serve one request stream to EOF, or until a write to [oc] fails.
+    [state] defaults to a fresh {!make_state}; pass it explicitly to
+    keep the cache (and its snapshot warmth) across streams. Sets
+    SIGPIPE to be ignored, process-wide. *)
 
 val listen :
   ?config:config -> ?max_conns:int -> path:string -> unit -> unit
 (** Bind a Unix-domain stream socket at [path] (unlinking a stale one)
     and serve connections sequentially, sharing one cache across all of
-    them. Stops after [max_conns] connections (default: forever). *)
+    them. A client that hangs up ends only its own connection. Stops
+    after [max_conns] connections (default: forever). *)
 
 val in_process :
   ?config:config ->

@@ -34,15 +34,28 @@ let read_frame ic =
 
 type response = { height : int; fallbacks : int; place : int array }
 
+(* The 13-byte header of a success payload, written at [off]. *)
+let set_ok_header b off ~height ~fallbacks n =
+  Bytes.set b off '\x01';
+  Bytes.set_int32_be b (off + 1) (Int32.of_int height);
+  Bytes.set_int32_be b (off + 5) (Int32.of_int fallbacks);
+  Bytes.set_int32_be b (off + 9) (Int32.of_int n)
+
 let encode_ok r =
   let n = Array.length r.place in
   let b = Bytes.create (13 + (4 * n)) in
-  Bytes.set b 0 '\x01';
-  Bytes.set_int32_be b 1 (Int32.of_int r.height);
-  Bytes.set_int32_be b 5 (Int32.of_int r.fallbacks);
-  Bytes.set_int32_be b 9 (Int32.of_int n);
-  Array.iteri (fun i p -> Bytes.set_int32_be b (13 + (4 * i)) (Int32.of_int p)) r.place;
+  set_ok_header b 0 ~height:r.height ~fallbacks:r.fallbacks n;
+  Xt_embedding.Shape_memo.blit_packed r.place b 13;
   Bytes.unsafe_to_string b
+
+let write_ok oc ~height ~fallbacks packed =
+  let len = 13 + String.length packed in
+  if len > max_frame then raise (Protocol "frame too large");
+  let hdr = Bytes.create 17 in
+  Bytes.set_int32_be hdr 0 (Int32.of_int len);
+  set_ok_header hdr 4 ~height ~fallbacks (String.length packed / 4);
+  output_bytes oc hdr;
+  output_string oc packed
 
 let encode_error msg = "\x00" ^ msg
 

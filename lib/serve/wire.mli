@@ -34,6 +34,15 @@ val read_frame : in_channel -> string option
 type response = { height : int; fallbacks : int; place : int array }
 
 val encode_ok : response -> string
+(** The placement is packed by {!Xt_embedding.Shape_memo.blit_packed},
+    the layout the shape memo stores. *)
+
+val write_ok : out_channel -> height:int -> fallbacks:int -> string -> unit
+(** [write_ok oc ~height ~fallbacks packed] writes the frame
+    [write_frame oc (encode_ok r)] writes, for a response whose placement
+    is already packed: the length word, the 13-byte header, then
+    [packed] as it is. Does not flush. *)
+
 val encode_error : string -> string
 
 val is_error : string -> bool

@@ -14,3 +14,6 @@ grep -q '^batch: trees=24 unique=3$' loadgen.out
 
 # serve steady state is a cache hit, not a pipeline re-run
 grep -q '^guard PASS$' guard.out
+
+# a warm server answers a hot request from its bytes: no parse, no re-encode
+grep -q '^serve guard PASS$' guard.out

@@ -120,26 +120,29 @@ let test_byte_bound () =
 let test_with_memo_and_verify () =
   let c : int Cache.t = Cache.create ~shards:1 ~capacity:8 () in
   let computes = ref 0 in
-  let get ?validate () =
-    Cache.with_memo c ?validate "k"
-      (fun () ->
+  let get key =
+    Cache.with_memo c key (fun () ->
         incr computes;
         !computes)
   in
   Obs.enable_metrics ();
   ignore (Obs.drain ());
-  Alcotest.(check int) "first call computes" 1 (get ());
-  Alcotest.(check int) "second call hits" 1 (get ());
+  Alcotest.(check int) "first call computes" 1 (get "k");
+  Alcotest.(check int) "second call hits" 1 (get "k");
   Alcotest.(check int) "one compute so far" 1 !computes;
-  (* A failed validation (stands in for a fingerprint collision) drops
-     the entry and recomputes. *)
-  Alcotest.(check int) "rejecting validate recomputes" 2 (get ~validate:(fun v -> v > 1) ());
-  Alcotest.(check int) "recomputed value now hits" 2 (get ());
+  Alcotest.(check int) "another key computes" 2 (get "j");
+  Alcotest.(check int) "and then hits" 2 (get "j");
+  (* A probe counts its hit but not its miss: the miss is counted by the
+     with_memo call it falls back to. *)
+  Alcotest.(check (option int)) "probe hit" (Some 1) (Cache.probe c "k");
+  Alcotest.(check (option int)) "probe miss" None (Cache.probe c "absent");
   let d = Obs.drain () in
   Obs.disable_metrics ();
   let counter name = List.assoc name d.Obs.counters in
-  Alcotest.(check int) "verify_rejects counted" 1 (counter "cache.verify_rejects");
-  Alcotest.(check int) "hits counted" 2 (counter "cache.hits");
+  (* Keys are exact, so no hit is ever re-verified or rejected. *)
+  Alcotest.(check bool) "no verify-reject counter" false
+    (List.mem_assoc "cache.verify_rejects" d.Obs.counters);
+  Alcotest.(check int) "hits counted" 3 (counter "cache.hits");
   Alcotest.(check int) "misses counted" 2 (counter "cache.misses")
 
 let test_concurrent_misses_compute_once () =
