@@ -24,10 +24,6 @@ let family_arg =
   in
   Arg.(value & opt string "uniform" & info [ "f"; "family" ] ~docv:"FAMILY" ~doc)
 
-let size_arg =
-  let doc = "Number of guest tree nodes." in
-  Arg.(value & opt int 240 & info [ "n"; "size" ] ~docv:"N" ~doc)
-
 let seed_arg =
   let doc = "Random seed (all randomness is derived from it)." in
   Arg.(value & opt int 42 & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
@@ -46,6 +42,17 @@ let checked ~what ~must ok arg =
   Term.(const check $ arg)
 
 let positive what arg = checked ~what ~must:"positive" (fun v -> v > 0) arg
+
+(* The largest guest a size flag accepts; X(19)'s paper size fits. A
+   non-positive size is reported where the tree is made. *)
+let max_size = 1 lsl 24
+
+let sized arg =
+  checked ~what:"size" ~must:(Printf.sprintf "at most %d" max_size) (fun n -> n <= max_size) arg
+
+let size_arg =
+  let doc = "Number of guest tree nodes." in
+  sized Arg.(value & opt int 240 & info [ "n"; "size" ] ~docv:"N" ~doc)
 
 let capacity_arg =
   let doc = "Host vertex capacity (the paper's load factor is 16)." in
@@ -434,7 +441,9 @@ let hypercube_cmd =
 
 let height_arg =
   let doc = "X-tree height for the universal graph." in
-  Arg.(value & opt int 3 & info [ "height" ] ~docv:"H" ~doc)
+  checked ~what:"height" ~must:"between 0 and 24"
+    (fun h -> h >= 0 && h <= 24)
+    Arg.(value & opt int 3 & info [ "height" ] ~docv:"H" ~doc)
 
 let universal_run height family seed tm =
   obs_begin tm;
@@ -624,7 +633,7 @@ let exact_cmd =
   let doc = "Exact minimum-dilation embedding of a small tree (branch & bound)." in
   Cmd.v
     (Cmd.info "exact" ~doc)
-    Term.(const exact_run $ family_arg $ Arg.(value & opt int 12 & info [ "n"; "size" ] ~docv:"N" ~doc:"Guest size (keep small).") $ seed_arg $ host_arg $ max_dilation_arg $ telemetry_term)
+    Term.(const exact_run $ family_arg $ sized Arg.(value & opt int 12 & info [ "n"; "size" ] ~docv:"N" ~doc:"Guest size (keep small).") $ seed_arg $ host_arg $ max_dilation_arg $ telemetry_term)
 
 (* ---------------- route ---------------- *)
 
@@ -653,15 +662,24 @@ let route_cmd =
 
 (* ---------------- weighted ---------------- *)
 
-let budget_arg =
-  let doc = "Weight budget per host vertex." in
-  Arg.(value & opt int 128 & info [ "budget" ] ~docv:"W" ~doc)
-
 let max_weight_arg =
   let doc = "Node weights are drawn skewed from 1..$(docv)." in
-  Arg.(value & opt int 32 & info [ "max-weight" ] ~docv:"W" ~doc)
+  positive "max-weight" Arg.(value & opt int 32 & info [ "max-weight" ] ~docv:"W" ~doc)
 
-let weighted_run family size seed budget max_weight tm =
+(* The budget must hold the heaviest weight the draw can give. *)
+let budget_and_max_weight =
+  let doc = "Weight budget per host vertex; at least --max-weight." in
+  let budget = Arg.(value & opt int 128 & info [ "budget" ] ~docv:"W" ~doc) in
+  let check budget max_weight =
+    if budget < max_weight then begin
+      Printf.eprintf "budget must be at least max-weight (%d)\n" max_weight;
+      exit 2
+    end;
+    (budget, max_weight)
+  in
+  Term.(const check $ budget $ max_weight_arg)
+
+let weighted_run family size seed (budget, max_weight) tm =
   obs_begin tm;
   let t = make_tree family size seed in
   let rng = Rng.make ~seed:(seed + 1) in
@@ -676,9 +694,15 @@ let weighted_run family size seed budget max_weight tm =
     "weighted: total=%d host=X(%d) budget=%d max-vertex=%d imbalance=%.2f dilation=%d\n"
     res.Weighted.total_weight res.Weighted.height budget res.Weighted.max_vertex_weight
     (Weighted.imbalance res) dil;
-  let blind = Theorem1.embed ~height:res.Weighted.height t in
-  Printf.printf "weight-blind theorem1 on the same host: max-vertex=%d\n"
-    (Weighted.evaluate_placement ~weights blind.Theorem1.embedding);
+  (* light weights can leave a host too small for Theorem 1's load 16 *)
+  let height = max res.Weighted.height (Theorem1.height_for size) in
+  let blind = Theorem1.embed ~height t in
+  let blind_max = Weighted.evaluate_placement ~weights blind.Theorem1.embedding in
+  if height = res.Weighted.height then
+    Printf.printf "weight-blind theorem1 on the same host: max-vertex=%d\n" blind_max
+  else
+    Printf.printf "weight-blind theorem1 on X(%d), the smallest host it fits: max-vertex=%d\n"
+      height blind_max;
   obs_end tm
 
 let weighted_cmd =
@@ -686,7 +710,7 @@ let weighted_cmd =
   Cmd.v
     (Cmd.info "weighted" ~doc)
     Term.(
-      const weighted_run $ family_arg $ size_arg $ seed_arg $ budget_arg $ max_weight_arg
+      const weighted_run $ family_arg $ size_arg $ seed_arg $ budget_and_max_weight
       $ telemetry_term)
 
 (* ---------------- trace (analytics) ---------------- *)

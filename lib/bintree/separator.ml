@@ -415,7 +415,13 @@ let lemma2 ws piece ~target =
 
 type boundary = { bnode : int; anchor : int }
 
-type component = { members : int list; count : int; bounds : boundary list }
+type component = {
+  members : int list;
+  count : int;
+  bounds : boundary list;
+  start : int;
+  top : int;
+}
 
 let rec stamp a g = function
   | [] -> ()
@@ -423,10 +429,10 @@ let rec stamp a g = function
       a.(v) <- g;
       stamp a g rest
 
-(* Push [w] when it is in the set and not yet visited; returns the new
-   stack height. *)
-let visit ws w sp =
-  if w >= 0 && member ws w && ws.vis.(w) <> ws.visgen then begin
+(* Push [w] when it is in the walked set — the nodes [set] maps to
+   [key] — and not yet visited; returns the new stack height. *)
+let visit ws (set : int array) key w sp =
+  if w >= 0 && set.(w) = key && ws.vis.(w) <> ws.visgen then begin
     ws.vis.(w) <- ws.visgen;
     ws.stack.(sp) <- w;
     sp + 1
@@ -437,37 +443,37 @@ let visit ws w sp =
 let bound place u x acc =
   if x >= 0 && place.(x) >= 0 then { bnode = u; anchor = place.(x) } :: acc else acc
 
-(* One component: DFS from [v], neighbours pushed parent, left, right —
-   the node order of every re-formed piece, and so every placement,
-   depends on it. Members come out last-popped first. Boundaries are
-   prepended right, left, parent per node and reversed once at the end:
-   popped order, right, left, parent within a node — what a scan of the
-   finished member list would give. No closure captures the refs, so the
-   walk allocates only its output. *)
-let grow ws ~place v =
+(* One component of the walked set: DFS from [v], neighbours pushed
+   parent, left, right — the node order of every re-formed piece, and so
+   every placement, depends on it. Members come out last-popped first.
+   Boundaries (when [bounds]) are prepended right, left, parent per node
+   and reversed once at the end: popped order, right, left, parent within
+   a node — what a scan of the finished member list would give. The top
+   is the member whose parent is outside the set. No closure captures
+   the refs, so the walk allocates only its output. *)
+let grow ws ~(set : int array) ~key ~place ~bounds v =
   ws.vis.(v) <- ws.visgen;
   ws.stack.(0) <- v;
   let t = ws.tree in
-  let sp = ref 1 and members = ref [] and count = ref 0 and bounds = ref [] in
+  let sp = ref 1 and members = ref [] and count = ref 0 and acc = ref [] and top = ref v in
   while !sp > 0 do
     decr sp;
     let u = ws.stack.(!sp) in
     members := u :: !members;
     incr count;
     let p = Bintree.parent_id t u and l = Bintree.left_id t u and r = Bintree.right_id t u in
-    sp := visit ws r (visit ws l (visit ws p !sp));
-    match place with
-    | Some place -> bounds := bound place u p (bound place u l (bound place u r !bounds))
-    | None -> ()
+    if p < 0 || set.(p) <> key then top := u;
+    sp := visit ws set key r (visit ws set key l (visit ws set key p !sp));
+    if bounds then acc := bound place u p (bound place u l (bound place u r !acc))
   done;
-  let bounds = match !bounds with ([] | [ _ ]) as b -> b | b -> List.rev b in
-  { members = !members; count = !count; bounds }
+  let bounds = match !acc with ([] | [ _ ]) as b -> b | b -> List.rev b in
+  { members = !members; count = !count; bounds; start = v; top = !top }
 
 (* Components in reverse order of discovery; a component is discovered
    at the first occurrence of one of its nodes in [nodes]. Removed nodes
    are stamped out of the set, so skipping them gives exactly the order
    a filtered copy of [nodes] would. *)
-let walk ws ~place ~nodes ~removed =
+let walk ws ~place ~bounds ~nodes ~removed =
   ws.gen <- ws.gen + 1;
   stamp ws.mark ws.gen nodes;
   stamp ws.mark (ws.gen - 1) removed;
@@ -475,15 +481,39 @@ let walk ws ~place ~nodes ~removed =
   let rec scan acc = function
     | [] -> acc
     | v :: rest ->
-        if member ws v && ws.vis.(v) <> ws.visgen then scan (grow ws ~place v :: acc) rest
+        if member ws v && ws.vis.(v) <> ws.visgen then
+          scan (grow ws ~set:ws.mark ~key:ws.gen ~place ~bounds v :: acc) rest
         else scan acc rest
   in
   scan [] nodes
 
 let components ws ~nodes ~removed =
-  List.map (fun c -> c.members) (walk ws ~place:None ~nodes ~removed)
+  List.map (fun c -> c.members) (walk ws ~place:[||] ~bounds:false ~nodes ~removed)
 
-let components_with_bounds ws ~place ~nodes ~removed = walk ws ~place:(Some place) ~nodes ~removed
+let components_with_bounds ws ~place ~nodes ~removed = walk ws ~place ~bounds:true ~nodes ~removed
+
+(* The unplaced nodes are the ones [place] maps to -1. *)
+let component_at ws ~place v =
+  ws.visgen <- ws.visgen + 1;
+  grow ws ~set:place ~key:(-1) ~place ~bounds:true v
+
+let placed place w = w >= 0 && place.(w) >= 0
+
+let first_bound ws ~place v =
+  let t = ws.tree in
+  ws.visgen <- ws.visgen + 1;
+  ws.vis.(v) <- ws.visgen;
+  ws.stack.(0) <- v;
+  let sp = ref 1 and found = ref (-1) and walked = ref 0 in
+  while !found < 0 && !sp > 0 do
+    decr sp;
+    let u = ws.stack.(!sp) in
+    incr walked;
+    let p = Bintree.parent_id t u and l = Bintree.left_id t u and r = Bintree.right_id t u in
+    if placed place p || placed place l || placed place r then found := u
+    else sp := visit ws place (-1) r (visit ws place (-1) l (visit ws place (-1) p !sp))
+  done;
+  (!found, !walked)
 
 let verify_split ws piece sp =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in

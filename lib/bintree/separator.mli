@@ -87,6 +87,8 @@ type component = {
   count : int;             (** [List.length members]. *)
   bounds : boundary list;
       (** In DFS order of [bnode]; right, left, parent within a node. *)
+  start : int;             (** The DFS root: the last of [members]. *)
+  top : int;               (** The member whose tree parent is outside the set. *)
 }
 
 val components_with_bounds :
@@ -94,6 +96,19 @@ val components_with_bounds :
 (** {!components} with each component's size and its boundaries against
     [place] (guest node -> host vertex, negative when unplaced), collected
     in the same walk. Used to re-form pieces after nodes have been laid. *)
+
+val component_at : ws -> place:int array -> int -> component
+(** [component_at ws ~place v] is the connected set of unplaced nodes
+    (those [place] maps to [-1]) that contains [v], walked by the same
+    DFS from [v]:
+    the component {!components_with_bounds} gives for [v]'s set when [v]
+    is its first node in [nodes]. Allocates only its output. *)
+
+val first_bound : ws -> place:int array -> int -> int * int
+(** [first_bound ws ~place v] runs that DFS from [v] only until it pops
+    a node with a placed neighbour: the [bnode] of the first boundary of
+    [component_at ws ~place v]. Returns that node ([-1] if there is none)
+    and the number of nodes popped. Allocates only the pair. *)
 
 val verify_split : ws -> piece -> split -> (unit, string) result
 (** Structural check used by the test suite: partition, designated-node

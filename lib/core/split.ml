@@ -33,6 +33,171 @@ let assign_class ~pairing (bag0, acc0) (bag1, acc1) pieces =
       end)
     pieces
 
+(* ------------------------------------------------------------------ *)
+(* The fill                                                            *)
+(*                                                                     *)
+(* The fill peels the first boundary node of the piece at the head of  *)
+(* the child's list until the child is full; re-forming the rest of   *)
+(* the piece after each peel would put its components at the head, in *)
+(* their order of discovery along the piece's nodes. The fill lays the *)
+(* same nodes without re-forming: it holds each piece it creates as   *)
+(* its start, its top and its boundary nodes, derives the next peel   *)
+(* and the pieces that peel leaves from the guest's structure, and    *)
+(* re-forms only the pieces that survive, once each.                   *)
+(*                                                                     *)
+(* A piece's node list is its reverse DFS preorder from its start,     *)
+(* with neighbours popped right, left, parent: from a node the DFS    *)
+(* covers its part of the subtree below right-first, then climbs to   *)
+(* the parent and covers the sibling's part, up to the top, where it  *)
+(* ends in the other child's part. Below a node the DFS visits the    *)
+(* piece in mirror preorder, so the last node it reaches there is the *)
+(* largest mirror index in the node's range outside every cut subtree *)
+(* — the subtrees of the placed children of the boundary nodes (the   *)
+(* piece is a maximal unplaced set, so nothing else cuts it). All of  *)
+(* it is read before the peeled node is laid.                          *)
+(* ------------------------------------------------------------------ *)
+
+let free (st : State.t) v = v >= 0 && st.place.(v) < 0
+
+(* [a] is [b] or a guest ancestor of [b]. *)
+let above st a b =
+  let k = State.mpos st b in
+  State.mpos st a <= k && k <= State.mend st a
+
+(* The child of [a] that is [b] or above it; [b] lies strictly below [a]. *)
+let toward (st : State.t) a b =
+  let l = Bintree.left_id st.tree a in
+  if l >= 0 && above st l b then l else Bintree.right_id st.tree a
+
+let cut_at (st : State.t) k c =
+  c >= 0 && st.place.(c) >= 0 && State.mpos st c <= k && k <= State.mend st c
+
+(* The cut subtree holding mirror index [k], found among the children of
+   the boundary nodes; -1 when [k] is not cut. *)
+let rec cut_root (st : State.t) k = function
+  | [] -> -1
+  | b :: rest ->
+      let l = Bintree.left_id st.tree b and r = Bintree.right_id st.tree b in
+      if cut_at st k l then l else if cut_at st k r then r else cut_root st k rest
+
+let rec last_index (st : State.t) bnodes k =
+  let c = cut_root st k bnodes in
+  if c < 0 then k else last_index st bnodes (State.mpos st c - 1)
+
+(* The last node the DFS reaches on entering [w] from its parent. *)
+let last_below st bnodes w = State.mnode st (last_index st bnodes (State.mend st w))
+
+(* The last node the DFS reaches after climbing to the top [t] through
+   its child [pc]: the end of t's other child's part, else [t]. *)
+let last_from_top (st : State.t) bnodes t pc =
+  let l = Bintree.left_id st.tree t in
+  let other = if pc = l then Bintree.right_id st.tree t else l in
+  if free st other then last_below st bnodes other else t
+
+(* The node the DFS from [s] pops just before [x], which it reaches from
+   its neighbour [y]: [y] itself, or the end of the part of [y]'s child
+   explored just before [x] (order right, left, parent, skipping the
+   neighbour [y] was reached from). *)
+let popped_before (st : State.t) bnodes ~s x y =
+  let t = st.tree in
+  let ly = Bintree.left_id t y and ry = Bintree.right_id t y in
+  let back =
+    if y = s then -1 else if above st y s then toward st y s else Bintree.parent_id t y
+  in
+  let prev =
+    if x = ry then -1
+    else if x = ly then if ry <> back && free st ry then ry else -1
+    else if ly <> back && free st ly then ly
+    else if ry <> back && free st ry then ry
+    else -1
+  in
+  if prev < 0 then y else last_below st bnodes prev
+
+(* Boundary nodes below [c]; and those outside [x]'s subtree. *)
+let rec bnodes_below (st : State.t) c = function
+  | [] -> []
+  | b :: rest -> if above st c b then b :: bnodes_below st c rest else bnodes_below st c rest
+
+let rec bnodes_outside (st : State.t) x = function
+  | [] -> []
+  | b :: rest ->
+      if above st x b then bnodes_outside st x rest else b :: bnodes_outside st x rest
+
+let rec bnodes_of = function [] -> [] | (b : State.boundary) :: rest -> b.bnode :: bnodes_of rest
+
+(* Hold the piece that laying [x] leaves behind its neighbour [z]: top
+   [t] above [x], else [z]; its boundary nodes are the held piece's on
+   that side plus [z] itself, now next to a placed node. Ids and the
+   wide-piece count are drawn as [State.reform] would draw them. *)
+let hold (st : State.t) ~x ~t bnodes z start =
+  let h = st.held in
+  let k = h.h_len in
+  let up = z = Bintree.parent_id st.tree x in
+  let bn = z :: (if up then bnodes_outside st x bnodes else bnodes_below st z bnodes) in
+  (match bn with _ :: _ :: _ :: _ -> st.wide_pieces <- st.wide_pieces + 1 | _ -> ());
+  h.h_start.(k) <- start;
+  h.h_top.(k) <- (if up then t else z);
+  h.h_pid.(k) <- State.draw_pid st;
+  h.h_bnodes.(k) <- bn;
+  h.h_len <- k + 1
+
+(* Lay [x] out of the piece with start [s], top [t] and boundary nodes
+   [bnodes], and push the pieces it leaves so that the first discovered
+   ends on top: the side of [x]'s neighbour [y] towards [s] (if [x] is
+   not [s]) first when the DFS's last node lies on it, else last; the
+   others in parent, left, right order. *)
+let peel st ~round:i ~vertex ~s ~t bnodes x =
+  let tree = st.State.tree in
+  let px = Bintree.parent_id tree x
+  and lx = Bintree.left_id tree x
+  and rx = Bintree.right_id tree x in
+  let y = if x = s then -1 else if above st x s then toward st x s else px in
+  (* the DFS's last node, and whether it lies on [y]'s side *)
+  let e =
+    if y < 0 then -1
+    else if s = t then last_below st bnodes t
+    else last_from_top st bnodes t (toward st t s)
+  in
+  let y_first = y >= 0 && if y = px then not (above st x e) else above st y e in
+  let y_start = if y < 0 || y_first then e else popped_before st bnodes ~s x y in
+  (* pushed in reverse order of discovery *)
+  if y >= 0 && not y_first then hold st ~x ~t bnodes y y_start;
+  if rx <> y && free st rx then hold st ~x ~t bnodes rx (last_below st bnodes rx);
+  if lx <> y && free st lx then hold st ~x ~t bnodes lx (last_below st bnodes lx);
+  if px <> y && x <> t then hold st ~x ~t bnodes px (last_from_top st bnodes t (toward st t x));
+  if y_first then hold st ~x ~t bnodes y y_start;
+  State.lay st ~max_level:i ~node:x ~vertex;
+  Obs.incr c_fill
+
+let rec one_node (v : int) = function [] -> true | b :: rest -> b = v && one_node v rest
+
+let fill st ~round ~vertex =
+  let h = st.State.held in
+  let stop = ref false in
+  while (not !stop) && st.State.occ.(vertex) < st.State.capacity do
+    if h.h_len > 0 then begin
+      let k = h.h_len - 1 in
+      h.h_len <- k;
+      let s = h.h_start.(k) and bnodes = h.h_bnodes.(k) in
+      h.h_bnodes.(k) <- [];
+      let x = match bnodes with b :: rest when one_node b rest -> b | _ -> State.first_bound st s in
+      peel st ~round ~vertex ~s ~t:h.h_top.(k) bnodes x
+    end
+    else
+      match State.pieces_at st vertex with
+      | [] -> stop := true
+      | (p : State.piece) :: _ ->
+          State.detach st ~vertex p;
+          let x = match p.bounds with b :: _ -> b.bnode | [] -> List.hd p.nodes in
+          peel st ~round ~vertex ~s:p.start ~t:p.top (bnodes_of p.bounds) x
+  done;
+  (* bottom of the stack first, so the top piece ends at the head *)
+  for k = 0 to h.h_len - 1 do
+    State.attach st ~vertex (State.regrow st ~pid:h.h_pid.(k) h.h_start.(k));
+    h.h_bnodes.(k) <- []
+  done;
+  h.h_len <- 0
+
 let run ?(options = Options.default) ?outer_weight st ~round:i ~alpha =
   let capacity = st.State.capacity in
   (* Weight of a level-i vertex outside alpha's subtree, read only for
@@ -134,22 +299,5 @@ let run ?(options = Options.default) ?outer_weight st ~round:i ~alpha =
       end
   end;
   (* Fill each child to capacity with frontier nodes. *)
-  let fill child =
-    let continue_ = ref true in
-    while !continue_ && st.State.occ.(child) < capacity do
-      match State.pieces_at st child with
-      | [] -> continue_ := false
-      | (p : State.piece) :: _ ->
-          State.detach st ~vertex:child p;
-          let peel =
-            match p.State.bounds with
-            | b :: _ -> b.State.bnode
-            | [] -> List.hd p.State.nodes
-          in
-          State.lay st ~max_level:i ~node:peel ~vertex:child;
-          Obs.incr c_fill;
-          Moves.reattach_to st ~vertex:child ~removed:[ peel ] p.State.nodes
-    done
-  in
-  fill c0;
-  fill c1
+  fill st ~round:i ~vertex:c0;
+  fill st ~round:i ~vertex:c1

@@ -27,3 +27,14 @@ val run :
     snapshot of the whole level so every SPLIT of a sweep sees the same
     outer weights regardless of execution order — the property that lets
     sweeps run in parallel. *)
+
+val fill : State.t -> round:int -> vertex:int -> unit
+(** SPLIT's last step, on the level-[round] vertex [vertex]: while it has
+    a free slot and an attached piece, lay the first boundary node of the
+    piece at the head of its list (the piece's last DFS node when it has
+    no boundary) there. The pieces each peel leaves go to the head of the
+    list in their order of discovery along the piece's nodes, with ids
+    drawn in reverse of that order — exactly as re-forming the piece
+    after every peel with {!State.reform} would leave them, but each
+    surviving piece is re-formed once, at the end. Counts each laid node
+    in [split.fill_laid]. *)

@@ -8,12 +8,28 @@ open Xt_bintree
 let c_barrier_stops = Obs.counter "state.weight_barrier_stops"
 
 (* Guest nodes walked while re-forming pieces after a placement: the
-   work [reform] does. Schedule-independent, like ADJUST's counters. *)
+   work of [reform], of [regrow] and of the fill's [first_bound]
+   searches. Schedule-independent, like ADJUST's counters. *)
 let c_reform_nodes = Obs.counter "state.reform_nodes"
 
 type boundary = Separator.boundary = { bnode : int; anchor : int }
 
-type piece = { pid : int; size : int; nodes : int list; bounds : boundary list }
+type piece = {
+  pid : int;
+  size : int;
+  nodes : int list;
+  bounds : boundary list;
+  start : int;
+  top : int;
+}
+
+type held = {
+  h_start : int array;
+  h_top : int array;
+  h_pid : int array;
+  h_bnodes : int list array;
+  mutable h_len : int;
+}
 
 type t = {
   tree : Bintree.t;
@@ -24,7 +40,9 @@ type t = {
   occ : int array;
   weight : int array;
   attached : piece list array;
+  mirror : Bytes.t;
   ws : Separator.ws;
+  held : held;
   weight_barrier : int;
   pid_stride : int;
   strict : bool;
@@ -34,6 +52,62 @@ type t = {
   mutable fallbacks : int;
   mutable wide_pieces : int;
 }
+
+(* Mirror preorder of the guest — each node, then its right subtree,
+   then its left subtree — packed as three int32 per node (guest ids fit
+   in 31 bits): at [12 v] node v's index, at [12 v + 4] the last index of
+   its subtree, at [12 k + 8] the node with index k. One pass over an
+   explicit stack, kept in the still-unused last-index slots, numbers the
+   nodes; the last index of a subtree is its left child's, else its
+   right child's, else its own, filled by walking the indices backwards. *)
+let get m i = Int32.to_int (Bytes.get_int32_le m i)
+let set m i v = Bytes.set_int32_le m i (Int32.of_int v)
+
+let mirror_preorder tree =
+  let n = Bintree.n tree in
+  let m = Bytes.make (12 * n) '\000' in
+  let stack sp = (12 * sp) + 4 in
+  set m (stack 0) (Bintree.root tree);
+  let sp = ref 1 and k = ref 0 in
+  while !sp > 0 do
+    decr sp;
+    let v = get m (stack !sp) in
+    set m (12 * v) !k;
+    set m ((12 * !k) + 8) v;
+    incr k;
+    let l = Bintree.left_id tree v and r = Bintree.right_id tree v in
+    if l >= 0 then begin
+      set m (stack !sp) l;
+      incr sp
+    end;
+    if r >= 0 then begin
+      set m (stack !sp) r;
+      incr sp
+    end
+  done;
+  for k = n - 1 downto 0 do
+    let v = get m ((12 * k) + 8) in
+    let l = Bintree.left_id tree v and r = Bintree.right_id tree v in
+    set m ((12 * v) + 4)
+      (if l >= 0 then get m ((12 * l) + 4) else if r >= 0 then get m ((12 * r) + 4) else k)
+  done;
+  m
+
+let mpos st v = get st.mirror (12 * v)
+let mend st v = get st.mirror ((12 * v) + 4)
+let mnode st k = get st.mirror ((12 * k) + 8)
+
+(* A fill lays at most [capacity] nodes; each peel replaces one held
+   piece by at most three. *)
+let make_held ~capacity =
+  let m = (2 * capacity) + 2 in
+  {
+    h_start = Array.make m 0;
+    h_top = Array.make m 0;
+    h_pid = Array.make m 0;
+    h_bnodes = Array.make m [];
+    h_len = 0;
+  }
 
 let create ~tree ~height ~capacity =
   if capacity <= 0 then invalid_arg "State.create: capacity";
@@ -48,7 +122,9 @@ let create ~tree ~height ~capacity =
     occ = Array.make order 0;
     weight = Array.make order 0;
     attached = Array.make order [];
+    mirror = mirror_preorder tree;
     ws = Separator.make_ws tree;
+    held = make_held ~capacity;
     weight_barrier = 0;
     pid_stride = 1;
     strict = false;
@@ -135,6 +211,11 @@ let detach st ~vertex piece =
   st.attached.(vertex) <- remove_pid piece.pid st.attached.(vertex);
   add_weight st vertex (-piece.size)
 
+let draw_pid st =
+  let pid = st.next_pid in
+  st.next_pid <- pid + st.pid_stride;
+  pid
+
 let make_piece st nodes =
   let bounds = ref [] in
   List.iter
@@ -144,16 +225,26 @@ let make_piece st nodes =
     nodes;
   let bounds = !bounds in
   if List.length bounds > 2 then st.wide_pieces <- st.wide_pieces + 1;
-  let pid = st.next_pid in
-  st.next_pid <- pid + st.pid_stride;
-  { pid; size = List.length nodes; nodes; bounds }
+  let pid = draw_pid st in
+  (* the top of a connected set comes first in preorder *)
+  let top = List.fold_left (fun t v -> if mpos st v < mpos st t then v else t) (List.hd nodes) nodes in
+  { pid; size = List.length nodes; nodes; bounds; start = List.hd (List.rev nodes); top }
 
 let piece_of st (c : Separator.component) =
   (match c.bounds with _ :: _ :: _ :: _ -> st.wide_pieces <- st.wide_pieces + 1 | _ -> ());
-  let pid = st.next_pid in
-  st.next_pid <- pid + st.pid_stride;
+  let pid = draw_pid st in
   Obs.add c_reform_nodes c.count;
-  { pid; size = c.count; nodes = c.members; bounds = c.bounds }
+  { pid; size = c.count; nodes = c.members; bounds = c.bounds; start = c.start; top = c.top }
+
+let regrow st ~pid v =
+  let c = Separator.component_at st.ws ~place:st.place v in
+  Obs.add c_reform_nodes c.count;
+  { pid; size = c.count; nodes = c.members; bounds = c.bounds; start = c.start; top = c.top }
+
+let first_bound st v =
+  let x, walked = Separator.first_bound st.ws ~place:st.place v in
+  Obs.add c_reform_nodes walked;
+  x
 
 (* Ids are drawn in list order, as [make_piece] over each component
    would draw them. *)
@@ -190,6 +281,7 @@ let fork st ~ws ~pid_base ~pid_stride ~weight_barrier =
   {
     st with
     ws;
+    held = make_held ~capacity:st.capacity;
     weight_barrier;
     pid_stride;
     strict = true;
@@ -208,6 +300,24 @@ let join st forks =
       st.wide_pieces <- st.wide_pieces + f.wide_pieces;
       if f.next_pid > st.next_pid then st.next_pid <- f.next_pid)
     forks
+
+(* An attached piece that is not the whole unplaced component of its
+   start as re-grown from there — other nodes, size, bounds or top —
+   as (vertex, pid). *)
+let stale_piece st =
+  let stale = ref None in
+  Array.iteri
+    (fun v pieces ->
+      List.iter
+        (fun p ->
+          if !stale = None then begin
+            let c = Separator.component_at st.ws ~place:st.place p.start in
+            if c.members <> p.nodes || c.count <> p.size || c.bounds <> p.bounds || c.top <> p.top
+            then stale := Some (v, p.pid)
+          end)
+        pieces)
+    st.attached;
+  !stale
 
 let check_invariants st =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
@@ -236,9 +346,10 @@ let check_invariants st =
     Array.iteri
       (fun v c -> if c <> 1 && !bad = None then bad := Some (v, c))
       covered;
-    match !bad with
-    | Some (v, c) -> fail "guest node %d covered %d times" v c
-    | None ->
+    match (!bad, stale_piece st) with
+    | Some (v, c), _ -> fail "guest node %d covered %d times" v c
+    | None, Some (v, pid) -> fail "piece %d at vertex %d is not its start's re-grown component" pid v
+    | None, None ->
         (* weights: recompute bottom-up *)
         let w = Array.make order 0 in
         for v = order - 1 downto 0 do

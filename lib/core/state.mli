@@ -16,9 +16,24 @@ type boundary = Xt_bintree.Separator.boundary = { bnode : int; anchor : int }
 type piece = {
   pid : int;
   size : int;
-  nodes : int list;
+  nodes : int list;  (** Reverse DFS preorder from [start] (neighbours pushed parent, left, right). *)
   bounds : boundary list; (** Usually one or two. *)
+  start : int;  (** The node the piece's DFS starts at: the last of [nodes]. *)
+  top : int;  (** The node whose tree parent is not in the piece. *)
 }
+(** Every attached piece is a maximal connected set of unplaced guest
+    nodes: its nodes' unplaced neighbours are its own. *)
+
+type held = {
+  h_start : int array;
+  h_top : int array;
+  h_pid : int array;
+  h_bnodes : int list array;
+  mutable h_len : int;
+}
+(** Scratch stack of the pieces one SPLIT fill holds without their node
+    lists (see {!Split.fill}): start, top, reserved id and boundary nodes
+    (one entry per placed neighbour). Sized for one fill. *)
 
 type t = {
   tree : Xt_bintree.Bintree.t;
@@ -29,7 +44,9 @@ type t = {
   occ : int array;              (** per-vertex occupancy *)
   weight : int array;           (** cached X-subtree weights *)
   attached : piece list array;  (** pieces attached per vertex *)
+  mirror : Bytes.t;             (** the guest's mirror preorder; read with {!mpos} *)
   ws : Xt_bintree.Separator.ws;
+  held : held;                  (** the fill's scratch; private to a forked view *)
   weight_barrier : int;         (** weight updates stop below this vertex id (0 = root) *)
   pid_stride : int;             (** piece-id increment; forks interleave ids *)
   strict : bool;                (** forked view: a diverted [lay] raises *)
@@ -45,6 +62,16 @@ type t = {
 
 val create : tree:Xt_bintree.Bintree.t -> height:int -> capacity:int -> t
 
+val mpos : t -> int -> int
+(** A guest node's index in the mirror preorder: node, right subtree,
+    left subtree. Numbered once per state, in O(n). *)
+
+val mend : t -> int -> int
+(** The last mirror index of a guest node's subtree. *)
+
+val mnode : t -> int -> int
+(** The guest node with a given mirror index. *)
+
 val weight_of : t -> int -> int
 (** Cached weight of a vertex's X-subtree. *)
 
@@ -59,7 +86,8 @@ val detach : t -> vertex:int -> piece -> unit
 
 val make_piece : t -> int list -> piece
 (** Builds a piece from its node list, scanning for boundaries against the
-    current placement. *)
+    current placement; [start] is the last node, [top] the one first in
+    preorder. *)
 
 val reform : t -> nodes:int list -> removed:int list -> piece list
 (** The connected components of [nodes] minus [removed], wrapped as
@@ -69,6 +97,21 @@ val reform : t -> nodes:int list -> removed:int list -> piece list
     order, node order, sizes, boundary order, ids and [wide_pieces]
     count — without the filtered copy or the second boundary scan.
     Counts the nodes walked in [state.reform_nodes]. *)
+
+val draw_pid : t -> int
+(** The next piece id. *)
+
+val regrow : t -> pid:int -> int -> piece
+(** [regrow st ~pid v] is the piece with id [pid] holding the unplaced
+    component of [v], walked from [v] ({!Xt_bintree.Separator.component_at}):
+    what {!reform} makes of that component when [v] is its first node.
+    Draws no id and counts no wide piece; counts the nodes walked in
+    [state.reform_nodes]. *)
+
+val first_bound : t -> int -> int
+(** [first_bound st v] is the boundary node of [regrow st ~pid v]'s
+    first boundary, found by walking only as far as it; counts the nodes
+    walked in [state.reform_nodes]. *)
 
 val pieces_at : t -> int -> piece list
 
@@ -98,4 +141,6 @@ val join : t -> t list -> unit
 
 val check_invariants : t -> (unit, string) result
 (** Expensive consistency check used by tests: occupancy, weights and
-    piece bookkeeping all agree with [place]. *)
+    piece bookkeeping all agree with [place], and every attached piece is
+    maximal and canonical — re-growing it from its [start] over the
+    unplaced nodes gives back its nodes, size, bounds and [top]. *)

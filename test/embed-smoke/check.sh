@@ -12,3 +12,6 @@ grep -q '^host: X(' embed-jobs1.out
 
 # workspace hot path allocates nothing; components allocates only its output
 grep -q '^guard PASS$' guard.out
+
+# SPLIT's fill re-forms at most 20 guest nodes per node it lays
+grep -q '^reform guard PASS$' guard.out

@@ -1,13 +1,19 @@
-(* Allocation guard for the @embed-smoke alias, on one 4 093-node tree:
+(* Work guards for the @embed-smoke alias:
 
-   - [Separator.prepare], the O(n) hot path under every lemma call of
-     the Theorem 1 pipeline, must not allocate on a warm workspace;
-   - [Separator.components], which re-forms pieces after every
+   - on one 4 093-node tree, [Separator.prepare], the O(n) hot path
+     under every lemma call of the Theorem 1 pipeline, must not allocate
+     on a warm workspace;
+   - there, [Separator.components], which re-forms pieces after every
      placement, must allocate only its output: one cons cell (3 words)
-     per node plus a few words per component.
+     per node plus a few words per component;
+   - a Theorem 1 embed of the 8 176-node path guest (X(8)'s paper size)
+     must re-form at most 20 guest nodes per node SPLIT's fill lays:
+     the fill re-forms each surviving piece once, not the rest of its
+     piece after every peel (58.5 per laid node).
 
-   Prints one parseable line per check and one verdict for check.sh; the
-   richer equivalence suite lives in test_theorem1_ref.ml. *)
+   Prints one parseable line per check and one verdict per guard for
+   check.sh; the richer equivalence suite lives in
+   test_theorem1_ref.ml. *)
 
 let minor_words f =
   for _ = 1 to 4 do
@@ -35,3 +41,15 @@ let () =
   Printf.printf "components-minor-words = %.0f (bound %.0f: %d nodes, %d components)\n" walked
     bound kept (List.length comps);
   print_endline (if prepared < 256. && walked <= bound then "guard PASS" else "guard FAIL")
+
+let () =
+  let open Xt_obs in
+  let tree = Xt_bintree.Gen.path (Xt_core.Theorem1.optimal_size 8) in
+  Obs.enable_metrics ();
+  ignore (Xt_core.Theorem1.embed tree);
+  let counters = (Obs.snapshot ()).Obs.counters in
+  let reformed = List.assoc "state.reform_nodes" counters
+  and laid = List.assoc "split.fill_laid" counters in
+  Printf.printf "reform-nodes = %d (bound %d: 20 x %d fill-laid nodes)\n" reformed (20 * laid) laid;
+  print_endline
+    (if laid > 0 && reformed <= 20 * laid then "reform guard PASS" else "reform guard FAIL")

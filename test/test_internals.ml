@@ -96,14 +96,20 @@ let test_split_lays_old_anchored_bounds () =
   Split.run st ~round:2 ~alpha:1;
   (* boundary node 16 is now placed (its anchor was at level 0 = i-2) *)
   checkb "boundary node laid" true (st.State.place.(16) >= 0);
-  check "vertex 1 drained" 0 (List.length (State.pieces_at st 1))
+  check "vertex 1 drained" 0 (List.length (State.pieces_at st 1));
+  match State.check_invariants st with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "invariants: %s" e
 
 let test_split_respects_capacity () =
   let _, st = path_state ~n:100 ~height:2 ~capacity:16 ~rooted:16 in
   let piece = State.make_piece st (range 16 99) in
   State.attach st ~vertex:0 piece;
   Split.run st ~round:1 ~alpha:0;
-  Array.iter (fun o -> checkb "occupancy bound" true (o <= 16)) st.State.occ
+  Array.iter (fun o -> checkb "occupancy bound" true (o <= 16)) st.State.occ;
+  match State.check_invariants st with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "invariants: %s" e
 
 let test_reattach_components_by_anchor () =
   let tree = Gen.complete 31 in
@@ -224,6 +230,105 @@ let qcheck_reform =
   QCheck2.Test.make ~count:500 ~name:"reform == components + make_piece" ~print:print_reform_case
     reform_case_gen run_reform_case
 
+(* ---------------- the SPLIT fill against its per-peel loop ---------------- *)
+
+(* [Split.fill] must leave exactly what re-forming the rest of the head
+   piece after every peel leaves: the same nodes laid, and the same
+   attached pieces — ids, sizes, node order, bounds, starts, tops — in
+   the same order, with the same id counter and wide-piece count. The
+   oracle is that per-peel loop. Cases: a random tree, a laid prefix
+   (breadth-first from the root, or scattered nodes, which cut pieces
+   below their boundary nodes and give pieces several boundaries), the
+   rest re-formed along a plain or shuffled node list and attached at
+   one vertex, which the fill then tops up. *)
+type fill_case = { ffam : string; fn : int; fcap : int; fseed : int; scattered : bool; shuffled : bool }
+
+let print_fill_case c =
+  Printf.sprintf "%s(%d) cap=%d seed=%d scattered=%b shuffled=%b" c.ffam c.fn c.fcap c.fseed
+    c.scattered c.shuffled
+
+let fill_case_gen =
+  QCheck2.Gen.(
+    let* ffam = oneofl [ "path"; "caterpillar"; "broom"; "uniform"; "random-bst"; "random-split" ] in
+    let* fn = int_range 20 2000 in
+    let* fcap = int_range 2 16 in
+    let* fseed = int_bound 1_000_000 in
+    let* scattered = bool in
+    let* shuffled = bool in
+    return { ffam; fn; fcap; fseed; scattered; shuffled })
+
+let oracle_fill st ~round:i ~vertex:child =
+  let continue_ = ref true in
+  while !continue_ && st.State.occ.(child) < st.State.capacity do
+    match State.pieces_at st child with
+    | [] -> continue_ := false
+    | (p : State.piece) :: _ ->
+        State.detach st ~vertex:child p;
+        let peel =
+          match p.State.bounds with b :: _ -> b.State.bnode | [] -> List.hd p.State.nodes
+        in
+        State.lay st ~max_level:i ~node:peel ~vertex:child;
+        Moves.reattach_to st ~vertex:child ~removed:[ peel ] p.State.nodes
+  done
+
+(* Everything derives from the case seed: two calls build identical states. *)
+let fill_scenario c =
+  let open Xt_prelude in
+  let rng = Rng.make ~seed:c.fseed in
+  let tree = (Gen.family c.ffam).generate (Rng.split rng) c.fn in
+  let n = Bintree.n tree in
+  let height = Theorem1.height_for ~capacity:c.fcap n + 1 in
+  let st = State.create ~tree ~height ~capacity:c.fcap in
+  let round = Rng.int_in rng 1 height in
+  let level = Xt_topology.Xtree.vertices_at_level st.State.xt round in
+  let child = List.nth level (Rng.int rng (List.length level)) in
+  let order = Xt_topology.Xtree.order st.State.xt in
+  let k = Rng.int_in rng 1 (n / 2) in
+  let laid =
+    if c.scattered then begin
+      let ids = Array.init n Fun.id in
+      Rng.shuffle rng ids;
+      Array.to_list (Array.sub ids 0 k)
+    end
+    else begin
+      (* the first k nodes breadth-first from the root *)
+      let queue = Queue.create () and taken = ref [] in
+      Queue.add (Bintree.root tree) queue;
+      for _ = 1 to k do
+        let v = Queue.pop queue in
+        taken := v :: !taken;
+        List.iter (fun w -> Queue.add w queue) (Bintree.children tree v)
+      done;
+      !taken
+    end
+  in
+  List.iter
+    (fun v ->
+      let vertex = if Rng.int rng 8 = 0 then child else Rng.int rng order in
+      State.lay st ~max_level:height ~node:v ~vertex)
+    laid;
+  let nodes = Array.init n Fun.id in
+  if c.shuffled then Rng.shuffle rng nodes;
+  Moves.reattach_to st ~vertex:child ~removed:laid (Array.to_list nodes);
+  (st, round, child)
+
+let run_fill_case c =
+  let st1, round, child = fill_scenario c in
+  oracle_fill st1 ~round ~vertex:child;
+  let st2, _, _ = fill_scenario c in
+  Split.fill st2 ~round ~vertex:child;
+  st1.State.place = st2.State.place
+  && st1.State.occ = st2.State.occ
+  && st1.State.weight = st2.State.weight
+  && st1.State.attached = st2.State.attached
+  && st1.State.next_pid = st2.State.next_pid
+  && st1.State.wide_pieces = st2.State.wide_pieces
+  && State.check_invariants st2 = Ok ()
+
+let qcheck_fill =
+  QCheck2.Test.make ~count:600 ~name:"fill == per-peel re-forming loop" ~print:print_fill_case
+    fill_case_gen run_fill_case
+
 let suite =
   [
     ("clamp vertex", `Quick, test_clamp_vertex);
@@ -236,4 +341,5 @@ let suite =
     ("reattach to explicit vertex", `Quick, test_reattach_to_explicit_vertex);
     ("move whole lays designated", `Quick, test_move_whole_lays_designated);
     QCheck_alcotest.to_alcotest ~long:false qcheck_reform;
+    QCheck_alcotest.to_alcotest ~long:false qcheck_fill;
   ]
