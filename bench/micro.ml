@@ -122,8 +122,8 @@ let tests =
              Xt_netsim.Sim.send sim ~src:511 ~dst:1022 ~tag:0;
              ignore (Xt_netsim.Sim.run sim ~on_deliver:(fun ~tag:_ _ -> ()))));
       (* Contrast with B2: same split, but on a long-lived workspace —
-         what every Theorem 1 pipeline call pays per piece now that
-         workspaces live in per-domain slots. The gap is the cost of
+         what every Theorem 1 pipeline call pays per piece, since each
+         embed makes one workspace and reuses it. The gap is the cost of
          allocating and re-touching the scratch arrays. *)
       Test.make ~name:"B12 lemma2 split reused ws n=1008"
         (Staged.stage

@@ -113,16 +113,6 @@ let f3_network_zoo () =
 
 (* ------------------------------------------------------------------ *)
 
-(* One separator workspace per domain, rebound to whatever tree the
-   current cell works on — the parallel trial loops below never allocate
-   scratch proportional to the tree. *)
-let sep_slots : Separator.ws Parallel.slots = Parallel.make_slots ()
-
-let domain_ws tree =
-  let ws = Parallel.slot sep_slots ~default:(fun () -> Separator.make_ws tree) in
-  Separator.rebind_ws ws tree;
-  ws
-
 let lemma_table ~title ~seed ~lemma ~bound_of ~max_target () =
   let t =
     Tab.create ~title
@@ -141,8 +131,9 @@ let lemma_table ~title ~seed ~lemma ~bound_of ~max_target () =
           let trials = 60 in
           (* draw every trial's parameters up front, in the exact order the
              sequential loop drew them, then evaluate the trials over the
-             pool: the folds below are max/and, so the cell is independent
-             of evaluation order *)
+             pool in one contiguous chunk per lane, each with its own
+             workspace: the folds below are max/and, so the cell is
+             independent of evaluation order *)
           let params =
             Array.init trials (fun _ ->
                 let r1 = List.nth low_degree (Rng.int rng (List.length low_degree)) in
@@ -151,20 +142,30 @@ let lemma_table ~title ~seed ~lemma ~bound_of ~max_target () =
                 let target = 1 + Rng.int rng (max_target n) in
                 (r1, r2, target))
           in
+          let lanes = min trials (Parallel.domain_budget ()) in
+          let chunks =
+            List.init lanes (fun c ->
+                let lo = c * trials / lanes and hi = (c + 1) * trials / lanes in
+                Array.sub params lo (hi - lo))
+          in
           let outcomes =
-            Parallel.map_array
-              (fun (r1, r2, target) ->
-                let ws = domain_ws tree in
-                let piece = { Separator.nodes; r1; r2 } in
-                let sp = lemma ws piece ~target in
-                let _, n2 = Separator.side_sizes sp in
-                let ok = Separator.verify_split ws piece sp = Ok () in
-                ( abs (n2 - target),
-                  bound_of target,
-                  List.length sp.Separator.s1,
-                  List.length sp.Separator.s2,
-                  ok ))
-              params
+            Parallel.map
+              (fun chunk ->
+                let ws = Separator.make_ws tree in
+                Array.map
+                  (fun (r1, r2, target) ->
+                    let piece = { Separator.nodes; r1; r2 } in
+                    let sp = lemma ws piece ~target in
+                    let _, n2 = Separator.side_sizes sp in
+                    let ok = Separator.verify_split ws piece sp = Ok () in
+                    ( abs (n2 - target),
+                      bound_of target,
+                      List.length sp.Separator.s1,
+                      List.length sp.Separator.s2,
+                      ok ))
+                  chunk)
+              chunks
+            |> Array.concat
           in
           let max_err = ref 0 and max_s1 = ref 0 and max_s2 = ref 0 in
           let worst_bound = ref 0 and valid = ref true in
@@ -1031,45 +1032,33 @@ let d2_sim_throughput () =
     [ 5; 7; 9; 10 ];
   t
 
-let d3_parallel_scaling () =
+let d3_embed_scaling () =
   let t =
-    Tab.create
-      ~title:
-        "D3  Parallel embedding construction over a domains axis (placements bit-identical at every budget)"
-      [ "r"; "n"; "jobs"; "gen s"; "embed s"; "knodes/s"; "dilation"; "fallbacks" ]
+    Tab.create ~title:"D3  Embedding construction at scale (random-split guests, r = 10-14)"
+      [ "r"; "n"; "gen s"; "embed s"; "knodes/s"; "dilation"; "fallbacks" ]
   in
-  let saved = Parallel.domain_budget () in
-  Fun.protect ~finally:(fun () -> Parallel.set_domain_budget saved) @@ fun () ->
   List.iter
-    (fun (r, jobs_list) ->
+    (fun r ->
       let n = Theorem1.optimal_size r in
-      (* the new divide-and-conquer arena generator: also parallel, also
-         budget-independent *)
-      Parallel.set_domain_budget (List.fold_left max 1 jobs_list);
       let t0 = Unix.gettimeofday () in
       let tree = Gen.random_split (Rng.make ~seed:(Hashtbl.hash ("d3", r))) n in
       let gen_s = Unix.gettimeofday () -. t0 in
-      List.iter
-        (fun jobs ->
-          Parallel.set_domain_budget jobs;
-          let t0 = Unix.gettimeofday () in
-          let res = Theorem1.embed ~par:(jobs > 1) tree in
-          let dt = Unix.gettimeofday () -. t0 in
-          let d = Embedding.dilation ~dist:Xtree.analytic_distance res.Theorem1.embedding in
-          let cell v = if !live_timings then Printf.sprintf "%.2f" v else "-" in
-          Tab.add_row t
-            [
-              string_of_int r;
-              string_of_int n;
-              string_of_int jobs;
-              cell gen_s;
-              cell dt;
-              (if !live_timings then Printf.sprintf "%.0f" (float_of_int n /. dt /. 1e3) else "-");
-              string_of_int d;
-              string_of_int res.Theorem1.fallbacks;
-            ])
-        jobs_list)
-    [ (10, [ 1; 2; 4 ]); (12, [ 1; 2; 4 ]); (14, [ 4 ]) ];
+      let t0 = Unix.gettimeofday () in
+      let res = Theorem1.embed tree in
+      let dt = Unix.gettimeofday () -. t0 in
+      let d = Embedding.dilation ~dist:Xtree.analytic_distance res.Theorem1.embedding in
+      let cell v = if !live_timings then Printf.sprintf "%.2f" v else "-" in
+      Tab.add_row t
+        [
+          string_of_int r;
+          string_of_int n;
+          cell gen_s;
+          cell dt;
+          (if !live_timings then Printf.sprintf "%.0f" (float_of_int n /. dt /. 1e3) else "-");
+          string_of_int d;
+          string_of_int res.Theorem1.fallbacks;
+        ])
+    [ 10; 12; 14 ];
   t
 
 let d4_serve_latency () =
@@ -1187,7 +1176,7 @@ let jobs =
     { name = "E19"; smoke = false; table = e19_weighted };
     { name = "D1"; smoke = false; table = d1_dedup };
     { name = "D2"; smoke = false; table = d2_sim_throughput };
-    { name = "D3"; smoke = false; table = d3_parallel_scaling };
+    { name = "D3"; smoke = false; table = d3_embed_scaling };
     { name = "D4"; smoke = false; table = d4_serve_latency };
   ]
 

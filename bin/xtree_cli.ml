@@ -44,11 +44,12 @@ let checked ~what ~must ok arg =
 let positive what arg = checked ~what ~must:"positive" (fun v -> v > 0) arg
 
 (* The largest guest a size flag accepts; X(19)'s paper size fits. A
-   non-positive size is reported where the tree is made. *)
+   non-positive size is reported where the tree is made. Loadgen's shape
+   and request counts share the bound. *)
 let max_size = 1 lsl 24
 
-let sized arg =
-  checked ~what:"size" ~must:(Printf.sprintf "at most %d" max_size) (fun n -> n <= max_size) arg
+let sized ?(what = "size") arg =
+  checked ~what ~must:(Printf.sprintf "at most %d" max_size) (fun n -> n <= max_size) arg
 
 let size_arg =
   let doc = "Number of guest tree nodes." in
@@ -218,6 +219,16 @@ let algorithm_arg =
   let doc = "Embedding algorithm: theorem1, theorem2 (injective), bisection, dfs, bfs." in
   Arg.(value & opt algorithm_conv Theorem1_alg & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
 
+(* Theorem 2 puts ceil(log2 capacity) more levels under Theorem 1's host
+   to make the load injective; X-trees stop at height 24. *)
+let check_theorem2_host ~capacity n =
+  let rec extra k = if k > 24 || 1 lsl k >= capacity then k else extra (k + 1) in
+  if Theorem1.height_for ~capacity n + extra 0 > 24 then begin
+    Printf.eprintf "capacity %d is too large for theorem2: its host would be taller than X(24)\n"
+      capacity;
+    exit 2
+  end
+
 let weight_trace_arg =
   let doc = "Print the per-round weight-imbalance trace (Theorem 1 only)." in
   Arg.(value & flag & info [ "weight-trace" ] ~doc)
@@ -226,13 +237,18 @@ let repair_arg =
   let doc = "Run the local-search repair pass after Theorem 1." in
   Arg.(value & flag & info [ "repair" ] ~doc)
 
+(* OCaml 5's runtime runs at most 128 domains at once. *)
+let max_jobs = 128
+
 let jobs_arg =
   let doc =
-    "Domain budget for the parallel runtime (Theorem 1 sweeps). The \
-     embedding is bit-identical for every value; 1 forces the sequential \
-     path. Overrides the XT_DOMAINS environment variable."
+    "Domain budget for embedding independent guests in parallel, one guest \
+     per task. Each embedding is the same for every value; 1 embeds them \
+     one after another. Overrides the XT_DOMAINS environment variable."
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  checked ~what:"jobs" ~must:(Printf.sprintf "between 1 and %d" max_jobs)
+    (function Some j -> j >= 1 && j <= max_jobs | None -> true)
+    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let print_report name (e : Embedding.t) dist =
   let r = Embedding.report ?dist e in
@@ -246,8 +262,7 @@ let svg_arg =
   let doc = "Write a self-contained SVG rendering of the embedding to $(docv) (Theorem 1 only)." in
   Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE" ~doc)
 
-let embed_run family size seed capacity algorithm trace repair input dot svg jobs tm =
-  (match jobs with Some n -> Parallel.set_domain_budget n | None -> ());
+let embed_run family size seed capacity algorithm trace repair input dot svg tm =
   obs_begin tm;
   let t = load_tree family size seed input in
   (match algorithm with
@@ -294,6 +309,7 @@ let embed_run family size seed capacity algorithm trace repair input dot svg job
             tr.Theorem1.rounds
       | None -> ())
   | Theorem2_alg ->
+      check_theorem2_host ~capacity (Bintree.n t);
       let res = Theorem2.embed ~capacity t in
       print_report "theorem2" res.Theorem2.embedding (Some (Theorem2.distance_oracle res));
       Printf.printf "host: X(%d)\n" res.Theorem2.height
@@ -314,8 +330,7 @@ let embed_cmd =
     (Cmd.info "embed" ~doc)
     Term.(
       const embed_run $ family_arg $ size_arg $ seed_arg $ capacity_arg $ algorithm_arg
-      $ weight_trace_arg $ repair_arg $ input_arg $ dot_arg $ svg_arg $ jobs_arg
-      $ telemetry_term)
+      $ weight_trace_arg $ repair_arg $ input_arg $ dot_arg $ svg_arg $ telemetry_term)
 
 (* ---------------- embed-batch ---------------- *)
 
@@ -346,6 +361,8 @@ let embed_batch_run file capacity algorithm jobs tm =
   (match jobs with Some n -> Parallel.set_domain_budget n | None -> ());
   obs_begin tm;
   let trees = read_batch file in
+  if algorithm = Theorem2_alg then
+    List.iter (fun t -> check_theorem2_host ~capacity (Bintree.n t)) trees;
   let embed_one =
     match algorithm with
     | Theorem1_alg ->
@@ -836,7 +853,9 @@ let serve_cmd =
   in
   let max_conns =
     let doc = "With $(b,--socket): exit after $(docv) connections (default: serve forever)." in
-    Arg.(value & opt (some int) None & info [ "max-conns" ] ~docv:"N" ~doc)
+    checked ~what:"max-conns" ~must:"positive"
+      (function Some m -> m > 0 | None -> true)
+      Arg.(value & opt (some int) None & info [ "max-conns" ] ~docv:"N" ~doc)
   in
   let batch =
     let doc = "Embed at most $(docv) buffered requests at once." in
@@ -891,7 +910,14 @@ let loadgen_run requests shapes size skew seed window out codec_out replay_file 
     match replay_file with
     | Some file -> In_channel.with_open_bin file Loadgen.read_requests
     | None ->
-        let pool = Loadgen.make_shapes ~seed ~count:shapes ~size in
+        let pool =
+          match Loadgen.make_shapes ~seed ~count:shapes ~size with
+          | pool -> pool
+          | exception Invalid_argument _ ->
+              Printf.eprintf "loadgen: cannot draw %d distinct shapes of about %d nodes\n" shapes
+                size;
+              exit 2
+        in
         Loadgen.skewed_stream ~seed ~shapes:pool ~requests ~skew
   in
   (match codec_out with
@@ -995,11 +1021,11 @@ let loadgen_cmd =
   let requests =
     let doc = "Number of requests to generate." in
     checked ~what:"requests" ~must:"non-negative" (fun r -> r >= 0)
-      Arg.(value & opt int 256 & info [ "r"; "requests" ] ~docv:"N" ~doc)
+      (sized ~what:"requests" Arg.(value & opt int 256 & info [ "r"; "requests" ] ~docv:"N" ~doc))
   in
   let shapes =
     let doc = "Size of the distinct-shape pool the stream draws from." in
-    positive "shapes" Arg.(value & opt int 16 & info [ "shapes" ] ~docv:"K" ~doc)
+    positive "shapes" (sized ~what:"shapes" Arg.(value & opt int 16 & info [ "shapes" ] ~docv:"K" ~doc))
   in
   let skew =
     let doc =

@@ -11,20 +11,18 @@ let side_sizes sp =
    ancestor marks) is an int-stamp array compared against its generation
    counter, the DFS stack and the preorder are preallocated int arrays —
    [prepare] (piece loading, the O(n) hot path of both lemmas) allocates
-   nothing at all, so a workspace can serve one domain for the lifetime of
-   the process and be [rebind_ws]-moved across trees. *)
+   nothing at all, so one workspace serves every call on its tree. *)
 type ws = {
-  mutable tree : Bintree.t;
-  mutable cap : int;       (* arrays are sized to [cap] >= n(tree) *)
-  mutable mark : int array;    (* piece membership stamp *)
-  mutable par : int array;     (* parent within the rooted piece *)
-  mutable size : int array;    (* subtree size within the rooted piece *)
-  mutable exq : int array;     (* stamp for exclusion prefix sums *)
-  mutable exval : int array;   (* total excluded size inside T(v) *)
-  mutable anc : int array;     (* stamp for ancestor marking / misc sets *)
-  mutable vis : int array;     (* DFS visited stamp *)
-  mutable ord : int array;     (* preorder of the loaded piece *)
-  mutable stack : int array;   (* explicit DFS stack *)
+  tree : Bintree.t;
+  mark : int array;    (* piece membership stamp *)
+  par : int array;     (* parent within the rooted piece *)
+  size : int array;    (* subtree size within the rooted piece *)
+  exq : int array;     (* stamp for exclusion prefix sums *)
+  exval : int array;   (* total excluded size inside T(v) *)
+  anc : int array;     (* stamp for ancestor marking / misc sets *)
+  vis : int array;     (* DFS visited stamp *)
+  ord : int array;     (* preorder of the loaded piece *)
+  stack : int array;   (* explicit DFS stack *)
   mutable ordn : int;          (* number of loaded nodes *)
   mutable gen : int;           (* current piece generation *)
   mutable exgen : int;         (* current exclusion generation *)
@@ -36,7 +34,6 @@ let make_ws tree =
   let n = Bintree.n tree in
   {
     tree;
-    cap = n;
     mark = Array.make n 0;
     par = Array.make n (-1);
     size = Array.make n 0;
@@ -52,29 +49,6 @@ let make_ws tree =
     ancgen = 0;
     visgen = 0;
   }
-
-let rebind_ws ws tree =
-  ws.tree <- tree;
-  let n = Bintree.n tree in
-  if n > ws.cap then begin
-    let cap = max (2 * ws.cap) n in
-    ws.cap <- cap;
-    ws.mark <- Array.make cap 0;
-    ws.par <- Array.make cap (-1);
-    ws.size <- Array.make cap 0;
-    ws.exq <- Array.make cap 0;
-    ws.exval <- Array.make cap 0;
-    ws.anc <- Array.make cap 0;
-    ws.vis <- Array.make cap 0;
-    ws.ord <- Array.make cap 0;
-    ws.stack <- Array.make cap 0;
-    (* fresh zeroed stamps must not collide with current generations *)
-    ws.gen <- ws.gen + 1;
-    ws.exgen <- ws.exgen + 1;
-    ws.ancgen <- ws.ancgen + 1;
-    ws.visgen <- ws.visgen + 1
-  end;
-  ws.ordn <- 0
 
 let member ws v = ws.mark.(v) = ws.gen
 
@@ -529,7 +503,7 @@ let verify_split ws piece sp =
     piece.nodes;
   let seen_n = ref 0 and dup = ref false in
   let scan = List.iter (fun v ->
-      if v >= 0 && v < ws.cap && ws.exq.(v) = ws.exgen && ws.exval.(v) = 0 then begin
+      if v >= 0 && v < Array.length ws.exq && ws.exq.(v) = ws.exgen && ws.exval.(v) = 0 then begin
         ws.exval.(v) <- 1;
         incr seen_n
       end

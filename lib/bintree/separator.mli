@@ -41,19 +41,11 @@ val side_sizes : split -> int * int
 
 type ws
 (** A reusable workspace holding scratch arrays sized to one tree. Not
-    thread-safe; each domain owns its own (see [Xt_prelude.Parallel]'s
-    per-domain slots) and reuses it across calls — all transient sets are
-    generation-stamped flat arrays, so reuse costs nothing and the hot
-    path allocates no scratch at all. *)
+    thread-safe: a workspace serves one domain at a time, and is reused
+    across calls — all transient sets are generation-stamped flat arrays,
+    so reuse costs nothing and the hot path allocates no scratch at all. *)
 
 val make_ws : Bintree.t -> ws
-
-val rebind_ws : ws -> Bintree.t -> unit
-(** Point an existing workspace at [tree], growing its arrays to
-    [max (2*cap) n] when the tree is larger than anything seen before.
-    Stamp generations survive the move, so no clearing pass is needed;
-    a long-lived per-domain workspace amortises its arrays across every
-    tree it serves. *)
 
 val prepare : ws -> piece -> int
 (** Load a piece into the workspace (membership, orientation, subtree

@@ -2,8 +2,7 @@ open Xt_obs
 open Xt_topology
 open Xt_bintree
 
-(* Work counters: totals depend only on the embedding computed, not on
-   how the sweep was scheduled, so they match across domain budgets. *)
+(* Work counters: totals depend only on the embedding computed. *)
 let c_active = Obs.counter "adjust.active_calls"
 let c_whole = Obs.counter "adjust.whole_moves"
 let c_splits = Obs.counter "adjust.lemma_splits"
@@ -12,14 +11,11 @@ let c_nodes = Obs.counter "adjust.nodes_moved"
 (* Descend from [v] appending bit [b] until reaching [lvl]. *)
 let rec spine v b lvl = if Xtree.level v >= lvl then v else spine (Xtree.child v b) b lvl
 
-type plan = { donor_leaf : int; receiver_leaf : int; donor_new : int; receiver_new : int; delta : int }
-
-let plan st ~round:i ~a =
+let run st ~round:i ~a =
   let c0 = Xtree.child a 0 and c1 = Xtree.child a 1 in
   let w0 = State.weight_of st c0 and w1 = State.weight_of st c1 in
   let delta = (max w0 w1 - min w0 w1) / 2 in
-  if delta = 0 then None
-  else begin
+  if delta > 0 then begin
     (* Boundary leaves at level i-1; ADJUST lays out at their inward
        children on level i, which are horizontal neighbours. *)
     let heavy_first = w0 > w1 in
@@ -29,71 +25,65 @@ let plan st ~round:i ~a =
     in
     let donor_new = Xtree.child donor_leaf (if heavy_first then 1 else 0) in
     let receiver_new = Xtree.child receiver_leaf (if heavy_first then 0 else 1) in
-    Some { donor_leaf; receiver_leaf; donor_new; receiver_new; delta }
+    Obs.incr c_active;
+    (* Budgets: at most 4 nodes laid per new leaf by one ADJUST call. *)
+    let budget_donor = ref 4 and budget_recv = ref 4 in
+    let remaining = ref delta in
+    let continue_ = ref true in
+    while !continue_ do
+      let pieces = State.pieces_at st donor_leaf in
+      if !remaining <= 0 || pieces = [] then continue_ := false
+      else begin
+        (* Case A: a piece of at least the remaining deficit exists —
+           split it (Lemma 2 with full budgets, Lemma 1 with a reduced
+           receiver budget, as in the paper's case B) and stop. *)
+        let big = List.filter (fun p -> p.State.size >= !remaining) pieces in
+        let smallest_big =
+          match big with
+          | [] -> None
+          | p :: rest ->
+              Some (List.fold_left (fun acc q -> if q.State.size < acc.State.size then q else acc) p rest)
+        in
+        match smallest_big with
+        | Some piece when !budget_donor >= 4 && !budget_recv >= 4 ->
+            let sp = Separator.lemma2 st.State.ws (State.separator_piece piece) ~target:!remaining in
+            State.detach st ~vertex:donor_leaf piece;
+            Moves.apply_split st ~max_level:i ~floor_level:(i - 1) sp ~dest1:donor_new
+              ~dest2:receiver_new;
+            Obs.incr c_splits;
+            Obs.add c_nodes !remaining;
+            continue_ := false
+        | Some piece
+          when !budget_donor >= 4 && !budget_recv >= 2 && 3 * piece.State.size > 4 * !remaining ->
+            (* Lemma 1 lays at most 2 nodes on the receiver side. *)
+            let sp = Separator.lemma1 st.State.ws (State.separator_piece piece) ~target:!remaining in
+            State.detach st ~vertex:donor_leaf piece;
+            Moves.apply_split st ~max_level:i ~floor_level:(i - 1) sp ~dest1:donor_new
+              ~dest2:receiver_new;
+            Obs.incr c_splits;
+            Obs.add c_nodes !remaining;
+            continue_ := false
+        | _ ->
+            (* Case B/C: move the largest whole piece across, budget
+               permitting, and iterate. *)
+            let piece =
+              List.fold_left (fun acc p -> if p.State.size > acc.State.size then p else acc)
+                (List.hd pieces) pieces
+            in
+            let cost =
+              max 1
+                (List.length
+                   (List.sort_uniq compare (List.map (fun b -> b.State.bnode) piece.bounds)))
+            in
+            if piece.State.size <= !remaining && !budget_recv >= cost then begin
+              State.detach st ~vertex:donor_leaf piece;
+              Moves.move_whole st ~max_level:i ~floor_level:(i - 1) piece ~dest:receiver_new;
+              Obs.incr c_whole;
+              Obs.add c_nodes piece.State.size;
+              budget_recv := !budget_recv - cost;
+              remaining := !remaining - piece.State.size
+            end
+            else continue_ := false
+      end
+    done
   end
-
-let run st ~round:i ~a =
-  match plan st ~round:i ~a with
-  | None -> ()
-  | Some { donor_leaf; donor_new; receiver_new; delta; receiver_leaf = _ } ->
-      Obs.incr c_active;
-      (* Budgets: at most 4 nodes laid per new leaf by one ADJUST call. *)
-      let budget_donor = ref 4 and budget_recv = ref 4 in
-      let remaining = ref delta in
-      let continue_ = ref true in
-      while !continue_ do
-        let pieces = State.pieces_at st donor_leaf in
-        if !remaining <= 0 || pieces = [] then continue_ := false
-        else begin
-          (* Case A: a piece of at least the remaining deficit exists —
-             split it (Lemma 2 with full budgets, Lemma 1 with a reduced
-             receiver budget, as in the paper's case B) and stop. *)
-          let big = List.filter (fun p -> p.State.size >= !remaining) pieces in
-          let smallest_big =
-            match big with
-            | [] -> None
-            | p :: rest ->
-                Some (List.fold_left (fun acc q -> if q.State.size < acc.State.size then q else acc) p rest)
-          in
-          match smallest_big with
-          | Some piece when !budget_donor >= 4 && !budget_recv >= 4 ->
-              let sp = Separator.lemma2 st.State.ws (State.separator_piece piece) ~target:!remaining in
-              State.detach st ~vertex:donor_leaf piece;
-              Moves.apply_split st ~max_level:i ~floor_level:(i - 1) sp ~dest1:donor_new
-                ~dest2:receiver_new;
-              Obs.incr c_splits;
-              Obs.add c_nodes !remaining;
-              continue_ := false
-          | Some piece
-            when !budget_donor >= 4 && !budget_recv >= 2 && 3 * piece.State.size > 4 * !remaining ->
-              (* Lemma 1 lays at most 2 nodes on the receiver side. *)
-              let sp = Separator.lemma1 st.State.ws (State.separator_piece piece) ~target:!remaining in
-              State.detach st ~vertex:donor_leaf piece;
-              Moves.apply_split st ~max_level:i ~floor_level:(i - 1) sp ~dest1:donor_new
-                ~dest2:receiver_new;
-              Obs.incr c_splits;
-              Obs.add c_nodes !remaining;
-              continue_ := false
-          | _ ->
-              (* Case B/C: move the largest whole piece across, budget
-                 permitting, and iterate. *)
-              let piece =
-                List.fold_left (fun acc p -> if p.State.size > acc.State.size then p else acc)
-                  (List.hd pieces) pieces
-              in
-              let cost =
-                max 1
-                  (List.length
-                     (List.sort_uniq compare (List.map (fun b -> b.State.bnode) piece.bounds)))
-              in
-              if piece.State.size <= !remaining && !budget_recv >= cost then begin
-                State.detach st ~vertex:donor_leaf piece;
-                Moves.move_whole st ~max_level:i ~floor_level:(i - 1) piece ~dest:receiver_new;
-                Obs.incr c_whole;
-                Obs.add c_nodes piece.State.size;
-                budget_recv := !budget_recv - cost;
-                remaining := !remaining - piece.State.size
-              end
-              else continue_ := false
-        end
-      done

@@ -8,18 +8,4 @@
     at the two new level-i leaves under the boundary, at most four nodes
     per leaf. *)
 
-type plan = {
-  donor_leaf : int;     (** level-(i-1) boundary leaf on the heavy side *)
-  receiver_leaf : int;  (** its horizontal neighbour across the cut *)
-  donor_new : int;      (** level-i child receiving the donor-side layout *)
-  receiver_new : int;   (** level-i child receiving the moved nodes *)
-  delta : int;          (** half the weight difference; always > 0 *)
-}
-
-val plan : State.t -> round:int -> a:int -> plan option
-(** The sites one [run] call would operate on, or [None] when the
-    children are already balanced (weight difference at most 1) and
-    [run] would be a no-op. Used by the parallel sweep driver to decide
-    whether an ADJUST call is confined to [a]'s subtree. *)
-
 val run : State.t -> round:int -> a:int -> unit

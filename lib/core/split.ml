@@ -2,7 +2,7 @@ open Xt_obs
 open Xt_topology
 open Xt_bintree
 
-(* Work counters; like ADJUST's they are schedule-independent. *)
+(* Work counters; like ADJUST's they depend only on the embedding. *)
 let c_calls = Obs.counter "split.calls"
 let c_pieces = Obs.counter "split.pieces"
 let c_balance = Obs.counter "split.balance_splits"
@@ -203,8 +203,7 @@ let run ?(options = Options.default) ?outer_weight st ~round:i ~alpha =
   (* Weight of a level-i vertex outside alpha's subtree, read only for
      the orientation tie-break. Callers sweeping a whole level pass a
      pre-sweep snapshot so the tie-break is independent of how much of
-     the sweep has already run — which also removes the one cross-subtree
-     read that would block parallel sweeps. *)
+     the sweep has already run. *)
   let outer_weight = match outer_weight with Some f -> f | None -> State.weight_of st in
   let c0 = Xtree.child alpha 0 and c1 = Xtree.child alpha 1 in
   let old_anchor (p : State.piece) =

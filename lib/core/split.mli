@@ -24,9 +24,8 @@ val run :
 (** [outer_weight] supplies the weight of the level-[i] vertices just
     outside [alpha]'s subtree, read only to break orientation ties.
     Defaults to the live weights; {!Theorem1.embed} passes a pre-sweep
-    snapshot of the whole level so every SPLIT of a sweep sees the same
-    outer weights regardless of execution order — the property that lets
-    sweeps run in parallel. *)
+    snapshot of the whole level, so every SPLIT of a sweep sees the same
+    outer weights: those from before the sweep's first call. *)
 
 val fill : State.t -> round:int -> vertex:int -> unit
 (** SPLIT's last step, on the level-[round] vertex [vertex]: while it has

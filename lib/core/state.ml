@@ -2,14 +2,9 @@ open Xt_obs
 open Xt_topology
 open Xt_bintree
 
-(* How often a forked view's weight update was cut off at its barrier
-   (the sweep driver repays these with one ancestor fixup per vertex).
-   Scheduling-dependent: only forked views have a barrier above root. *)
-let c_barrier_stops = Obs.counter "state.weight_barrier_stops"
-
 (* Guest nodes walked while re-forming pieces after a placement: the
    work of [reform], of [regrow] and of the fill's [first_bound]
-   searches. Schedule-independent, like ADJUST's counters. *)
+   searches. *)
 let c_reform_nodes = Obs.counter "state.reform_nodes"
 
 type boundary = Separator.boundary = { bnode : int; anchor : int }
@@ -43,10 +38,6 @@ type t = {
   mirror : Bytes.t;
   ws : Separator.ws;
   held : held;
-  weight_barrier : int;
-  pid_stride : int;
-  strict : bool;
-  mutable on_touch : int -> unit;
   mutable placed : int;
   mutable next_pid : int;
   mutable fallbacks : int;
@@ -97,10 +88,10 @@ let mpos st v = get st.mirror (12 * v)
 let mend st v = get st.mirror ((12 * v) + 4)
 let mnode st k = get st.mirror ((12 * k) + 8)
 
-(* A fill lays at most [capacity] nodes; each peel replaces one held
-   piece by at most three. *)
-let make_held ~capacity =
-  let m = (2 * capacity) + 2 in
+(* A fill lays at most [capacity] nodes, and never more than the guest
+   has; each peel replaces one held piece by at most three. *)
+let make_held ~laid =
+  let m = (2 * laid) + 2 in
   {
     h_start = Array.make m 0;
     h_top = Array.make m 0;
@@ -124,11 +115,7 @@ let create ~tree ~height ~capacity =
     attached = Array.make order [];
     mirror = mirror_preorder tree;
     ws = Separator.make_ws tree;
-    held = make_held ~capacity;
-    weight_barrier = 0;
-    pid_stride = 1;
-    strict = false;
-    on_touch = ignore;
+    held = make_held ~laid:(min capacity (Bintree.n tree));
     placed = 0;
     next_pid = 0;
     fallbacks = 0;
@@ -137,16 +124,9 @@ let create ~tree ~height ~capacity =
 
 let weight_of st v = st.weight.(v)
 
-(* Weight updates stop at [weight_barrier]: a forked view confines them
-   to the swept subtree; the sweep driver restores the ancestor weights
-   in one additive fixup after the parallel batch. The default barrier 0
-   propagates all the way to the root. *)
 let rec add_weight st v delta =
   st.weight.(v) <- st.weight.(v) + delta;
-  if v > 0 then begin
-    let p = (v - 1) / 2 in
-    if p >= st.weight_barrier then add_weight st p delta else Obs.incr c_barrier_stops
-  end
+  if v > 0 then add_weight st ((v - 1) / 2) delta
 
 (* Nearest vertex with a free slot among levels <= max_level, by BFS from
    [from_] in the X-tree. *)
@@ -174,7 +154,6 @@ let lay st ~max_level ~node ~vertex =
   let target =
     if st.occ.(vertex) < st.capacity && Xtree.level vertex <= max_level then vertex
     else begin
-      if st.strict then invalid_arg "State.lay: confined placement overflowed";
       st.fallbacks <- st.fallbacks + 1;
       let v = nearest_free st ~max_level ~from_:vertex in
       (* Tight capacities (e.g. 4) can exhaust every level the round is
@@ -189,14 +168,12 @@ let lay st ~max_level ~node ~vertex =
       v
     end
   in
-  st.on_touch target;
   st.place.(node) <- target;
   st.occ.(target) <- st.occ.(target) + 1;
   st.placed <- st.placed + 1;
   add_weight st target 1
 
 let attach st ~vertex piece =
-  st.on_touch vertex;
   st.attached.(vertex) <- piece :: st.attached.(vertex);
   add_weight st vertex piece.size
 
@@ -207,13 +184,12 @@ let rec remove_pid pid = function
   | p :: rest -> if p.pid = pid then rest else p :: remove_pid pid rest
 
 let detach st ~vertex piece =
-  st.on_touch vertex;
   st.attached.(vertex) <- remove_pid piece.pid st.attached.(vertex);
   add_weight st vertex (-piece.size)
 
 let draw_pid st =
   let pid = st.next_pid in
-  st.next_pid <- pid + st.pid_stride;
+  st.next_pid <- pid + 1;
   pid
 
 let make_piece st nodes =
@@ -269,37 +245,6 @@ let separator_piece p =
           None rest
       in
       { Separator.nodes = p.nodes; r1 = b.bnode; r2 }
-
-(* A fork is a view of the same embedding (the big arrays are shared) for
-   one task of a parallel sweep. It differs from the base state in what
-   it must not share: a private separator workspace, counters starting at
-   zero (folded back by [join]), an interleaved piece-id sequence (ids
-   from distinct forks never collide), a weight barrier confining weight
-   propagation to the swept subtree, and strict placement (a diverted
-   [lay] would escape the task's subtree, so it raises instead). *)
-let fork st ~ws ~pid_base ~pid_stride ~weight_barrier =
-  {
-    st with
-    ws;
-    held = make_held ~capacity:st.capacity;
-    weight_barrier;
-    pid_stride;
-    strict = true;
-    on_touch = ignore;
-    next_pid = pid_base;
-    placed = 0;
-    fallbacks = 0;
-    wide_pieces = 0;
-  }
-
-let join st forks =
-  List.iter
-    (fun f ->
-      st.placed <- st.placed + f.placed;
-      st.fallbacks <- st.fallbacks + f.fallbacks;
-      st.wide_pieces <- st.wide_pieces + f.wide_pieces;
-      if f.next_pid > st.next_pid then st.next_pid <- f.next_pid)
-    forks
 
 (* An attached piece that is not the whole unplaced component of its
    start as re-grown from there — other nodes, size, bounds or top —

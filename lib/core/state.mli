@@ -33,7 +33,8 @@ type held = {
 }
 (** Scratch stack of the pieces one SPLIT fill holds without their node
     lists (see {!Split.fill}): start, top, reserved id and boundary nodes
-    (one entry per placed neighbour). Sized for one fill. *)
+    (one entry per placed neighbour). Sized for one fill: at most
+    [2 × min capacity n + 2] pieces, for an [n]-node guest. *)
 
 type t = {
   tree : Xt_bintree.Bintree.t;
@@ -46,14 +47,7 @@ type t = {
   attached : piece list array;  (** pieces attached per vertex *)
   mirror : Bytes.t;             (** the guest's mirror preorder; read with {!mpos} *)
   ws : Xt_bintree.Separator.ws;
-  held : held;                  (** the fill's scratch; private to a forked view *)
-  weight_barrier : int;         (** weight updates stop below this vertex id (0 = root) *)
-  pid_stride : int;             (** piece-id increment; forks interleave ids *)
-  strict : bool;                (** forked view: a diverted [lay] raises *)
-  mutable on_touch : int -> unit;
-      (** called with every vertex an operation mutates (lay target,
-          attach/detach site); [ignore] by default — the parallel sweep
-          driver uses it to invalidate stale confinement analyses *)
+  held : held;                  (** the fill's scratch *)
   mutable placed : int;
   mutable next_pid : int;
   mutable fallbacks : int;      (** placements that had to divert to a free slot *)
@@ -118,26 +112,6 @@ val pieces_at : t -> int -> piece list
 val separator_piece : piece -> Xt_bintree.Separator.piece
 (** View a piece as input for the separator lemmas ([r1]/[r2] are the
     boundary nodes). Raises [Invalid_argument] on a boundary-less piece. *)
-
-val fork :
-  t ->
-  ws:Xt_bintree.Separator.ws ->
-  pid_base:int ->
-  pid_stride:int ->
-  weight_barrier:int ->
-  t
-(** A task-private view of the same embedding for one task of a parallel
-    sweep: the placement/occupancy/weight/piece arrays are {e shared},
-    while the separator workspace, counters (zeroed), piece-id sequence
-    (interleaved: [pid_base], [pid_base + pid_stride], …) and weight
-    barrier are private. The view is {e strict}: a [lay] that would
-    divert to a fallback slot — and thereby escape the task's subtree —
-    raises instead of diverting. Only sound when tasks operate on
-    disjoint X-subtrees at or below [weight_barrier]'s level. *)
-
-val join : t -> t list -> unit
-(** Fold forked counters ([placed], [fallbacks], [wide_pieces], and the
-    piece-id high-water mark) back into the base state. *)
 
 val check_invariants : t -> (unit, string) result
 (** Expensive consistency check used by tests: occupancy, weights and

@@ -73,7 +73,6 @@ val embed :
   ?height:int ->
   ?record_trace:bool ->
   ?options:Options.t ->
-  ?par:bool ->
   ?cache:cache ->
   Xt_bintree.Bintree.t ->
   result
@@ -82,13 +81,12 @@ val embed :
     height gives insufficient total capacity. [options] selects ablation
     variants (default: the full paper algorithm).
 
-    [par] enables parallel ADJUST/SPLIT sweeps over the
-    {!Xt_prelude.Parallel} domain pool; the default is on exactly when
-    the domain budget exceeds 1 and the caller is not already inside a
-    parallel region. The result is bit-identical to the sequential run —
-    only calls proven confined to disjoint subtrees execute concurrently,
-    on forked state views ({!State.fork}), and narrow levels skip the
-    machinery entirely.
+    Each round sweeps its levels left to right on one domain: ADJUST at
+    every vertex of levels [0 .. i-2], top down, then SPLIT at every
+    vertex of level [i-1]. SPLIT breaks orientation ties against the
+    level-[i] weights as they stood before its sweep began. The result
+    depends only on the guest and these parameters, never on the domain
+    budget.
 
     [cache] memoises the whole run by tree shape: a repeated shape (same
     capacity, height and options) reuses the stored placement and host

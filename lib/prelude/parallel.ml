@@ -49,31 +49,6 @@ let domain_budget () =
 
 let set_domain_budget d = override := Some (max 1 d)
 
-(* True while the current domain is executing a batch body (worker or
-   participating caller). Nested calls still dispatch to the pool; this
-   flag only informs callers that want a sequential default inside an
-   already-parallel region (e.g. [Theorem1]'s sweep heuristic). *)
-let busy_key = Domain.DLS.new_key (fun () -> false)
-
-let in_parallel_region () = Domain.DLS.get busy_key
-
-(* ------------------------------------------------------------------ *)
-(* Per-domain slots                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type 'a slots = 'a option ref Domain.DLS.key
-
-let make_slots () : 'a slots = Domain.DLS.new_key (fun () -> ref None)
-
-let slot (s : 'a slots) ~default =
-  let r = Domain.DLS.get s in
-  match !r with
-  | Some v -> v
-  | None ->
-      let v = default () in
-      r := Some v;
-      v
-
 (* ------------------------------------------------------------------ *)
 (* Batches                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -146,7 +121,6 @@ let pick_work pool =
   match pool.queue with b :: _ -> Some b | [] -> None
 
 let worker_loop pool =
-  Domain.DLS.set busy_key true;
   let running = ref true in
   while !running do
     let wait_from = if Obs.metrics_enabled () then Obs.now_ns () else 0 in
@@ -241,11 +215,7 @@ let parallel_for ?domains ?chunk n body =
       Mutex.unlock pool.m;
       (* Participate: claim our own batch's chunks to exhaustion before
          blocking, preserving the deadlock-freedom argument above. *)
-      let was_busy = Domain.DLS.get busy_key in
-      Domain.DLS.set busy_key true;
-      Fun.protect
-        ~finally:(fun () -> Domain.DLS.set busy_key was_busy)
-        (fun () -> Obs.span "parallel.batch" (fun () -> run_batch b));
+      Obs.span "parallel.batch" (fun () -> run_batch b);
       Mutex.lock pool.m;
       pool.queue <- List.filter (fun b' -> b' != b) pool.queue;
       while not (complete b) do

@@ -41,11 +41,6 @@ val set_domain_budget : int -> unit
     raising the budget later still finds real workers; budgets beyond
     the pool size only cap per-call parallelism. *)
 
-val in_parallel_region : unit -> bool
-(** True while the calling domain is executing a batch body. Nested
-    calls still run in parallel; this is a hint for callers that prefer
-    a sequential default inside an already-parallel region. *)
-
 val parallel_for : ?domains:int -> ?chunk:int -> int -> (int -> unit) -> unit
 (** [parallel_for n body] runs [body i] for [i = 0 .. n-1], distributing
     contiguous chunks of indices over the pool. [?domains] caps the
@@ -69,21 +64,6 @@ val fork_cutoff : size:int -> cutoff:int -> (unit -> 'a) -> (unit -> 'b) -> 'a *
     calling domain. Each decision bumps [parallel.forks_taken] or
     [parallel.forks_sequentialized], so traces show where the cutoff
     bites. *)
-
-type 'a slots
-(** Per-domain storage: one ['a] per domain that asks, created lazily.
-    The canonical use is a scratch workspace (separator arrays, arena
-    builders) allocated once per domain and reused across every batch
-    it serves. Create one [slots] per static use site, at module
-    initialisation — each call to {!make_slots} registers a fresh
-    domain-local key and is never reclaimed. *)
-
-val make_slots : unit -> 'a slots
-
-val slot : 'a slots -> default:(unit -> 'a) -> 'a
-(** The calling domain's value, created with [default] on first use.
-    Distinct domains see distinct values; repeated calls from one
-    domain return the same value. *)
 
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map with the {!parallel_for} failure

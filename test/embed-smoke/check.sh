@@ -2,13 +2,11 @@
 # Embedding smoke assertions for the @embed-smoke alias.
 set -eu
 
-# parallel-vs-sequential equivalence: the whole embed report (dilation,
-# load, congestion, fallbacks, condition counts) must be byte-identical
-diff -u embed-jobs1.out embed-jobs4.out
-
-# the report is the one we expect, not an empty file that trivially diffs
-grep -q '^theorem1: ' embed-jobs1.out
-grep -q '^host: X(' embed-jobs1.out
+# the embed report (dilation, load, congestion, fallbacks, condition
+# counts) is printed in full
+grep -q '^theorem1: ' embed.out
+grep -q '^host: X(' embed.out
+grep -q "^condition (3'): " embed.out
 
 # workspace hot path allocates nothing; components allocates only its output
 grep -q '^guard PASS$' guard.out

@@ -187,17 +187,6 @@ let cache_props =
         let miss = place (Theorem1.embed ~capacity:c.capacity ~cache tree) in
         let hit = place (Theorem1.embed ~capacity:c.capacity ~cache tree) in
         un = miss && un = hit);
-    QCheck2.Test.make ~count:30 ~name:"theorem1: cached hit = uncached across domain counts"
-      ~print:print_case case_gen (fun c ->
-        let tree = tree_of_case c in
-        Parallel.set_domain_budget 1;
-        let un = place (Theorem1.embed ~capacity:c.capacity ~par:false tree) in
-        Parallel.set_domain_budget 3;
-        let cache = Theorem1.make_cache () in
-        let miss = place (Theorem1.embed ~capacity:c.capacity ~cache ~par:true tree) in
-        let hit = place (Theorem1.embed ~capacity:c.capacity ~cache ~par:true tree) in
-        Parallel.set_domain_budget 1;
-        un = miss && un = hit);
     QCheck2.Test.make ~count:30 ~name:"theorem1: cached = uncached after evictions"
       ~print:print_case case_gen (fun c ->
         let t1 = tree_of_case c in

@@ -195,40 +195,10 @@ let test_make_piece_boundaries () =
   check "r1" 1 sp.Separator.r1;
   Alcotest.(check (option int)) "no r2" None sp.Separator.r2
 
-(* ---------------- parallel sweeps are bit-identical ---------------- *)
-
-(* Same tree, sequential vs pool-parallel sweeps: the place array and the
-   derived dilation/load statistics must match exactly. Covers n = 1008
-   (height 5) and n = 4080 (height 7), seeds 1-5. *)
-let test_t1_parallel_identical () =
-  Xt_prelude.Parallel.set_domain_budget 3;
-  List.iter
-    (fun n ->
-      for seed = 1 to 5 do
-        let tree seed =
-          let rng = Xt_prelude.Rng.make ~seed in
-          Gen.uniform rng n
-        in
-        let seq = Theorem1.embed ~par:false (tree seed) in
-        let par = Theorem1.embed ~par:true (tree seed) in
-        let label what = Printf.sprintf "n=%d seed=%d %s" n seed what in
-        Alcotest.(check (array int))
-          (label "place") seq.Theorem1.embedding.Embedding.place
-          par.Theorem1.embedding.Embedding.place;
-        check (label "fallbacks") seq.Theorem1.fallbacks par.Theorem1.fallbacks;
-        check (label "wide pieces") seq.Theorem1.wide_pieces par.Theorem1.wide_pieces;
-        check (label "load") (Embedding.load seq.Theorem1.embedding)
-          (Embedding.load par.Theorem1.embedding);
-        check (label "dilation")
-          (Embedding.dilation ~dist:(Theorem1.distance_oracle seq) seq.Theorem1.embedding)
-          (Embedding.dilation ~dist:(Theorem1.distance_oracle par) par.Theorem1.embedding)
-      done)
-    [ 1008; 4080 ]
-
 let suite =
   [
     ("height arithmetic", `Quick, test_height_for);
-    ("T1: parallel sweeps identical", `Slow, test_t1_parallel_identical);
+    ("height_for rejects non-positive capacity", `Quick, test_height_for_bad_capacity);
     ("T1: every node placed", `Slow, test_t1_every_node_placed);
     ("T1: load exactly 16 at optimal sizes", `Slow, test_t1_load_exact_16);
     ("T1: constant dilation", `Slow, test_t1_dilation_constant);
@@ -243,5 +213,4 @@ let suite =
     ("state lay fallback", `Quick, test_state_lay_fallback);
     ("state attach/detach", `Quick, test_state_attach_detach);
     ("make_piece boundaries", `Quick, test_make_piece_boundaries);
-    ("height_for rejects non-positive capacity", `Quick, test_height_for_bad_capacity);
   ]

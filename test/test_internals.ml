@@ -148,12 +148,10 @@ let test_move_whole_lays_designated () =
    component — down to piece order, node order, sizes, boundary order,
    piece ids and the [wide_pieces] count. Cases: a random tree, a random
    connected node set in random order, random placements around it, and
-   0-4 removed set nodes laid as a caller lays them before re-forming;
-   half the cases run on a forked view with interleaved ids. *)
-type reform_case = { fam : string; n : int; seed : int; removed_count : int; forked : bool }
+   0-4 removed set nodes laid as a caller lays them before re-forming. *)
+type reform_case = { fam : string; n : int; seed : int; removed_count : int }
 
-let print_reform_case c =
-  Printf.sprintf "%s(%d) seed=%d removed=%d forked=%b" c.fam c.n c.seed c.removed_count c.forked
+let print_reform_case c = Printf.sprintf "%s(%d) seed=%d removed=%d" c.fam c.n c.seed c.removed_count
 
 let reform_case_gen =
   QCheck2.Gen.(
@@ -161,8 +159,7 @@ let reform_case_gen =
     let* n = int_range 2 400 in
     let* seed = int_bound 1_000_000 in
     let* removed_count = int_range 0 4 in
-    let* forked = bool in
-    return { fam; n; seed; removed_count; forked })
+    return { fam; n; seed; removed_count })
 
 (* Everything derives from the case seed, so two calls build identical
    states: one for each side of the comparison. *)
@@ -206,12 +203,6 @@ let reform_scenario c =
   Rng.shuffle rng picks;
   let removed = List.filteri (fun i _ -> i < c.removed_count) (Array.to_list picks) in
   List.iter lay removed;
-  let st =
-    if c.forked then
-      State.fork st ~ws:(Separator.make_ws tree) ~pid_base:(Rng.int rng 10) ~pid_stride:3
-        ~weight_barrier:0
-    else st
-  in
   (st, Array.to_list nodes, removed)
 
 let run_reform_case c =

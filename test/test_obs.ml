@@ -1,9 +1,6 @@
 (* Telemetry subsystem: disabled-mode cost, deterministic drains, and
    Chrome-trace export shape. *)
 open Xt_obs
-open Xt_prelude
-open Xt_bintree
-open Xt_core
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -221,31 +218,6 @@ let test_enabled_merge_and_drain () =
   let row2 = List.find (fun r -> r.Obs.h_name = "test.on_hist") d2.Obs.histograms in
   check "drained hist" 0 row2.Obs.count
 
-(* The work counters of the deterministic pipeline must not depend on
-   how many domains executed it. *)
-let embed_work_counters jobs =
-  Parallel.set_domain_budget jobs;
-  quiesce ();
-  Obs.enable_metrics ();
-  let rng = Rng.make ~seed:42 in
-  let t = (Gen.family "uniform").generate rng 1008 in
-  ignore (Theorem1.embed t);
-  let d = Obs.drain () in
-  Obs.disable_metrics ();
-  let deterministic name =
-    List.exists
-      (fun p -> String.length name >= String.length p && String.sub name 0 (String.length p) = p)
-      [ "adjust."; "split."; "theorem1."; "repair." ]
-  in
-  List.filter (fun (name, _) -> deterministic name) d.Obs.counters
-
-let test_counters_domain_count_independent () =
-  let seq = embed_work_counters 1 in
-  let par = embed_work_counters 4 in
-  Alcotest.(check (list (pair string int))) "jobs 1 = jobs 4" seq par;
-  checkb "counted real work" true (List.exists (fun (_, v) -> v > 0) seq);
-  checkb "rounds counted" true (List.assoc "theorem1.rounds" seq > 0)
-
 (* ---------------- tracing ---------------- *)
 
 let test_trace_shape_fake_clock () =
@@ -450,7 +422,6 @@ let suite =
     ("disabled records nothing", `Quick, test_disabled_records_nothing);
     ("disabled allocates nothing", `Quick, test_disabled_allocates_nothing);
     ("merge and drain", `Quick, test_enabled_merge_and_drain);
-    ("counters independent of jobs", `Quick, test_counters_domain_count_independent);
     ("trace shape under fake clock", `Quick, test_trace_shape_fake_clock);
     ("trace disabled passthrough", `Quick, test_trace_disabled_passthrough);
     ("recorder ring wraps", `Quick, test_recorder_ring_wraps);

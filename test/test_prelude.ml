@@ -291,25 +291,6 @@ let test_fork_cutoff_sequential_budget () =
   let r = Parallel.fork_cutoff ~size:1_000_000 ~cutoff:1 (fun () -> "a") (fun () -> "b") in
   Alcotest.(check (pair string string)) "still both results" ("a", "b") r
 
-let test_slots_per_domain () =
-  with_budget 4 @@ fun () ->
-  let slots = Parallel.make_slots () in
-  let mine = Parallel.slot slots ~default:(fun () -> ref 0) in
-  incr mine;
-  checkb "same value on repeat" true (mine == Parallel.slot slots ~default:(fun () -> ref 100));
-  let n = 64 in
-  let seen = Array.make n mine in
-  Parallel.parallel_for ~chunk:1 n (fun i ->
-      let r = Parallel.slot slots ~default:(fun () -> ref 0) in
-      incr r;
-      seen.(i) <- r);
-  (* each item bumped exactly its own domain's ref: summing over the
-     physically distinct refs recovers every increment (+1 for ours) *)
-  let distinct =
-    Array.fold_left (fun acc r -> if List.memq r acc then acc else r :: acc) [ mine ] seen
-  in
-  check "every item counted once" (n + 1) (List.fold_left (fun acc r -> acc + !r) 0 distinct)
-
 (* fork_cutoff inside a parallel_for body: the nested batches queue up
    behind the outer one and the join still returns the right values. *)
 let test_fork_inside_parallel_region () =
@@ -337,7 +318,6 @@ let suite =
       ("fork_join", `Quick, test_fork_join);
       ("fork_cutoff counters", `Quick, test_fork_cutoff_counters);
       ("fork_cutoff sequential budget", `Quick, test_fork_cutoff_sequential_budget);
-      ("per-domain slots", `Quick, test_slots_per_domain);
       ("fork inside parallel region", `Quick, test_fork_inside_parallel_region);
     ]
 

@@ -1,13 +1,12 @@
-(* Equivalence of the parallel, flat-workspace Theorem 1 core against the
-   frozen sequential reference (ISSUE 6): the production pipeline — flat
-   generation-stamped separator workspaces, domain-parallel ADJUST/SPLIT
-   sweeps, per-domain scratch slots — must produce bit-identical
-   placements. Checked exhaustively over every binary-tree shape up to 14
-   nodes, by qcheck over random family x size x capacity cases swept
-   across domain budgets {1,2,4}, and on deterministic large trees where
-   the parallel sweeps actually engage. Plus the [Gc.minor_words] guards
-   pinning [Separator.prepare] as allocation-free and
-   [Separator.components] as allocating only its output. *)
+(* Equivalence of the Theorem 1 core against the frozen reference
+   [Theorem1_ref]: the production pipeline — flat generation-stamped
+   separator workspaces, one-walk piece re-formation, SPLIT's
+   once-per-piece fill — must produce bit-identical placements. Checked
+   exhaustively over every binary-tree shape up to 14 nodes, by qcheck
+   over random family x size x capacity cases, and on deterministic
+   large trees. Plus the [Gc.minor_words] guards pinning
+   [Separator.prepare] as allocation-free and [Separator.components] as
+   allocating only its output. *)
 
 open Xt_prelude
 open Xt_bintree
@@ -88,7 +87,7 @@ let exhaustive lo hi () =
     check (Printf.sprintf "all %d-node shapes enumerated" n) (catalan n) !count
   done
 
-(* ---------------- qcheck: random cases across budgets ---------------- *)
+(* ---------------- qcheck: random cases ---------------- *)
 
 let families = [ "complete"; "path"; "caterpillar"; "random-bst"; "uniform"; "skewed"; "random-split" ]
 
@@ -104,14 +103,6 @@ let case_gen =
     let* seed = int_bound 1_000_000 in
     return { fname = List.nth families fi; size; cap; seed })
 
-(* Hold the budget at [jobs] for the duration of [f]. The pool is sized
-   for at least 4 lanes at first use, so raising the budget mid-process
-   finds real workers. *)
-let with_budget jobs f =
-  let saved = Parallel.domain_budget () in
-  Parallel.set_domain_budget jobs;
-  Fun.protect ~finally:(fun () -> Parallel.set_domain_budget saved) f
-
 (* At capacity 2 some big shapes legitimately overfill the host (the
    paper's slack assumes capacity 16); both cores must then raise the
    same [Invalid_argument] — equivalence extends to the failure mode. *)
@@ -119,55 +110,46 @@ let run_eq_case c =
   let tree = (Gen.family c.fname).generate (Rng.make ~seed:c.seed) c.size in
   let outcome f = match f () with r -> Ok r | exception Invalid_argument m -> Error m in
   let rf = outcome (fun () -> Theorem1_ref.embed ~capacity:c.cap tree) in
-  List.iter
-    (fun jobs ->
-      with_budget jobs @@ fun () ->
-      let r = outcome (fun () -> Theorem1.embed ~capacity:c.cap ~par:true tree) in
-      match (rf, r) with
-      | Ok rf, Ok r ->
-          if rf.Theorem1_ref.place <> r.Theorem1.embedding.Embedding.place then
-            Alcotest.failf "%s at %d jobs: placements diverge" (print_case c) jobs;
-          if rf.Theorem1_ref.fallbacks <> r.Theorem1.fallbacks then
-            Alcotest.failf "%s at %d jobs: fallbacks diverge" (print_case c) jobs
-      | Error m, Error m' ->
-          if m <> m' then
-            Alcotest.failf "%s at %d jobs: failure modes diverge (%s vs %s)" (print_case c) jobs m m'
-      | Ok _, Error m -> Alcotest.failf "%s at %d jobs: only parallel core fails (%s)" (print_case c) jobs m
-      | Error m, Ok _ -> Alcotest.failf "%s at %d jobs: only reference fails (%s)" (print_case c) jobs m)
-    [ 1; 2; 4 ];
+  let r = outcome (fun () -> Theorem1.embed ~capacity:c.cap tree) in
+  (match (rf, r) with
+  | Ok rf, Ok r ->
+      if rf.Theorem1_ref.place <> r.Theorem1.embedding.Embedding.place then
+        Alcotest.failf "%s: placements diverge" (print_case c);
+      if rf.Theorem1_ref.fallbacks <> r.Theorem1.fallbacks then
+        Alcotest.failf "%s: fallbacks diverge" (print_case c)
+  | Error m, Error m' ->
+      if m <> m' then Alcotest.failf "%s: failure modes diverge (%s vs %s)" (print_case c) m m'
+  | Ok _, Error m -> Alcotest.failf "%s: only the core fails (%s)" (print_case c) m
+  | Error m, Ok _ -> Alcotest.failf "%s: only the reference fails (%s)" (print_case c) m);
   true
 
 let qcheck_equivalence =
-  QCheck2.Test.make ~count:100 ~name:"theorem1: parallel core == reference at jobs {1,2,4}"
-    ~print:print_case case_gen run_eq_case
+  QCheck2.Test.make ~count:100 ~name:"theorem1: core == reference" ~print:print_case case_gen
+    run_eq_case
 
 (* ---------------- deterministic large trees -------------------------- *)
 
-(* Sizes where the parallel sweeps genuinely engage (levels of >= 8
-   X-tree vertices at the paper's capacity 16). Beyond placements, the
+(* Guests of 30k-100k nodes on X-trees of height 10-12 at the paper's
+   capacity 16, where every late round sweeps hundreds of vertices per
+   level. Beyond placements, the
    derived metrics the paper cares about — dilation and load — are
    compared through [Embedding] with the memoised distance oracle. *)
-let test_large_budget_sweep () =
+let test_large_trees () =
   List.iter
     (fun (fname, n) ->
       let tree = (Gen.family fname).generate (Rng.make ~seed:(Hashtbl.hash (fname, n))) n in
       let rf = Theorem1_ref.embed tree in
-      List.iter
-        (fun jobs ->
-          with_budget jobs @@ fun () ->
-          let what = Printf.sprintf "%s(%d) at %d jobs" fname n jobs in
-          let r = Theorem1.embed ~par:true tree in
-          let e = r.Theorem1.embedding in
-          if rf.Theorem1_ref.place <> e.Embedding.place then
-            Alcotest.failf "%s: placements diverge" what;
-          check (what ^ ": height") rf.Theorem1_ref.height r.Theorem1.height;
-          check (what ^ ": fallbacks") rf.Theorem1_ref.fallbacks r.Theorem1.fallbacks;
-          check (what ^ ": wide pieces") rf.Theorem1_ref.wide_pieces r.Theorem1.wide_pieces;
-          let dist = Theorem1.distance_oracle r in
-          let ef = Embedding.make ~tree ~host:e.Embedding.host ~place:rf.Theorem1_ref.place in
-          check (what ^ ": dilation") (Embedding.dilation ~dist ef) (Embedding.dilation ~dist e);
-          check (what ^ ": load") (Embedding.load ef) (Embedding.load e))
-        [ 1; 2; 4 ])
+      let what = Printf.sprintf "%s(%d)" fname n in
+      let r = Theorem1.embed tree in
+      let e = r.Theorem1.embedding in
+      if rf.Theorem1_ref.place <> e.Embedding.place then Alcotest.failf "%s: placements diverge" what;
+      check (what ^ ": height") rf.Theorem1_ref.height r.Theorem1.height;
+      check (what ^ ": fallbacks") rf.Theorem1_ref.fallbacks r.Theorem1.fallbacks;
+      check (what ^ ": wide pieces") rf.Theorem1_ref.wide_pieces r.Theorem1.wide_pieces;
+      let dist = Theorem1.distance_oracle r in
+      let ef = Embedding.make ~tree ~host:e.Embedding.host ~place:rf.Theorem1_ref.place in
+      check (what ^ ": dilation") (Embedding.dilation ~dist ef) (Embedding.dilation ~dist e);
+      check (what ^ ": load") (Embedding.load ef) (Embedding.load e))
     (* path: the family with the most fallbacks, where every fill peel
        reverses the remaining piece's node order *)
     [ ("uniform", 30_000); ("path", 30_000); ("caterpillar", 60_000); ("random-split", 100_000) ]
@@ -216,33 +198,12 @@ let test_components_allocation () =
     (Printf.sprintf "components allocated %.0f minor words (bound %.0f)" allocated bound)
     true (allocated <= bound)
 
-(* Rebinding a workspace to a bigger tree grows in one step and keeps
-   serving; stamp generations survive the move. *)
-let test_rebind_grows () =
-  let small = Gen.complete 63 in
-  let big = Gen.uniform (Rng.make ~seed:6) 5000 in
-  let ws = Separator.make_ws small in
-  let piece t = { Separator.nodes = Bintree.preorder t; r1 = Bintree.root t; r2 = None } in
-  ignore (Separator.lemma2 ws (piece small) ~target:20);
-  Separator.rebind_ws ws big;
-  let s = Separator.lemma2 ws (piece big) ~target:1700 in
-  (match Separator.verify_split ws (piece big) s with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "split after rebind: %s" msg);
-  (* and back down: rebinding to a smaller tree must also be sound *)
-  Separator.rebind_ws ws small;
-  let s = Separator.lemma1 ws (piece small) ~target:20 in
-  match Separator.verify_split ws (piece small) s with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "split after shrink rebind: %s" msg
-
 let suite =
   [
     ("exhaustive shapes <= 11", `Quick, exhaustive 1 11);
     ("exhaustive shapes 12-14", `Slow, exhaustive 12 14);
     QCheck_alcotest.to_alcotest ~long:false qcheck_equivalence;
-    ("large trees, budget sweep", `Slow, test_large_budget_sweep);
+    ("large trees == reference", `Slow, test_large_trees);
     ("separator prepare allocation free", `Quick, test_prepare_allocation_free);
-    ("workspace rebind", `Quick, test_rebind_grows);
     ("separator components allocates only its output", `Quick, test_components_allocation);
   ]
