@@ -7,13 +7,10 @@
      --tables-only      skip the micro-benchmarks
      --micro-only       skip the tables
      --csv DIR          also write one CSV per table into DIR
-     --jobs N           domain budget for the parallelism inside each
-                        table job (default 1; the rendered output is
-                        byte-identical for every N)
-     --json FILE        write per-table wall-clock timings, domain count
-                        and estimated speedup to FILE as JSON
+     --json FILE        write per-table wall-clock timings, GC words and
+                        work counters to FILE as JSON
      --smoke            only the cheap smoke-marked tables (seconds, not
-                        minutes; used by the @bench-smoke dune alias)
+                        minutes; used by the @bench-gate dune alias)
      --no-timings       blank live wall-clock cells (E18) so two runs
                         can be diffed byte-for-byte
      --trace FILE       record span tracing (with GC sampling) across the
@@ -157,24 +154,17 @@ let measure_serve_warmth () =
     responses_identical = cold_replies = warm_replies;
   }
 
-(* Machine-readable run record. Jobs run sequentially (the parallelism
-   is inside each job), so every stage time is the true cost of that
-   table at the configured budget and the sum matches the wall clock up
-   to bookkeeping. [speedup_vs_sequential] (sum / wall, ~1.0 since the
-   job loop went sequential) is kept for comparability with earlier
-   records; [speedup_estimate_reliable] records whether the machine has
-   a core per domain, without which intra-job parallelism time-slices. *)
-let write_json file ~jobs_flag ~smoke ~wall ~sim ~serve timings =
+(* Machine-readable run record. Jobs run one after another on one
+   domain, so every stage time is the true cost of that table and the sum
+   matches the wall clock up to bookkeeping. *)
+let write_json file ~smoke ~wall ~sim ~serve timings =
   let sum = List.fold_left (fun acc t -> acc +. t.Tables.seconds) 0. timings in
   let cores = Domain.recommended_domain_count () in
-  let domains = Xt_prelude.Parallel.domain_budget () in
   let counters = (Xt_obs.Obs.drain ()).Xt_obs.Obs.counters in
   let oc = open_out file in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"bench\": \"tables\",\n";
   Printf.fprintf oc "  \"cores\": %d,\n" cores;
-  Printf.fprintf oc "  \"domains\": %d,\n" domains;
-  Printf.fprintf oc "  \"jobs_flag\": %d,\n" jobs_flag;
   Printf.fprintf oc "  \"smoke\": %b,\n" smoke;
   Printf.fprintf oc "  \"stages\": [\n";
   List.iteri
@@ -226,9 +216,7 @@ let write_json file ~jobs_flag ~smoke ~wall ~sim ~serve timings =
       Printf.fprintf oc "    \"responses_identical\": %b\n" p.responses_identical;
       Printf.fprintf oc "  },\n");
   Printf.fprintf oc "  \"sum_seconds\": %.6f,\n" sum;
-  Printf.fprintf oc "  \"wall_seconds\": %.6f,\n" wall;
-  Printf.fprintf oc "  \"speedup_vs_sequential\": %.3f,\n" (if wall > 0. then sum /. wall else 1.);
-  Printf.fprintf oc "  \"speedup_estimate_reliable\": %b\n" (cores >= domains);
+  Printf.fprintf oc "  \"wall_seconds\": %.6f\n" wall;
   Printf.fprintf oc "}\n";
   close_out oc
 
@@ -312,11 +300,9 @@ let check_baseline ~baseline_file ~threshold ~min_seconds timings =
 
 (* One compact JSON line per invocation, so the perf trajectory survives
    baseline regeneration. *)
-let append_history file ~jobs_flag ~smoke ~wall timings =
+let append_history file ~smoke ~wall timings =
   let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 file in
-  Printf.fprintf oc "{\"utc\":%.0f,\"bench\":\"tables\",\"smoke\":%b,\"jobs\":%d,\"domains\":%d"
-    (Unix.time ()) smoke jobs_flag
-    (Xt_prelude.Parallel.domain_budget ());
+  Printf.fprintf oc "{\"utc\":%.0f,\"bench\":\"tables\",\"smoke\":%b" (Unix.time ()) smoke;
   Printf.fprintf oc ",\"wall_seconds\":%.6f,\"stages\":{" wall;
   List.iteri
     (fun i (tm : Tables.timing) ->
@@ -333,15 +319,6 @@ let () =
   let micro = not (List.mem "--tables-only" args) in
   let smoke = List.mem "--smoke" args in
   if List.mem "--no-timings" args then Tables.live_timings := false;
-  let jobs_flag =
-    match find_value "--jobs" args with
-    | None -> 1
-    | Some n -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 -> n
-        | _ -> failwith "main: --jobs expects a positive integer")
-  in
-  Xt_prelude.Parallel.set_domain_budget jobs_flag;
   (match find_value "--csv" args with
   | Some dir ->
       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -397,10 +374,10 @@ let () =
         Printf.printf "trace written to %s\n" file
     | None -> ());
     (match history_file with
-    | Some file -> append_history file ~jobs_flag ~smoke ~wall timings
+    | Some file -> append_history file ~smoke ~wall timings
     | None -> ());
     (match json_file with
-    | Some file -> write_json file ~jobs_flag ~smoke ~wall ~sim ~serve timings
+    | Some file -> write_json file ~smoke ~wall ~sim ~serve timings
     | None -> ());
     match baseline_file with
     | Some bfile ->

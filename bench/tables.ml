@@ -1,9 +1,8 @@
 (* Experiment tables F1..E19 — one per paper object, as indexed in
    DESIGN.md section 4. Each function builds one table; the job registry
-   at the bottom runs them (optionally through the Parallel pool) and
-   prints the rendered tables in registry order, so the output is
-   byte-identical whatever the job count. EXPERIMENTS.md records the
-   paper-vs-measured comparison of a reference run. *)
+   at the bottom runs them one after another and prints the rendered
+   tables in registry order. EXPERIMENTS.md records the paper-vs-measured
+   comparison of a reference run. *)
 
 open Xt_prelude
 open Xt_topology
@@ -118,8 +117,8 @@ let lemma_table ~title ~seed ~lemma ~bound_of ~max_target () =
     Tab.create ~title
       [ "family"; "n"; "trials"; "max err"; "err bound"; "max |s1|"; "max |s2|"; "all valid" ]
   in
-  (* each lemma table owns its stream: sharing one rng across tables would
-     make the numbers depend on execution order, which parallel runs break *)
+  (* each lemma table owns its stream, so its numbers do not depend on
+     which tables ran before it *)
   let rng = Rng.make ~seed in
   List.iter
     (fun name ->
@@ -129,55 +128,25 @@ let lemma_table ~title ~seed ~lemma ~bound_of ~max_target () =
           let nodes = List.init n Fun.id in
           let low_degree = List.filter (fun v -> Bintree.degree tree v <= 2) nodes in
           let trials = 60 in
-          (* draw every trial's parameters up front, in the exact order the
-             sequential loop drew them, then evaluate the trials over the
-             pool in one contiguous chunk per lane, each with its own
-             workspace: the folds below are max/and, so the cell is
-             independent of evaluation order *)
-          let params =
-            Array.init trials (fun _ ->
-                let r1 = List.nth low_degree (Rng.int rng (List.length low_degree)) in
-                let r2_raw = Rng.int rng n in
-                let r2 = if r2_raw = r1 then None else Some r2_raw in
-                let target = 1 + Rng.int rng (max_target n) in
-                (r1, r2, target))
-          in
-          let lanes = min trials (Parallel.domain_budget ()) in
-          let chunks =
-            List.init lanes (fun c ->
-                let lo = c * trials / lanes and hi = (c + 1) * trials / lanes in
-                Array.sub params lo (hi - lo))
-          in
-          let outcomes =
-            Parallel.map
-              (fun chunk ->
-                let ws = Separator.make_ws tree in
-                Array.map
-                  (fun (r1, r2, target) ->
-                    let piece = { Separator.nodes; r1; r2 } in
-                    let sp = lemma ws piece ~target in
-                    let _, n2 = Separator.side_sizes sp in
-                    let ok = Separator.verify_split ws piece sp = Ok () in
-                    ( abs (n2 - target),
-                      bound_of target,
-                      List.length sp.Separator.s1,
-                      List.length sp.Separator.s2,
-                      ok ))
-                  chunk)
-              chunks
-            |> Array.concat
-          in
+          let ws = Separator.make_ws tree in
           let max_err = ref 0 and max_s1 = ref 0 and max_s2 = ref 0 in
           let worst_bound = ref 0 and valid = ref true in
-          Array.iter
-            (fun (err, bound, s1, s2, ok) ->
-              if err > !max_err then max_err := err;
-              if err > bound then valid := false;
-              if bound > !worst_bound then worst_bound := bound;
-              if s1 > !max_s1 then max_s1 := s1;
-              if s2 > !max_s2 then max_s2 := s2;
-              if not ok then valid := false)
-            outcomes;
+          for _ = 1 to trials do
+            let r1 = List.nth low_degree (Rng.int rng (List.length low_degree)) in
+            let r2_raw = Rng.int rng n in
+            let r2 = if r2_raw = r1 then None else Some r2_raw in
+            let target = 1 + Rng.int rng (max_target n) in
+            let piece = { Separator.nodes; r1; r2 } in
+            let sp = lemma ws piece ~target in
+            let _, n2 = Separator.side_sizes sp in
+            let err = abs (n2 - target) and bound = bound_of target in
+            if err > !max_err then max_err := err;
+            if err > bound then valid := false;
+            if bound > !worst_bound then worst_bound := bound;
+            max_s1 := max !max_s1 (List.length sp.Separator.s1);
+            max_s2 := max !max_s2 (List.length sp.Separator.s2);
+            if Separator.verify_split ws piece sp <> Ok () then valid := false
+          done;
           Tab.add_row t
             [
               name;
@@ -353,15 +322,13 @@ let e6_constant_vs_growing () =
       ~title:"E6  Who wins: Theorem 1 vs baselines (dilation/load; paper: only X-TREE keeps both constant)"
       [ "family"; "r"; "T1 dil"; "T1 load"; "bisect dil"; "bisect load"; "dfs dil"; "dfs load"; "bfs dil"; "bfs load" ]
   in
-  (* cells are independent and deterministic per (family, r): fan out over
-     the pool, then add the rows in registry order *)
   let cells =
     List.concat_map
       (fun name -> List.map (fun r -> (name, r)) [ 3; 5; 7; 9 ])
       [ "path"; "caterpillar"; "uniform"; "random-bst" ]
   in
   let rows =
-    Parallel.map
+    List.map
       (fun (name, r) ->
         let n = Theorem1.optimal_size r in
         let tree = tree_of name n in
@@ -548,14 +515,13 @@ let e14_seed_robustness () =
       ~title:"E14 Robustness over 20 random instances per family (Theorem 1 dilation)"
       [ "family"; "r"; "min dil"; "mean dil"; "max dil"; "max fallbacks" ]
   in
-  (* cells are independent: fan out over domains *)
   let cells =
     List.concat_map
       (fun name -> List.map (fun r -> (name, r)) [ 4; 6 ])
       [ "uniform"; "random-bst"; "skewed"; "random-grow" ]
   in
   let rows =
-    Parallel.map
+    List.map
       (fun (name, r) ->
         let n = Theorem1.optimal_size r in
         let dils = ref [] and worst_fb = ref 0 in
@@ -657,10 +623,9 @@ let e10_conditions () =
         "E10 Conditions (3') and (4), before and after the repair pass (paper invariants, measured)"
       [ "family"; "r"; "edges"; "(3') raw"; "(3') repaired"; "dil raw"; "dil repaired"; "(4) violations" ]
   in
-  (* same fan-out as E6: every (family, r) cell is its own job *)
   let cells = List.concat_map (fun name -> List.map (fun r -> (name, r)) [ 3; 5; 7; 9 ]) families in
   let rows =
-    Parallel.map
+    List.map
       (fun (name, r) ->
         let tree = tree_of name (Theorem1.optimal_size r) in
         let res = Theorem1.embed tree in
@@ -1006,8 +971,8 @@ let d2_sim_throughput () =
                 w t3.Hypercube_transfer.embedding;
             ]
           in
-          (* cases run one after another (domains:1), so each replay's
-             wall clock, and with it the rate columns, is its own *)
+          (* cases run one after another, so each replay's wall clock,
+             and with it the rate columns, is its own *)
           List.iter
             (fun (o : Workload.outcome) ->
               let rate scale v =
@@ -1027,7 +992,7 @@ let d2_sim_throughput () =
                   rate 1e3 o.Workload.delivered;
                   rate 1e6 o.Workload.cycles;
                 ])
-            (Workload.run_suite ~domains:1 cases))
+            (Workload.run_suite cases))
         [ Workload.reduction; Workload.pingpong_sweep; Workload.permutation ])
     [ 5; 7; 9; 10 ];
   t
@@ -1182,15 +1147,10 @@ let jobs =
 
 type timing = { job : string; seconds : float; minor_words : int; major_words : int }
 
-(* Run the selected jobs one after another — the parallelism lives
-   {e inside} each job (Theorem1 sweeps, the lemma-trial and cell
-   fan-outs above), where it speeds the table up instead of overlapping
-   unrelated jobs' wall clocks. A job's recorded time is therefore the
-   real cost of producing that table at the current domain budget, and
-   every table is deterministic for every [--jobs] value, so the printed
-   output stays byte-identical. Returns per-job timings (with GC-pressure
-   deltas from the running domain) in registry order; each job also runs
-   under a [bench.NAME] span, so [--trace] profiles the whole harness. *)
+(* Run the selected jobs one after another, so a job's recorded time is
+   the real cost of producing that table. Returns per-job timings (with
+   GC-pressure deltas) in registry order; each job also runs under a
+   [bench.NAME] span, so [--trace] profiles the whole harness. *)
 let run_jobs ?(smoke = false) () =
   let selected = if smoke then List.filter (fun j -> j.smoke) jobs else jobs in
   List.map

@@ -111,8 +111,7 @@ let telemetry_term =
   let report =
     let doc =
       "Record span tracing and print the trace-analytics tables (wall/self \
-       time, domain utilization, series) on exit; with $(b,--metrics) the \
-       fork-efficiency section is included."
+       time, domain utilization, series) on exit."
     in
     Arg.(value & flag & info [ "trace-report" ] ~doc)
   in
@@ -136,10 +135,7 @@ let obs_end tm =
       Obs.write_trace file;
       Printf.printf "trace written to %s\n" file
   | None -> ());
-  if tm.tm_report then begin
-    let dump = if tm.tm_metrics then Some (Obs.snapshot ()) else None in
-    print_string (Trace_report.report ?dump (Obs.events ()))
-  end;
+  if tm.tm_report then print_string (Trace_report.report (Obs.events ()));
   (match tm.tm_flight with
   | Some file ->
       Obs.write_flight file;
@@ -236,19 +232,6 @@ let weight_trace_arg =
 let repair_arg =
   let doc = "Run the local-search repair pass after Theorem 1." in
   Arg.(value & flag & info [ "repair" ] ~doc)
-
-(* OCaml 5's runtime runs at most 128 domains at once. *)
-let max_jobs = 128
-
-let jobs_arg =
-  let doc =
-    "Domain budget for embedding independent guests in parallel, one guest \
-     per task. Each embedding is the same for every value; 1 embeds them \
-     one after another. Overrides the XT_DOMAINS environment variable."
-  in
-  checked ~what:"jobs" ~must:(Printf.sprintf "between 1 and %d" max_jobs)
-    (function Some j -> j >= 1 && j <= max_jobs | None -> true)
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let print_report name (e : Embedding.t) dist =
   let r = Embedding.report ?dist e in
@@ -357,8 +340,7 @@ let read_batch file =
   close_in ic;
   List.rev !trees
 
-let embed_batch_run file capacity algorithm jobs tm =
-  (match jobs with Some n -> Parallel.set_domain_budget n | None -> ());
+let embed_batch_run file capacity algorithm tm =
   obs_begin tm;
   let trees = read_batch file in
   if algorithm = Theorem2_alg then
@@ -387,10 +369,10 @@ let embed_batch_run file capacity algorithm jobs tm =
           let r = Order_layout.embed ~capacity ~cache ~order t in
           (r.Order_layout.embedding, r.Order_layout.xt, r.Order_layout.height)
   in
-  (* Dedupe by canonical shape, embed each unique shape once on the domain
-     pool (the cache misses), then serve every input line from the cache in
-     input order. Codec numbers nodes in preorder, so every served
-     embedding is bit-identical to an uncached run on that line. *)
+  (* Dedupe by canonical shape, embed each unique shape once (the cache
+     misses), then serve every input line from the cache in input order.
+     Codec numbers nodes in preorder, so every served embedding is
+     bit-identical to an uncached run on that line. *)
   let seen = Hashtbl.create 64 in
   let unique =
     List.filter
@@ -403,7 +385,7 @@ let embed_batch_run file capacity algorithm jobs tm =
         end)
       trees
   in
-  ignore (Parallel.map (fun t -> ignore (embed_one t)) unique);
+  List.iter (fun t -> ignore (embed_one t)) unique;
   List.iteri
     (fun i t ->
       let e, xt, height = embed_one t in
@@ -422,8 +404,7 @@ let embed_batch_cmd =
   Cmd.v
     (Cmd.info "embed-batch" ~doc)
     Term.(
-      const embed_batch_run $ batch_input_arg $ capacity_arg $ algorithm_arg $ jobs_arg
-      $ telemetry_term)
+      const embed_batch_run $ batch_input_arg $ capacity_arg $ algorithm_arg $ telemetry_term)
 
 (* ---------------- hypercube ---------------- *)
 
@@ -773,9 +754,9 @@ let trace_cmd =
     in
     let deterministic =
       let doc =
-        "Project away schedule-dependent data (time columns, per-domain rows, \
-         parallel.* events): the remaining tables are byte-identical across \
-         --jobs values for a deterministic computation."
+        "Project away the data that can vary between runs (time columns, \
+         per-domain rows, series last values): the remaining tables are \
+         byte-identical across runs of a deterministic computation."
       in
       Arg.(value & flag & info [ "deterministic" ] ~doc)
     in
@@ -816,8 +797,7 @@ let snapshot_every_arg =
   Arg.(value & opt int 0 & info [ "snapshot-every" ] ~docv:"N" ~doc)
 
 let serve_run capacity cache_entries cache_bytes snapshot snapshot_every batch status
-    socket max_conns jobs tm =
-  (match jobs with Some n -> Parallel.set_domain_budget n | None -> ());
+    socket max_conns tm =
   obs_begin tm;
   let config =
     {
@@ -869,8 +849,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc)
     Term.(
       const serve_run $ capacity_arg $ cache_entries_arg $ cache_bytes_arg $ snapshot_arg
-      $ snapshot_every_arg $ batch $ status $ socket $ max_conns $ jobs_arg
-      $ telemetry_term)
+      $ snapshot_every_arg $ batch $ status $ socket $ max_conns $ telemetry_term)
 
 (* Decode and pretty-print one reply in the embed-batch line format, so a
    [loadgen --print] replay byte-diffs against [embed-batch] on the same
@@ -903,8 +882,7 @@ let print_reply () =
           (Embedding.load e) resp.Wire.height
 
 let loadgen_run requests shapes size skew seed window out codec_out replay_file connect
-    capacity cache_entries snapshot snapshot_every print_lines jobs tm =
-  (match jobs with Some n -> Parallel.set_domain_budget n | None -> ());
+    capacity cache_entries snapshot snapshot_every print_lines tm =
   obs_begin tm;
   let stream =
     match replay_file with
@@ -941,7 +919,8 @@ let loadgen_run requests shapes size skew seed window out codec_out replay_file 
         match connect with
         | Some path ->
             let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-            Unix.connect fd (Unix.ADDR_UNIX path);
+            (try Unix.connect fd (Unix.ADDR_UNIX path)
+             with Unix.Unix_error (err, fn, _) -> raise (Unix.Unix_error (err, fn, path)));
             let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
             set_binary_mode_in ic true;
             set_binary_mode_out oc true;
@@ -1067,7 +1046,7 @@ let loadgen_cmd =
     Term.(
       const loadgen_run $ requests $ shapes $ positive "size" size_arg $ skew $ seed_arg
       $ window $ out $ codec_out $ replay_file $ connect $ capacity_arg $ cache_entries_arg
-      $ snapshot_arg $ snapshot_every_arg $ print_lines $ jobs_arg $ telemetry_term)
+      $ snapshot_arg $ snapshot_every_arg $ print_lines $ telemetry_term)
 
 (* ---------------- main ---------------- *)
 
@@ -1080,21 +1059,39 @@ let () =
   | _ -> ());
   let doc = "Simulating binary trees on X-trees (Monien, SPAA 1991)" in
   let info = Cmd.info "xtree" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [
+        generate_cmd;
+        embed_cmd;
+        embed_batch_cmd;
+        serve_cmd;
+        loadgen_cmd;
+        hypercube_cmd;
+        universal_cmd;
+        simulate_cmd;
+        neighbourhood_cmd;
+        exact_cmd;
+        route_cmd;
+        weighted_cmd;
+        trace_cmd;
+      ]
+  in
+  (* A file or socket that cannot be opened, read or written is a bad
+     input, like a bad flag: print it and exit 2. Anything else is a bug
+     and keeps cmdliner's internal-error exit. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            generate_cmd;
-            embed_cmd;
-            embed_batch_cmd;
-            serve_cmd;
-            loadgen_cmd;
-            hypercube_cmd;
-            universal_cmd;
-            simulate_cmd;
-            neighbourhood_cmd;
-            exact_cmd;
-            route_cmd;
-            weighted_cmd;
-            trace_cmd;
-          ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception Sys_error msg ->
+        Printf.eprintf "xtree: %s\n" msg;
+        2
+    | exception Unix.Unix_error (err, fn, arg) ->
+        Printf.eprintf "xtree: %s%s: %s\n" fn
+          (if arg = "" then "" else " " ^ arg)
+          (Unix.error_message err);
+        2
+    | exception exn ->
+        Printf.eprintf "xtree: internal error, uncaught exception:\n%s\n"
+          (Printexc.to_string exn);
+        Cmd.Exit.internal_error)

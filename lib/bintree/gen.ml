@@ -2,14 +2,10 @@ open Xt_prelude
 
 let positive n = if n <= 0 then invalid_arg "Gen: n must be positive"
 
-(* Below this size the fork-join overhead of a parallel arena fill
-   outweighs the arithmetic it distributes. *)
-let par_fill_cutoff = 1 lsl 16
-
 let complete n =
   positive n;
   let parent = Array.make n (-1) and left = Array.make n (-1) and right = Array.make n (-1) in
-  let fill v =
+  for v = 0 to n - 1 do
     let l = (2 * v) + 1 and r = (2 * v) + 2 in
     if l < n then begin
       left.(v) <- l;
@@ -19,14 +15,7 @@ let complete n =
       right.(v) <- r;
       parent.(r) <- v
     end
-  in
-  (* Each index writes only its own children's cells, so chunks are
-     independent and the filled arrays are identical at every budget. *)
-  if n >= par_fill_cutoff then Parallel.parallel_for n fill
-  else
-    for v = 0 to n - 1 do
-      fill v
-    done;
+  done;
   Bintree.of_arrays ~root:0 ~parent ~left ~right
 
 let path n =
@@ -240,11 +229,9 @@ let skewed_grow rng ?(bias = 0.8) n =
 (* Divide-and-conquer arena fill. A subtree occupies the contiguous index
    range [lo, lo+n) with its root at [lo]; the left-subtree size is drawn
    from a hash of (master seed, lo, n), so every range's shape is a pure
-   function of the master seed and the two halves can be filled by
-   different domains — the tree is bit-identical at every domain budget.
-   Uniform split sizes give the random-BST shape distribution, so the
-   expected depth is O(log n) and the recursion stack stays shallow even
-   at a million nodes. *)
+   function of the master seed. Uniform split sizes give the random-BST
+   shape distribution, so the expected depth is O(log n) and the
+   recursion stack stays shallow even at a million nodes. *)
 let random_split rng n =
   positive n;
   let master = Rng.int rng 0x3FFFFFFF in
@@ -262,10 +249,8 @@ let random_split rng n =
         right.(lo) <- r;
         parent.(r) <- lo
       end;
-      ignore
-        (Parallel.fork_cutoff ~size:n ~cutoff:par_fill_cutoff
-           (fun () -> fill (lo + 1) k)
-           (fun () -> fill (lo + 1 + k) (n - 1 - k)))
+      fill (lo + 1) k;
+      fill (lo + 1 + k) (n - 1 - k)
     end
   in
   fill 0 n;

@@ -47,10 +47,9 @@ val skewed_grow : Xt_prelude.Rng.t -> ?bias:float -> int -> Bintree.t
 val random_split : Xt_prelude.Rng.t -> int -> Bintree.t
 (** Random-BST-shaped tree by divide and conquer over a contiguous index
     arena: each range draws its left-subtree size from a hash of the
-    master seed and the range, so the two halves fill independently (in
-    parallel past a cutoff) and the result is bit-identical at every
-    domain budget. The fastest generator for million-node guests; draws
-    exactly one value from [rng]. *)
+    master seed and the range, so the shape is a pure function of that
+    seed. The fastest generator for million-node guests; draws exactly
+    one value from [rng]. *)
 
 (** {1 Families} — the named workloads used by tests and benchmarks. *)
 

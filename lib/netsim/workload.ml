@@ -206,5 +206,5 @@ let run_case ?link_capacity ?service_rate case =
     seconds = float_of_int (t1 - t0) *. 1e-9;
   }
 
-let run_suite ?link_capacity ?service_rate ?domains cases =
-  Xt_prelude.Parallel.map ?domains (run_case ?link_capacity ?service_rate) cases
+let run_suite ?link_capacity ?service_rate cases =
+  List.map (run_case ?link_capacity ?service_rate) cases

@@ -101,9 +101,9 @@ val slowdown : spec -> Xt_embedding.Embedding.t -> float
 
 (** {2 Suite replay}
 
-    A batch of independent (workload × tree × host) replays fanned
-    across the {!Xt_prelude.Parallel} domain pool — each case builds its
-    own simulator, so replays share nothing and scale with cores. *)
+    A batch of independent (workload × tree × host) replays. Each case
+    builds its own simulator; cases on one host share only that host's
+    route table ({!Xt_topology.Graph.next_hop}). *)
 
 type case = {
   label : string;
@@ -131,7 +131,6 @@ val embedded_case : ?label:string -> spec -> Xt_embedding.Embedding.t -> case
 val run_case : ?link_capacity:int -> ?service_rate:int -> case -> outcome
 (** Replay one case on a fresh simulator. *)
 
-val run_suite :
-  ?link_capacity:int -> ?service_rate:int -> ?domains:int -> case list -> outcome list
-(** Replay every case, outcomes in input order; independent cases run on
-    the domain pool ([domains] as in {!Xt_prelude.Parallel.map}). *)
+val run_suite : ?link_capacity:int -> ?service_rate:int -> case list -> outcome list
+(** Replay every case in order, one after another; outcomes in input
+    order. *)

@@ -2,12 +2,12 @@
 
    Layout notes. Every instrument keeps [nshards] cells; a recording
    domain writes cell [Domain.self () land (nshards - 1)], so distinct
-   pool domains write distinct cells. Counter and gauge cells live in
-   one int array padded to a cache line (8 words) per shard, so two
-   domains bumping the same counter never share a line. Writes are
-   plain (not atomic): each cell has a single writer, and every reader
-   (drain, export) runs after the parallel region has joined, which the
-   pool's mutex hand-off orders for us. *)
+   domains write distinct cells. Counter and gauge cells live in one int
+   array padded to a cache line (8 words) per shard, so two domains
+   bumping the same counter never share a line. Writes are plain (not
+   atomic): each cell has a single writer, and every reader (drain,
+   export) runs after the recording domains have been joined, and
+   [Domain.join] orders their writes before the read. *)
 
 let nshards = 64
 let shard_mask = nshards - 1

@@ -1,8 +1,8 @@
 (** Telemetry: domain-sharded metrics and Chrome-trace span tracing.
 
     This module sits below every other library of the repo (it depends
-    only on [unix]) so that the parallel runtime, the embedding
-    pipeline, and the network simulator can all record into it.
+    only on [unix]) so that the embedding pipeline, the service and
+    the network simulator can all record into it.
 
     {b Cost model.} Everything is gated on two process-wide flags.
     With metrics and tracing disabled (the default), every recording
@@ -13,8 +13,8 @@
 
     {b Sharding.} Each instrument keeps one cell (or bucket array) per
     {e shard}; the recording domain writes the shard indexed by its
-    [Domain.self] id, so concurrent workers of the
-    {!Xt_prelude.Parallel} pool never contend on a cache line.
+    [Domain.self] id, so domains recording at once (a server domain and
+    its client) never contend on a cache line.
     {!drain} merges shards in increasing shard order and sorts
     instruments by name, so its output is deterministic whenever the
     recorded totals are (work counters of a deterministic algorithm

@@ -8,10 +8,8 @@
    render the same bytes.
 
    The [deterministic] projection is stricter: it drops every
-   time-derived column, the per-domain section, and all [parallel.*]
-   events (whose counts depend on how work was scheduled), leaving only
-   tables that are byte-identical across [--jobs] values for a
-   deterministic computation. *)
+   time-derived column and the per-domain section, leaving only tables
+   that are byte-identical across runs of a deterministic computation. *)
 
 module J = Tiny_json
 
@@ -249,14 +247,7 @@ let ms ns = Printf.sprintf "%.3f" (float_of_int ns /. 1e6)
 
 let sorted_assoc tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-let report ?(deterministic = false) ?dump evs =
-  let evs =
-    if deterministic then
-      List.filter
-        (fun (e : event) -> not (String.length e.Obs.ev_name >= 9 && String.sub e.ev_name 0 9 = "parallel."))
-        evs
-    else evs
-  in
+let report ?(deterministic = false) ?dump:(_ : Obs.dump option) evs =
   let a = analyse evs in
   let b = Buffer.create 2048 in
   if a.total_events = 0 then Buffer.add_string b "(empty trace)\n"
@@ -359,16 +350,4 @@ let report ?(deterministic = false) ?dump evs =
       end
     end
   end;
-  (match dump with
-  | None -> ()
-  | Some (d : Obs.dump) ->
-      let find name = Option.value ~default:0 (List.assoc_opt name d.Obs.counters) in
-      let taken = find "parallel.forks_taken" and seq = find "parallel.forks_sequentialized" in
-      Buffer.add_string b "== parallel ==\n";
-      Buffer.add_string b (Printf.sprintf "forks_taken = %d\n" taken);
-      Buffer.add_string b (Printf.sprintf "forks_sequentialized = %d\n" seq);
-      if taken + seq > 0 then
-        Buffer.add_string b
-          (Printf.sprintf "fork_efficiency_pct = %.1f\n"
-             (100.0 *. float_of_int taken /. float_of_int (taken + seq))));
   Buffer.contents b

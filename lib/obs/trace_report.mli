@@ -10,19 +10,18 @@
     ([== domains ==]), instant-event counts ([== instants ==]),
     counter-track series ([== series ==]), and — when spans carry GC
     deltas from {!Obs.enable_gc_sampling} — per-span GC pressure
-    ([== gc ==]). With [?dump] it appends a [== parallel ==] section
-    deriving fork efficiency from the
-    [parallel.forks_taken]/[parallel.forks_sequentialized] counters.
+    ([== gc ==]).
 
-    [~deterministic:true] projects away everything schedule-dependent:
-    time columns, the domains section, series [last] values, and all
-    [parallel.*] events — what remains is byte-identical across
-    [--jobs] values for a deterministic computation. *)
+    [~deterministic:true] projects away everything that can vary
+    between runs: time columns, the domains section and series [last]
+    values — what remains is byte-identical across runs of a
+    deterministic computation. *)
 
 val of_trace_json : string -> (Obs.event list, string) result
 (** Parse a Chrome trace-event JSON document (as written by
     {!Obs.write_trace}) back into events, dropping ['M'] metadata. *)
 
 val report : ?deterministic:bool -> ?dump:Obs.dump -> Obs.event list -> string
-(** Render the analytics tables. [?dump] adds the [== parallel ==]
-    fork-efficiency section from drained counters. *)
+(** Render the analytics tables. [?dump] is ignored; it is kept so that
+    callers written against the fork-efficiency section it used to add
+    still compile. *)

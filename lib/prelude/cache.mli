@@ -3,9 +3,9 @@
     Keys are strings; values are arbitrary. The key space is split over a
     power-of-two number of shards (by key hash), each shard guarded by its
     own mutex and keeping its entries on an intrusive doubly-linked
-    recency list — concurrent {!Xt_prelude.Parallel} workers touching
-    different keys almost never contend, and every operation is O(1)
-    inside its shard.
+    recency list — domains touching different keys at once (a server
+    domain and its caller sharing one cache) almost never contend, and
+    every operation is O(1) inside its shard.
 
     Capacity is bounded both in entries and (approximately) in bytes;
     least-recently-used entries are evicted when either bound is

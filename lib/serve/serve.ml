@@ -92,7 +92,7 @@ let run ?(config = default) ?state ic oc =
         let metered = Obs.metrics_enabled () in
         (* Hits are answered from the request bytes. Misses alone are
            parsed, deduplicated on their canonical string, and each
-           distinct shape is embedded once on the domain pool. *)
+           distinct shape is embedded once. *)
         let index = Hashtbl.create 16 and shapes = ref [] in
         let answers =
           Array.map
@@ -116,9 +116,7 @@ let run ?(config = default) ?state ic oc =
         let shapes = Array.of_list (List.rev !shapes) in
         Obs.add c_unique (Array.length shapes);
         let embedded =
-          Parallel.map_array
-            (fun (canon, t) -> Theorem1.embed_packed cache ~capacity ~canon t)
-            shapes
+          Array.map (fun (canon, t) -> Theorem1.embed_packed cache ~capacity ~canon t) shapes
         in
         let write_packed (p : Theorem1.packed) =
           Wire.write_ok oc ~height:p.p_height ~fallbacks:p.p_fallbacks p.p_place
@@ -189,7 +187,10 @@ let run ?(config = default) ?state ic oc =
 let listen ?(config = default) ?max_conns ~path () =
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try if Sys.file_exists path then Sys.remove path with Sys_error _ -> ());
-  Unix.bind sock (Unix.ADDR_UNIX path);
+  (try Unix.bind sock (Unix.ADDR_UNIX path)
+   with Unix.Unix_error (err, fn, _) ->
+     Unix.close sock;
+     raise (Unix.Unix_error (err, fn, path)));
   Unix.listen sock 8;
   let state = make_state config in
   let conns = ref 0 in

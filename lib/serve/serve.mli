@@ -7,12 +7,12 @@
     those bytes, unparsed ({!Xt_core.Theorem1.find_packed}): one hash,
     one string compare and one write of the stored packed placement.
     The rest are parsed; those that parse are deduplicated on their
-    canonical string, and each distinct shape is embedded once on the
-    {!Xt_prelude.Parallel} domain pool through the shared
-    {!Xt_core.Theorem1} shape cache. Codec numbers nodes in preorder, so
-    every response is byte-identical to the encoding of a direct
-    [Theorem1.embed] on that request (the equivalence suite in
-    [test/test_serve.ml] checks this).
+    canonical string, and each distinct shape is embedded once, in
+    order of first appearance, through the shared {!Xt_core.Theorem1}
+    shape cache. Codec numbers nodes in preorder, so every response is
+    byte-identical to the encoding of a direct [Theorem1.embed] on that
+    request (the equivalence suite in [test/test_serve.ml] checks
+    this).
 
     The server ignores SIGPIPE: a client that hangs up before reading
     its replies makes a write fail with [Sys_error], which ends that
@@ -79,7 +79,8 @@ val listen :
 (** Bind a Unix-domain stream socket at [path] (unlinking a stale one)
     and serve connections sequentially, sharing one cache across all of
     them. A client that hangs up ends only its own connection. Stops
-    after [max_conns] connections (default: forever). *)
+    after [max_conns] connections (default: forever). A socket that
+    cannot be bound raises [Unix.Unix_error] naming [path]. *)
 
 val in_process :
   ?config:config ->

@@ -4,7 +4,7 @@ set -eu
 MAIN="$1"
 
 run_bench() {
-  XT_DOMAINS=1 "$MAIN" --tables-only --smoke --no-timings --jobs 1 "$@"
+  "$MAIN" --tables-only --smoke --no-timings "$@"
 }
 
 # Fresh record + first history line.

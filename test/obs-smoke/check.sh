@@ -4,7 +4,6 @@ set -eu
 
 grep -q '^theorem1.rounds = [1-9]' obs-smoke.out
 grep -q '^split.calls = [1-9]' obs-smoke.out
-grep -q '^parallel' obs-smoke.out
 grep -q 'trace written to obs-smoke-trace.json' obs-smoke.out
 
 head -c 16 obs-smoke-trace.json | grep -q '{"traceEvents":\['

@@ -169,158 +169,6 @@ let suite =
     ("tab row too long", `Quick, test_tab_row_too_long);
   ]
 
-(* ---------------- Parallel ---------------- *)
-
-let test_parallel_map_order () =
-  let xs = List.init 100 Fun.id in
-  Alcotest.(check (list int)) "order preserved" (List.map (fun x -> x * x) xs)
-    (Parallel.map ~domains:4 (fun x -> x * x) xs);
-  Alcotest.(check (list int)) "sequential path" [ 2; 4 ] (Parallel.map ~domains:1 (fun x -> 2 * x) [ 1; 2 ])
-
-let test_parallel_empty_and_single () =
-  Alcotest.(check (list int)) "empty" [] (Parallel.map ~domains:4 Fun.id []);
-  Alcotest.(check (list int)) "single" [ 7 ] (Parallel.map ~domains:4 Fun.id [ 7 ])
-
-let test_parallel_propagates_exception () =
-  checkb "raises" true
-    (try
-       ignore (Parallel.map ~domains:3 (fun x -> if x = 5 then failwith "boom" else x) (List.init 10 Fun.id));
-       false
-     with Failure _ -> true)
-
-let test_parallel_actually_computes () =
-  let total = Parallel.map ~domains:4 (fun x -> x) (List.init 1000 Fun.id) |> List.fold_left ( + ) 0 in
-  check "sum" (999 * 1000 / 2) total
-
-let test_parallel_iter () =
-  let counter = Atomic.make 0 in
-  Parallel.iter ~domains:4 (fun _ -> Atomic.incr counter) (List.init 50 Fun.id);
-  check "all visited" 50 (Atomic.get counter)
-
-let test_recommended_domains () =
-  checkb "at least one" true (Parallel.recommended_domains () >= 1);
-  checkb "capped" true (Parallel.recommended_domains () <= 8)
-
-(* Pool determinism: a 10k-item map over the pool must equal the
-   sequential map, element for element. *)
-let test_parallel_large_map_deterministic () =
-  let xs = Array.init 10_000 (fun i -> i) in
-  let f x = (x * 37) lxor (x lsr 3) in
-  let expected = Array.map f xs in
-  Alcotest.(check (array int)) "10k items" expected (Parallel.map_array ~domains:4 f xs);
-  Alcotest.(check (array int)) "repeat run" expected (Parallel.map_array ~domains:4 f xs)
-
-(* Nested parallel calls dispatch to the pool queue like any other
-   batch instead of deadlocking on it. *)
-let test_parallel_nested_no_deadlock () =
-  let rows =
-    Parallel.map ~domains:4
-      (fun i -> Parallel.map ~domains:4 (fun j -> (10 * i) + j) [ 0; 1; 2 ])
-      (List.init 20 Fun.id)
-  in
-  List.iteri
-    (fun i row -> Alcotest.(check (list int)) "nested row" [ 10 * i; (10 * i) + 1; (10 * i) + 2 ] row)
-    rows
-
-(* Failure protocol: with several failing items, the propagated exception
-   is deterministically the one sequential execution hits first. *)
-let test_parallel_first_exception () =
-  for _ = 1 to 20 do
-    match
-      Parallel.map ~domains:4 (fun x -> if x >= 3 then failwith (string_of_int x) else x)
-        (List.init 200 Fun.id)
-    with
-    | _ -> Alcotest.fail "expected an exception"
-    | exception Failure msg -> Alcotest.(check string) "lowest failing item" "3" msg
-  done
-
-(* map_reduce combines chunk partials in index order, so even a
-   non-commutative combine is deterministic. *)
-let test_parallel_map_reduce_ordered () =
-  let xs = Array.init 100 (fun i -> i) in
-  let expected = Array.fold_left (fun acc x -> acc ^ "," ^ string_of_int x) "" xs in
-  Alcotest.(check string) "concat in order" expected
-    (Parallel.map_reduce ~domains:4 ~map:string_of_int ~combine:(fun a b -> a ^ "," ^ b) "" xs);
-  check "sum" (99 * 100 / 2)
-    (Parallel.map_reduce ~domains:4 ~map:Fun.id ~combine:( + ) 0 xs)
-
-let test_parallel_for_covers_all () =
-  let n = 5000 in
-  let hits = Array.make n 0 in
-  Parallel.parallel_for ~domains:4 ~chunk:7 n (fun i -> hits.(i) <- hits.(i) + 1);
-  checkb "each index exactly once" true (Array.for_all (fun c -> c = 1) hits)
-
-(* [~domains] only caps the process budget, so tests that want real pool
-   traffic raise the budget for their duration. *)
-let with_budget jobs f =
-  let saved = Parallel.domain_budget () in
-  Parallel.set_domain_budget jobs;
-  Fun.protect ~finally:(fun () -> Parallel.set_domain_budget saved) f
-
-let test_fork_join () =
-  with_budget 4 @@ fun () ->
-  let a, b = Parallel.fork_join (fun () -> 21 * 2) (fun () -> "x") in
-  check "first thunk" 42 a;
-  Alcotest.(check string) "second thunk" "x" b;
-  (* both fail: the first thunk's exception wins, as in sequential order *)
-  match Parallel.fork_join (fun () -> failwith "A") (fun () -> failwith "B") with
-  | _ -> Alcotest.fail "expected an exception"
-  | exception Failure m -> Alcotest.(check string) "first exception wins" "A" m
-
-let test_fork_cutoff_counters () =
-  with_budget 4 @@ fun () ->
-  Xt_obs.Obs.enable_metrics ();
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Xt_obs.Obs.drain ());
-      Xt_obs.Obs.disable_metrics ())
-  @@ fun () ->
-  ignore (Xt_obs.Obs.drain ());
-  let r1 = Parallel.fork_cutoff ~size:10 ~cutoff:100 (fun () -> 1) (fun () -> 2) in
-  let r2 = Parallel.fork_cutoff ~size:1000 ~cutoff:100 (fun () -> 3) (fun () -> 4) in
-  Alcotest.(check (pair int int)) "below cutoff" (1, 2) r1;
-  Alcotest.(check (pair int int)) "above cutoff" (3, 4) r2;
-  let d = Xt_obs.Obs.snapshot () in
-  let count n = Option.value ~default:0 (List.assoc_opt n d.Xt_obs.Obs.counters) in
-  check "one fork sequentialized" 1 (count "parallel.forks_sequentialized");
-  check "one fork taken" 1 (count "parallel.forks_taken")
-
-let test_fork_cutoff_sequential_budget () =
-  with_budget 1 @@ fun () ->
-  (* a single-domain budget sequentializes even past the cutoff *)
-  let r = Parallel.fork_cutoff ~size:1_000_000 ~cutoff:1 (fun () -> "a") (fun () -> "b") in
-  Alcotest.(check (pair string string)) "still both results" ("a", "b") r
-
-(* fork_cutoff inside a parallel_for body: the nested batches queue up
-   behind the outer one and the join still returns the right values. *)
-let test_fork_inside_parallel_region () =
-  with_budget 4 @@ fun () ->
-  let out = Array.make 8 0 in
-  Parallel.parallel_for ~chunk:1 8 (fun i ->
-      let a, b = Parallel.fork_cutoff ~size:10 ~cutoff:1 (fun () -> i) (fun () -> 2 * i) in
-      out.(i) <- a + b);
-  checkb "nested fork results" true (Array.for_all Fun.id (Array.init 8 (fun i -> out.(i) = 3 * i)))
-
-let suite =
-  suite
-  @ [
-      ("parallel map order", `Quick, test_parallel_map_order);
-      ("parallel empty/single", `Quick, test_parallel_empty_and_single);
-      ("parallel exception", `Quick, test_parallel_propagates_exception);
-      ("parallel computes", `Quick, test_parallel_actually_computes);
-      ("parallel iter", `Quick, test_parallel_iter);
-      ("recommended domains", `Quick, test_recommended_domains);
-      ("parallel 10k deterministic", `Quick, test_parallel_large_map_deterministic);
-      ("parallel nested", `Quick, test_parallel_nested_no_deadlock);
-      ("parallel first exception", `Quick, test_parallel_first_exception);
-      ("parallel map_reduce ordered", `Quick, test_parallel_map_reduce_ordered);
-      ("parallel_for covers all", `Quick, test_parallel_for_covers_all);
-      ("fork_join", `Quick, test_fork_join);
-      ("fork_cutoff counters", `Quick, test_fork_cutoff_counters);
-      ("fork_cutoff sequential budget", `Quick, test_fork_cutoff_sequential_budget);
-      ("fork inside parallel region", `Quick, test_fork_inside_parallel_region);
-    ]
-
 (* ---------------- CSV ---------------- *)
 
 let test_csv_basic () =

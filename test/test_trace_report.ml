@@ -1,5 +1,5 @@
 (* Trace analytics engine: JSON round trip, wall/self attribution,
-   deterministic projection, and the fork-efficiency section. *)
+   deterministic projection and the GC section. *)
 open Xt_obs
 
 let check = Alcotest.(check int)
@@ -80,11 +80,7 @@ let test_series_and_instants () =
   checkb "deterministic series drops last" true (contains rd "== series (deterministic) ==")
 
 let test_deterministic_projection () =
-  let evs = nested @ [ ev 'B' "parallel.for" 11.; ev 'E' "parallel.for" 12. ] in
-  let full = Trace_report.report evs in
-  let det = Trace_report.report ~deterministic:true evs in
-  checkb "full sees parallel.for" true (contains full "parallel.for");
-  checkb "deterministic drops parallel.*" false (contains det "parallel.for");
+  let det = Trace_report.report ~deterministic:true nested in
   checkb "deterministic drops time columns" false (contains det "wall_ms");
   checkb "deterministic drops domains" false (contains det "== domains ==");
   checkb "deterministic keeps counts" true (contains det "outer")
@@ -99,20 +95,6 @@ let test_gc_section () =
   checkb "major words" true (contains r "34");
   let no_gc = Trace_report.report nested in
   checkb "no gc section without samples" false (contains no_gc "== gc ==")
-
-let test_fork_efficiency () =
-  let dump =
-    {
-      Obs.counters =
-        [ ("parallel.forks_sequentialized", 30); ("parallel.forks_taken", 90) ];
-      gauges = [];
-      histograms = [];
-    }
-  in
-  let r = Trace_report.report ~dump nested in
-  checkb "parallel section" true (contains r "== parallel ==");
-  checkb "taken" true (contains r "forks_taken = 90");
-  checkb "efficiency 75%" true (contains r "fork_efficiency_pct = 75.0")
 
 (* The report over the in-memory log must equal the report over its own
    Chrome-trace export: the JSON round trip is lossless at ns grain. *)
@@ -158,7 +140,6 @@ let suite =
     ("deterministic projection", `Quick, test_deterministic_projection);
     ("empty trace", `Quick, test_empty);
     ("gc pressure section", `Quick, test_gc_section);
-    ("fork efficiency from dump", `Quick, test_fork_efficiency);
     ("json round trip", `Quick, test_json_round_trip);
     ("rejects garbage", `Quick, test_rejects_garbage);
   ]
