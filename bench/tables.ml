@@ -342,11 +342,15 @@ let e6_constant_vs_growing () =
           string_of_int r;
           string_of_int d1;
           string_of_int (Embedding.load t1.Theorem1.embedding);
-          string_of_int (Embedding.dilation rb.Recursive_bisection.embedding);
+          string_of_int
+            (Embedding.dilation ~dist:(Xtree.distance rb.Recursive_bisection.xt)
+               rb.Recursive_bisection.embedding);
           string_of_int (Embedding.load rb.Recursive_bisection.embedding);
-          string_of_int (Embedding.dilation dfs.Order_layout.embedding);
+          string_of_int
+            (Embedding.dilation ~dist:(Xtree.distance dfs.Order_layout.xt) dfs.Order_layout.embedding);
           string_of_int (Embedding.load dfs.Order_layout.embedding);
-          string_of_int (Embedding.dilation bfs.Order_layout.embedding);
+          string_of_int
+            (Embedding.dilation ~dist:(Xtree.distance bfs.Order_layout.xt) bfs.Order_layout.embedding);
           string_of_int (Embedding.load bfs.Order_layout.embedding);
         ])
       cells
@@ -585,8 +589,12 @@ let e8_cbt_classics () =
       Tab.add_row t
         [
           string_of_int r;
-          string_of_int (Embedding.dilation (Cbt_embeddings.cbt_into_xtree r));
-          string_of_int (Embedding.dilation (Cbt_embeddings.inorder_into_hypercube r));
+          string_of_int
+            (Embedding.dilation ~dist:(Xtree.distance (Xtree.create ~height:r))
+               (Cbt_embeddings.cbt_into_xtree r));
+          string_of_int
+            (Embedding.dilation ~dist:(Hypercube.distance (Hypercube.create ~dim:(r + 1)))
+               (Cbt_embeddings.inorder_into_hypercube r));
           string_of_bool (Cbt_embeddings.inorder_distance_bound_holds ~height:(min r 6));
         ])
     [ 2; 4; 6; 8 ];

@@ -69,7 +69,7 @@ let make_tree family size seed =
         Printf.eprintf "size must be positive\n";
         exit 2
       end;
-      f.Gen.generate (Rng.make ~seed) size
+      Obs.span "guest.generate" (fun () -> f.Gen.generate (Rng.make ~seed) size)
 
 let input_arg =
   let doc = "Read the guest tree from $(docv) (Codec format) instead of generating one." in
@@ -234,7 +234,7 @@ let repair_arg =
   Arg.(value & flag & info [ "repair" ] ~doc)
 
 let print_report name (e : Embedding.t) dist =
-  let r = Embedding.report ?dist e in
+  let r = Embedding.report ~dist e in
   Format.printf "%s: %a@." name Embedding.pp_report r
 
 let dot_arg =
@@ -262,7 +262,7 @@ let embed_run family size seed capacity algorithm trace repair input dot svg tm 
         end
         else res
       in
-      print_report "theorem1" res.Theorem1.embedding (Some (Theorem1.distance_oracle res));
+      print_report "theorem1" res.Theorem1.embedding (Theorem1.distance_oracle res);
       Printf.printf "host: X(%d) with %d vertices; fallbacks=%d\n" res.Theorem1.height
         (Xtree.order res.Theorem1.xt) res.Theorem1.fallbacks;
       let cond = Conditions.check_theorem1 res in
@@ -294,17 +294,18 @@ let embed_run family size seed capacity algorithm trace repair input dot svg tm 
   | Theorem2_alg ->
       check_theorem2_host ~capacity (Bintree.n t);
       let res = Theorem2.embed ~capacity t in
-      print_report "theorem2" res.Theorem2.embedding (Some (Theorem2.distance_oracle res));
+      print_report "theorem2" res.Theorem2.embedding (Theorem2.distance_oracle res);
       Printf.printf "host: X(%d)\n" res.Theorem2.height
   | Bisection ->
       let res = Recursive_bisection.embed ~capacity t in
-      print_report "bisection" res.Recursive_bisection.embedding None
+      print_report "bisection" res.Recursive_bisection.embedding
+        (Xtree.distance res.Recursive_bisection.xt)
   | Dfs ->
       let res = Order_layout.embed ~capacity ~order:Order_layout.Dfs t in
-      print_report "dfs-layout" res.Order_layout.embedding None
+      print_report "dfs-layout" res.Order_layout.embedding (Xtree.distance res.Order_layout.xt)
   | Bfs ->
       let res = Order_layout.embed ~capacity ~order:Order_layout.Bfs t in
-      print_report "bfs-layout" res.Order_layout.embedding None);
+      print_report "bfs-layout" res.Order_layout.embedding (Xtree.distance res.Order_layout.xt));
   obs_end tm
 
 let embed_cmd =
@@ -418,7 +419,7 @@ let hypercube_run family size seed capacity injective tm =
   print_report
     (if injective then "theorem3-injective" else "theorem3")
     res.Hypercube_transfer.embedding
-    (Some (Hypercube_transfer.distance_oracle res));
+    (Hypercube_transfer.distance_oracle res);
   Printf.printf "host: Q_%d with %d vertices\n" res.Hypercube_transfer.dim
     (Hypercube.order res.Hypercube_transfer.cube);
   obs_end tm
@@ -643,7 +644,8 @@ let route_run height src dst tm =
     Printf.eprintf "vertices not in X(%d)\n" height;
     exit 2
   end;
-  Printf.printf "analytic distance: %d (BFS: %d)\n" (Xtree.analytic_distance a b) (Xtree.distance xt a b);
+  Printf.printf "analytic distance: %d (BFS: %d)\n" (Xtree.analytic_distance a b)
+    (Graph.distance (Xtree.graph xt) a b);
   if a <> b then begin
     let path = Xtree.route xt ~src:a ~dst:b in
     Printf.printf "route: %s\n" (String.concat " -> " (List.map Xtree.to_string path))

@@ -19,8 +19,9 @@ let () =
   List.iter
     (fun r ->
       let e = Cbt_embeddings.inorder_into_hypercube r in
-      Printf.printf "  B_%d -> Q_%d: dilation %d, injective %b\n" r (r + 1) (Embedding.dilation e)
-        (Embedding.is_injective e))
+      let dist = Xt_topology.Hypercube.distance (Xt_topology.Hypercube.create ~dim:(r + 1)) in
+      Printf.printf "  B_%d -> Q_%d: dilation %d, injective %b\n" r (r + 1)
+        (Embedding.dilation ~dist e) (Embedding.is_injective e))
     [ 3; 5; 7 ];
 
   (* Lemma 3 distance property, verified exhaustively. *)

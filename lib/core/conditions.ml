@@ -1,3 +1,4 @@
+open Xt_obs
 open Xt_topology
 open Xt_bintree
 open Xt_embedding
@@ -10,6 +11,7 @@ type report = {
 }
 
 let check xt (e : Embedding.t) =
+  Obs.span "conditions.check" @@ fun () ->
   let edges = Bintree.edges e.tree in
   let cond3 = ref 0 and cond4 = ref 0 and gap = ref 0 in
   List.iter

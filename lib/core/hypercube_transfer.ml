@@ -1,3 +1,4 @@
+open Xt_obs
 open Xt_prelude
 open Xt_topology
 open Xt_embedding
@@ -43,6 +44,7 @@ type result = {
 }
 
 let embed ?capacity tree =
+  Obs.span ~arg:(Xt_bintree.Bintree.n tree) "theorem3.embed" @@ fun () ->
   let base = Theorem1.embed ?capacity tree in
   let dim = base.Theorem1.height + 1 in
   let cube = Hypercube.create ~dim in
@@ -55,6 +57,7 @@ let embed ?capacity tree =
   { embedding; cube; dim; base }
 
 let embed_injective ?capacity tree =
+  Obs.span ~arg:(Xt_bintree.Bintree.n tree) "theorem3.embed" @@ fun () ->
   let base = Theorem1.embed ?capacity tree in
   let extra =
     let rec find k = if Bits.pow2 k >= base.Theorem1.capacity then k else find (k + 1) in

@@ -131,6 +131,7 @@ let embed_uncached ?(capacity = 16) ?height ?(record_trace = false) ?(options = 
   let height = match height with Some h -> h | None -> height_for ~capacity n in
   if optimal_size ~capacity height < n then
     invalid_arg "Theorem1.embed: X-tree too small for this guest";
+  Obs.span ~arg:n "theorem1.embed" @@ fun () ->
   let st = State.create ~tree ~height ~capacity in
   (* Round 0: the initial subtree D0 at the root. *)
   let d0 = bfs_prefix tree (min capacity n) in
@@ -138,32 +139,31 @@ let embed_uncached ?(capacity = 16) ?height ?(record_trace = false) ?(options = 
   Moves.reattach st ~floor_level:0 ~fallback:Xtree.root ~removed:d0 (List.init n Fun.id);
   (* Rounds 1..r. *)
   let rows = ref [] and spread_rows = ref [] in
-  Obs.span ~arg:n "theorem1.embed" (fun () ->
-      for i = 1 to height do
-        Obs.span ~arg:i "theorem1.round" @@ fun () ->
-        Obs.incr c_rounds;
-        if options.Options.adjust then
-          for j = 0 to i - 2 do
-            Obs.span ~arg:j "theorem1.adjust-sweep" @@ fun () ->
-            List.iter (fun a -> Adjust.run st ~round:i ~a) (Xtree.vertices_at_level st.State.xt j)
-          done;
-        (* Snapshot the level-i weights once: every SPLIT of the sweep breaks
-           orientation ties against the same pre-sweep outer weights, not
-           against weights the sweep's earlier calls have already moved. *)
-        let outer_snap =
-          Array.of_list (List.map (State.weight_of st) (Xtree.vertices_at_level st.State.xt i))
-        in
-        let outer_weight v = outer_snap.(Xtree.index v) in
-        (Obs.span ~arg:(i - 1) "theorem1.split-sweep" @@ fun () ->
-         List.iter
-           (fun alpha -> Split.run ~options ~outer_weight st ~round:i ~alpha)
-           (Xtree.vertices_at_level st.State.xt (i - 1)));
-        if record_trace then begin
-          rows := snapshot st ~height :: !rows;
-          spread_rows := snapshot_spread st ~height :: !spread_rows
-        end
+  for i = 1 to height do
+    Obs.span ~arg:i "theorem1.round" @@ fun () ->
+    Obs.incr c_rounds;
+    if options.Options.adjust then
+      for j = 0 to i - 2 do
+        Obs.span ~arg:j "theorem1.adjust-sweep" @@ fun () ->
+        List.iter (fun a -> Adjust.run st ~round:i ~a) (Xtree.vertices_at_level st.State.xt j)
       done;
-      Obs.span "theorem1.final-fill" (fun () -> final_fill st));
+    (* Snapshot the level-i weights once: every SPLIT of the sweep breaks
+       orientation ties against the same pre-sweep outer weights, not
+       against weights the sweep's earlier calls have already moved. *)
+    let outer_snap =
+      Array.of_list (List.map (State.weight_of st) (Xtree.vertices_at_level st.State.xt i))
+    in
+    let outer_weight v = outer_snap.(Xtree.index v) in
+    (Obs.span ~arg:(i - 1) "theorem1.split-sweep" @@ fun () ->
+     List.iter
+       (fun alpha -> Split.run ~options ~outer_weight st ~round:i ~alpha)
+       (Xtree.vertices_at_level st.State.xt (i - 1)));
+    if record_trace then begin
+      rows := snapshot st ~height :: !rows;
+      spread_rows := snapshot_spread st ~height :: !spread_rows
+    end
+  done;
+  Obs.span "theorem1.final-fill" (fun () -> final_fill st);
   let embedding = Embedding.make ~tree ~host:(Xtree.graph st.State.xt) ~place:st.State.place in
   {
     embedding;
@@ -188,8 +188,7 @@ let embed_uncached ?(capacity = 16) ?height ?(record_trace = false) ?(options = 
 
 (* Everything of a result except the embedding and the trace is shared
    verbatim between the hits of one entry; the host [Xtree.t] in
-   particular amortises its graph (and its memoised BFS rows) across all
-   trees of the shape. *)
+   particular amortises its graph across all trees of the shape. *)
 type cache_meta = {
   m_xt : Xtree.t;
   m_height : int;

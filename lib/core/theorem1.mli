@@ -119,5 +119,5 @@ val embed_packed : cache -> capacity:int -> canon:string -> Xt_bintree.Bintree.t
     lookup is counted as a hit or a miss. *)
 
 val distance_oracle : result -> int -> int -> int
-(** Memoised X-tree distance for use with {!Xt_embedding.Embedding}
-    metrics. *)
+(** The host's metric, [Xtree.distance result.xt], for the [~dist] of
+    {!Xt_embedding.Embedding} metrics. *)

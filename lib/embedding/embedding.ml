@@ -1,3 +1,4 @@
+open Xt_obs
 open Xt_topology
 open Xt_bintree
 
@@ -14,31 +15,27 @@ let make ~tree ~host ~place =
 let guest_size e = Bintree.n e.tree
 let host_size e = Graph.n e.host
 
-(* Memoised per-source BFS distance oracle over the host. *)
-let bfs_oracle host =
-  let rows : (int, int array) Hashtbl.t = Hashtbl.create 64 in
-  fun u v ->
-    let row =
-      match Hashtbl.find_opt rows u with
-      | Some row -> row
-      | None ->
-          let row = Graph.bfs host u in
-          Hashtbl.replace rows u row;
-          row
-    in
-    row.(v)
+let disconnected fn e (u, v) =
+  invalid_arg
+    (Printf.sprintf "Embedding.%s: guest edge %d-%d lies on host vertices %d and %d, which are disconnected"
+       fn u v e.place.(u) e.place.(v))
 
-let edge_dilations ?dist e =
-  let dist = match dist with Some d -> d | None -> bfs_oracle e.host in
-  let edges = Bintree.edges e.tree in
-  Array.of_list (List.map (fun (u, v) -> dist e.place.(u) e.place.(v)) edges)
+let edge_dilations ~dist e =
+  Array.of_list
+    (List.map
+       (fun (u, v) ->
+         let d = dist e.place.(u) e.place.(v) in
+         if d < 0 then disconnected "dilation" e (u, v);
+         d)
+       (Bintree.edges e.tree))
 
-let dilation ?dist e = Array.fold_left max 0 (edge_dilations ?dist e)
+let dilation ~dist e = Array.fold_left max 0 (edge_dilations ~dist e)
 
-let average_dilation ?dist e =
-  let ds = edge_dilations ?dist e in
+let mean ds =
   if Array.length ds = 0 then 0.
   else float_of_int (Array.fold_left ( + ) 0 ds) /. float_of_int (Array.length ds)
+
+let average_dilation ~dist e = mean (edge_dilations ~dist e)
 
 let loads e =
   let l = Array.make (Graph.n e.host) 0 in
@@ -51,37 +48,52 @@ let expansion e = float_of_int (host_size e) /. float_of_int (guest_size e)
 
 let is_injective e = load e <= 1
 
+(* Each guest edge {u, v} is routed on the FIFO BFS tree of u's image
+   over sorted adjacency (as [Graph.bfs_parents] builds it). The BFS
+   stops once v's image is discovered: every vertex found by then already
+   has its full-BFS parent, so the route is the same. [seen] stamps a
+   vertex with the index of the guest edge whose BFS found it, so the
+   scratch is never cleared; [via] keeps the id of the tree edge to its
+   parent, so usage counts go into a dense edge-indexed array. *)
 let congestion e =
-  (* Route every guest edge along the BFS tree of its source's image;
-     count per-host-edge usage. *)
-  let parents : (int, int array) Hashtbl.t = Hashtbl.create 64 in
-  let parent_row s =
-    match Hashtbl.find_opt parents s with
-    | Some p -> p
-    | None ->
-        let _, p = Graph.bfs_parents e.host s in
-        Hashtbl.replace parents s p;
-        p
+  let host = e.host in
+  let n = Graph.n host in
+  let seen = Array.make n (-1) and parent = Array.make n 0 and via = Array.make n 0 in
+  let queue = Array.make n 0 and tail = ref 0 in
+  let usage = Array.make (Graph.m host) 0 in
+  let stamp = ref 0 and from = ref 0 in
+  let discover w eid =
+    if seen.(w) <> !stamp then begin
+      seen.(w) <- !stamp;
+      parent.(w) <- !from;
+      via.(w) <- eid;
+      queue.(!tail) <- w;
+      incr tail
+    end
   in
-  let usage : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-  let bump a b =
-    let key = (min a b, max a b) in
-    Hashtbl.replace usage key (1 + Option.value ~default:0 (Hashtbl.find_opt usage key))
-  in
-  List.iter
-    (fun (u, v) ->
+  List.iteri
+    (fun i (u, v) ->
       let s = e.place.(u) and t = e.place.(v) in
       if s <> t then begin
-        let p = parent_row s in
-        let rec walk w = if w <> s then begin
-            bump w p.(w);
-            walk p.(w)
-          end
-        in
-        walk t
+        stamp := i;
+        seen.(s) <- i;
+        queue.(0) <- s;
+        tail := 1;
+        let head = ref 0 in
+        while seen.(t) <> i && !head < !tail do
+          from := queue.(!head);
+          incr head;
+          Graph.iter_neighbours_e host !from discover
+        done;
+        if seen.(t) <> i then disconnected "congestion" e (u, v);
+        let w = ref t in
+        while !w <> s do
+          usage.(via.(!w)) <- usage.(via.(!w)) + 1;
+          w := parent.(!w)
+        done
       end)
     (Bintree.edges e.tree);
-  Hashtbl.fold (fun _ c acc -> max c acc) usage 0
+  Array.fold_left max 0 usage
 
 type report = {
   dilation : int;
@@ -92,16 +104,12 @@ type report = {
   injective : bool;
 }
 
-let report ?dist e =
-  let ds = edge_dilations ?dist e in
-  let dilation = Array.fold_left max 0 ds in
-  let average_dilation =
-    if Array.length ds = 0 then 0.
-    else float_of_int (Array.fold_left ( + ) 0 ds) /. float_of_int (Array.length ds)
-  in
+let report ~dist e =
+  Obs.span "embedding.report" @@ fun () ->
+  let ds = edge_dilations ~dist e in
   {
-    dilation;
-    average_dilation;
+    dilation = Array.fold_left max 0 ds;
+    average_dilation = mean ds;
     load = load e;
     expansion = expansion e;
     congestion = congestion e;
@@ -113,9 +121,9 @@ let pp_report fmt r =
     r.average_dilation r.load r.expansion r.congestion
     (if r.injective then " injective" else "")
 
-let verify ?dist ?max_dilation ?max_load e =
+let verify ~dist ?max_dilation ?max_load e =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
-  let d = dilation ?dist e in
+  let d = dilation ~dist e in
   let l = load e in
   match (max_dilation, max_load) with
   | Some bound, _ when d > bound -> fail "dilation %d exceeds bound %d" d bound

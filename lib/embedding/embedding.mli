@@ -26,17 +26,19 @@ val host_size : t -> int
 
 (** {1 Metrics}
 
-    The optional [dist] argument supplies an O(1) host metric (for
-    hypercubes, X-trees with memoised rows, …); by default distances come
-    from per-source BFS, memoised across the call. *)
+    [dist] is the host's metric: [Xtree.distance] for X-trees,
+    [Hypercube.distance] for hypercubes, [Graph.distance] (a BFS per
+    query) for small general graphs. A negative distance means the two
+    images are disconnected, and every metric then raises
+    [Invalid_argument] naming the guest edge. *)
 
-val edge_dilations : ?dist:(int -> int -> int) -> t -> int array
+val edge_dilations : dist:(int -> int -> int) -> t -> int array
 (** Host distance of every guest edge, in [Bintree.edges] order. *)
 
-val dilation : ?dist:(int -> int -> int) -> t -> int
+val dilation : dist:(int -> int -> int) -> t -> int
 (** Maximum over {!edge_dilations}; 0 for a single-node guest. *)
 
-val average_dilation : ?dist:(int -> int -> int) -> t -> float
+val average_dilation : dist:(int -> int -> int) -> t -> float
 
 val loads : t -> int array
 (** Per-host-vertex multiplicities. *)
@@ -48,7 +50,13 @@ val expansion : t -> float
 val is_injective : t -> bool
 
 val congestion : t -> int
-(** Shortest-path routing congestion (BFS-tree routes, deterministic). *)
+(** Shortest-path routing congestion: every guest edge is routed along
+    the FIFO BFS tree of its source's image over sorted adjacency (the
+    parents of [Graph.bfs_parents]), and the result is the largest number
+    of routes on one host edge. Each BFS stops once the edge's other end
+    is found, so a check costs the balls around the edges, not a BFS of
+    the whole host per source. Raises [Invalid_argument] naming the first
+    guest edge whose images are disconnected. *)
 
 type report = {
   dilation : int;
@@ -59,12 +67,13 @@ type report = {
   injective : bool;
 }
 
-val report : ?dist:(int -> int -> int) -> t -> report
+val report : dist:(int -> int -> int) -> t -> report
+(** Every metric above, in one [embedding.report] span. *)
 
 val pp_report : Format.formatter -> report -> unit
 
 val verify :
-  ?dist:(int -> int -> int) ->
+  dist:(int -> int -> int) ->
   ?max_dilation:int ->
   ?max_load:int ->
   t ->

@@ -78,15 +78,7 @@ let embedding xt (e : Embedding.t) =
     Printf.sprintf "rgb(%d,%d,%d)" (channel 70) (channel 130) (channel 180)
   in
   let stretched buf =
-    let dist = Hashtbl.create 64 in
-    let d a b =
-      match Hashtbl.find_opt dist a with
-      | Some row -> (row : int array).(b)
-      | None ->
-          let row = Graph.bfs e.host a in
-          Hashtbl.replace dist a row;
-          row.(b)
-    in
+    let d = Xtree.distance xt in
     let seen = Hashtbl.create 64 in
     List.iter
       (fun (u, v) ->

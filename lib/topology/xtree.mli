@@ -73,10 +73,10 @@ val mem : t -> vertex -> bool
 (** Does this vertex id exist in [X(r)]? *)
 
 val distance : t -> vertex -> vertex -> int
-(** Exact hop distance in [X(r)]. Ancestor pairs (level difference) and
-    same-level pairs (climb–run–descend minimum) are answered in closed
-    form without touching the graph; other pairs fall back to BFS rows
-    memoised per source. *)
+(** Exact hop distance in [X(r)]: {!analytic_distance} after a range
+    check, by address arithmetic alone (no BFS, no table, no
+    allocation). Raises [Invalid_argument] if either vertex is not in
+    [X(r)]. *)
 
 val neighbourhood : t -> vertex -> vertex list
 (** The set [N(a)] of the paper's Figure 2: vertices of [X(r)] reachable
@@ -92,25 +92,30 @@ val neighbourhood_closure_bound : int
     Large X-trees make per-destination BFS tables expensive; the address
     structure supports an O(levels) alternative. The {e analytic distance}
 
-    [D(a,b) = min over meeting levels l of
+    [D(a,b) = min over meeting levels l <= min(level a, level b) of
        (level a - l) + (level b - l) + gap_l(a,b)]
 
     (where [gap_l] is the index difference of the two level-[l] ancestors)
-    is an upper bound on the true distance: climb, run horizontally, and
-    descend. Greedily stepping to any neighbour that reduces [D] strictly
-    decreases it, so routes have length at most [D(a,b)]. *)
+    is the length of a climb–run–descend path, so the true distance is at
+    most [D(a,b)]. It is also at least [D(a,b)]. Take any [a]–[b] path and
+    the smallest level [l] it visits, and project each of its vertices
+    onto that vertex's level-[l] ancestor. A vertical edge keeps
+    the projection and a horizontal edge moves it by at most 1. So the
+    path has at least [(level a - l) + (level b - l)] vertical edges and
+    at least [gap_l(a,b)] horizontal ones, which is at least [D(a,b)].
+    Greedily stepping to any neighbour that reduces [D] strictly
+    decreases it, so greedy routes are shortest paths. *)
 
 val analytic_distance : vertex -> vertex -> int
-(** The upper bound [D(a,b)], by pure address arithmetic in O(levels).
-    Never less than the true distance; the test suite and bench E17 check
-    it is in fact {e equal} to the BFS distance on every vertex pair up to
-    height 8 (~261 000 pairs), so optimal X-tree paths have the
-    climb–run–descend shape. *)
+(** The distance [D(a,b)], by pure address arithmetic in O(levels),
+    without a range check: it is the distance in any X-tree that holds
+    both vertices. The test suite compares it with BFS on every vertex
+    pair of X(1)–X(10), and bench E17 on every pair of X(3)–X(7). *)
 
 val route_next_hop : t -> src:vertex -> dst:vertex -> vertex
 (** The neighbour of [src] chosen by the greedy [D]-descent. Raises
     [Invalid_argument] if [src = dst]. *)
 
 val route : t -> src:vertex -> dst:vertex -> vertex list
-(** The full greedy route, [src] inclusive to [dst] inclusive. Length is
-    at most [analytic_distance src dst] edges. *)
+(** The full greedy route, [src] inclusive to [dst] inclusive, of
+    exactly [analytic_distance src dst] edges. *)

@@ -55,7 +55,7 @@ let test_order_layout_dilation_grows () =
   let d_at r =
     let t = Gen.complete (Theorem1.optimal_size r) in
     let res = Order_layout.embed ~order:Order_layout.Bfs t in
-    Embedding.dilation res.Order_layout.embedding
+    Embedding.dilation ~dist:(Xt_topology.Xtree.distance res.Order_layout.xt) res.Order_layout.embedding
   in
   checkb "dilation grows with r" true (d_at 6 > d_at 3)
 
@@ -73,7 +73,8 @@ let test_cbt_identity_dilation_1 () =
   List.iter
     (fun r ->
       let e = Cbt_embeddings.cbt_into_xtree r in
-      check (Printf.sprintf "r=%d" r) 1 (Embedding.dilation e);
+      let dist = Xt_topology.Xtree.distance (Xt_topology.Xtree.create ~height:r) in
+      check (Printf.sprintf "r=%d" r) 1 (Embedding.dilation ~dist e);
       checkb "injective" true (Embedding.is_injective e))
     [ 1; 3; 5 ]
 
@@ -81,7 +82,8 @@ let test_inorder_dilation_2 () =
   List.iter
     (fun r ->
       let e = Cbt_embeddings.inorder_into_hypercube r in
-      check (Printf.sprintf "r=%d" r) 2 (Embedding.dilation e);
+      let dist = Xt_topology.Hypercube.distance (Xt_topology.Hypercube.create ~dim:(r + 1)) in
+      check (Printf.sprintf "r=%d" r) 2 (Embedding.dilation ~dist e);
       checkb "injective" true (Embedding.is_injective e))
     [ 1; 3; 5; 7 ]
 

@@ -44,7 +44,7 @@ let test_result_is_valid_embedding () =
   | Some (place, d) ->
       let e = Embedding.make ~tree:guest ~host ~place in
       Alcotest.(check bool) "injective" true (Embedding.is_injective e);
-      check "dilation agrees" d (Embedding.dilation e)
+      check "dilation agrees" d (Embedding.dilation ~dist:(Graph.distance host) e)
 
 let test_matches_brute_force () =
   let rng = Xt_prelude.Rng.make ~seed:77 in

@@ -267,21 +267,36 @@ let suite =
 
 (* ---------------- analytic routing ---------------- *)
 
+(* [Xtree.distance] and [analytic_distance] equal a plain graph BFS on
+   every vertex pair of X(1)-X(10) (5.6 M pairs). *)
 let test_analytic_distance_exact () =
-  (* matches BFS on every pair for heights up to 5 (larger in bench E17) *)
-  List.iter
-    (fun h ->
-      let t = Xtree.create ~height:h in
-      let g = Xtree.graph t in
-      for a = 0 to Xtree.order t - 1 do
-        let row = Graph.bfs g a in
-        for b = 0 to Xtree.order t - 1 do
-          check
-            (Printf.sprintf "h=%d %s-%s" h (Xtree.to_string a) (Xtree.to_string b))
-            row.(b) (Xtree.analytic_distance a b)
-        done
-      done)
-    [ 1; 2; 3; 4; 5 ]
+  for h = 1 to 10 do
+    let t = Xtree.create ~height:h in
+    let g = Xtree.graph t in
+    for a = 0 to Xtree.order t - 1 do
+      let row = Graph.bfs g a in
+      for b = 0 to Xtree.order t - 1 do
+        let analytic = Xtree.analytic_distance a b and d = Xtree.distance t a b in
+        if analytic <> row.(b) || d <> row.(b) then
+          Alcotest.failf "X(%d) %s-%s: bfs %d, analytic_distance %d, distance %d" h
+            (Xtree.to_string a) (Xtree.to_string b) row.(b) analytic d
+      done
+    done
+  done
+
+(* The same check of [Xtree.distance] on X(6) alone, as a [`Quick] test,
+   so runs that skip the slow exhaustive sweep above still cover it. *)
+let test_xtree_distance_matches_bfs () =
+  let t = Xtree.create ~height:6 in
+  let g = Xtree.graph t in
+  for a = 0 to Xtree.order t - 1 do
+    let row = Graph.bfs g a in
+    for b = 0 to Xtree.order t - 1 do
+      check
+        (Printf.sprintf "%s-%s" (Xtree.to_string a) (Xtree.to_string b))
+        row.(b) (Xtree.distance t a b)
+    done
+  done
 
 let test_route_is_shortest () =
   let t = Xtree.create ~height:5 in
@@ -304,21 +319,6 @@ let test_route_is_shortest () =
     end
   done
 
-(* The closed-form fast paths inside [Xtree.distance] (ancestor pairs,
-   same-level pairs) and the memoised BFS fallback must all agree with a
-   plain graph BFS — checked on every pair of X(6). *)
-let test_xtree_distance_matches_bfs () =
-  let t = Xtree.create ~height:6 in
-  let g = Xtree.graph t in
-  for a = 0 to Xtree.order t - 1 do
-    let row = Graph.bfs g a in
-    for b = 0 to Xtree.order t - 1 do
-      check
-        (Printf.sprintf "%s-%s" (Xtree.to_string a) (Xtree.to_string b))
-        row.(b) (Xtree.distance t a b)
-    done
-  done
-
 let test_graph_edge_ids () =
   let g = Graph.of_edges ~n:5 [ (0, 1); (1, 2); (2, 3); (3, 0); (1, 3) ] in
   let m = Graph.m g in
@@ -338,37 +338,40 @@ let test_route_next_hop_validation () =
   Alcotest.check_raises "same vertex" (Invalid_argument "Xtree.route_next_hop: already there")
     (fun () -> ignore (Xtree.route_next_hop t ~src:3 ~dst:3))
 
-(* The closed-form branches of [Xtree.distance] (same-level and ancestor
-   pairs) and [analytic_distance] are the hot path of every embedding
-   metric; assert they stay allocation-free (ISSUE 4 satellite). *)
+(* [Xtree.distance] and [analytic_distance] are the hot path of every
+   embedding metric; assert they stay allocation-free on same-level,
+   ancestor and cross-level non-ancestor pairs alike. *)
 let test_distance_allocation_free () =
   let t = Xtree.create ~height:10 in
   let leaf0 = 1023 and n = 2047 in
-  (* warm up: everything below must be in closed form, but be safe *)
   ignore (Xtree.distance t leaf0 2046);
   Gc.minor ();
   let before = Gc.minor_words () in
   let total = ref 0 in
   for v = leaf0 to n - 1 do
     for _rep = 1 to 32 do
-      total := !total + Xtree.distance t leaf0 v (* same level: closed form *)
+      total := !total + Xtree.distance t leaf0 v (* same level *)
     done;
-    total := !total + Xtree.distance t 0 v (* ancestor: closed form *)
+    total := !total + Xtree.distance t 0 v (* ancestor *)
   done;
   for v = 0 to n - 1 do
+    (* 1000 is "111101001" on level 9: almost every v is on another
+       level and neither its ancestor nor its descendant *)
+    total := !total + Xtree.distance t 1000 v;
+    total := !total + Xtree.distance t v 1000;
     total := !total + Xtree.analytic_distance 1000 v
   done;
   let allocated = Gc.minor_words () -. before in
   ignore !total;
   checkb
-    (Printf.sprintf "~35k closed-form queries allocated %.0f words" allocated)
+    (Printf.sprintf "~40k distance queries allocated %.0f words" allocated)
     true (allocated < 256.)
 
 let suite =
   suite
   @ [
       ("analytic distance exact", `Slow, test_analytic_distance_exact);
-      ("xtree distance = bfs on X(6)", `Slow, test_xtree_distance_matches_bfs);
+      ("xtree distance = bfs on X(6)", `Quick, test_xtree_distance_matches_bfs);
       ("graph edge ids", `Quick, test_graph_edge_ids);
       ("greedy route is shortest", `Quick, test_route_is_shortest);
       ("route next hop validation", `Quick, test_route_next_hop_validation);
