@@ -52,54 +52,74 @@ let make_ws tree =
 
 let member ws v = ws.mark.(v) = ws.gen
 
-(* Root the piece at [r1]: set membership stamps, [par] orientation and
-   subtree [size]s. Iterative DFS on the preallocated stack — pieces can
-   be path-shaped. Allocation-free. *)
-let load ws nodes r1 =
-  ws.gen <- ws.gen + 1;
-  List.iter (fun v -> ws.mark.(v) <- ws.gen) nodes;
-  if not (member ws r1) then invalid_arg "Separator: designated node not in piece";
+let rec stamp a g = function
+  | [] -> ()
+  | v :: rest ->
+      a.(v) <- g;
+      stamp a g rest
+
+(* Push [w], a tree neighbour of [v], when it is in the loaded set —
+   the nodes [set] maps to [key] — and not yet visited: stamp it a
+   member, orient it below [v], give it size 1; returns the new stack
+   height. Top-level, so the walk allocates nothing. *)
+let load_visit ws (set : int array) key v w sp =
+  if w >= 0 && set.(w) = key && ws.vis.(w) <> ws.visgen then begin
+    ws.vis.(w) <- ws.visgen;
+    ws.mark.(w) <- ws.gen;
+    ws.par.(w) <- v;
+    ws.size.(w) <- 1;
+    ws.stack.(sp) <- w;
+    sp + 1
+  end
+  else sp
+
+(* Root the piece at [r1]: one DFS from [r1] over the nodes [set] maps
+   to [key], which stamps membership and sets the [par] orientation,
+   then subtree [size]s. Iterative on the preallocated stack — pieces
+   can be path-shaped. Allocation-free. *)
+let load ws ~set ~key r1 =
   ws.visgen <- ws.visgen + 1;
-  ws.par.(r1) <- -1;
   ws.vis.(r1) <- ws.visgen;
+  ws.mark.(r1) <- ws.gen;
+  ws.par.(r1) <- -1;
+  ws.size.(r1) <- 1;
   ws.stack.(0) <- r1;
-  let sp = ref 1 in
-  ws.ordn <- 0;
-  (* one closure for the whole walk — a per-node [iter_neighbours] thunk
-     would put ~6 words/node on the minor heap *)
-  let push v w =
-    if member ws w && ws.vis.(w) <> ws.visgen then begin
-      ws.vis.(w) <- ws.visgen;
-      ws.par.(w) <- v;
-      ws.stack.(!sp) <- w;
-      incr sp
-    end
-  in
+  let t = ws.tree in
+  let sp = ref 1 and n = ref 0 in
   while !sp > 0 do
     decr sp;
     let v = ws.stack.(!sp) in
-    ws.ord.(ws.ordn) <- v;
-    ws.ordn <- ws.ordn + 1;
+    ws.ord.(!n) <- v;
+    incr n;
     (* same neighbour order as [Bintree.iter_neighbours]: parent, left,
        right — the preorder, and so every placement, depends on it *)
-    let p = Bintree.parent_id ws.tree v in
-    if p >= 0 then push v p;
-    let l = Bintree.left_id ws.tree v in
-    if l >= 0 then push v l;
-    let r = Bintree.right_id ws.tree v in
-    if r >= 0 then push v r
+    sp :=
+      load_visit ws set key v (Bintree.right_id t v)
+        (load_visit ws set key v (Bintree.left_id t v)
+           (load_visit ws set key v (Bintree.parent_id t v) !sp))
   done;
-  (* sizes bottom-up: walk the preorder backwards *)
-  for k = 0 to ws.ordn - 1 do
-    ws.size.(ws.ord.(k)) <- 1
-  done;
-  for k = ws.ordn - 1 downto 0 do
+  ws.ordn <- !n;
+  (* sizes bottom-up: walk the preorder backwards down to r1's children *)
+  for k = !n - 1 downto 1 do
     let v = ws.ord.(k) in
-    if v <> r1 then ws.size.(ws.par.(v)) <- ws.size.(ws.par.(v)) + ws.size.(v)
+    let p = ws.par.(v) in
+    ws.size.(p) <- ws.size.(p) + ws.size.(v)
   done;
-  ws.ordn
+  !n
 
-let prepare ws piece = load ws piece.nodes piece.r1
+(* The piece's members are its listed nodes, or — given [place] — the
+   unplaced component of [r1], which the piece's nodes are when it is a
+   maximal unplaced set: the load then never reads the list. *)
+let prepare ws ?place piece =
+  ws.gen <- ws.gen + 1;
+  match place with
+  | Some place ->
+      if place.(piece.r1) >= 0 then invalid_arg "Separator: designated node not in piece";
+      load ws ~set:place ~key:(-1) piece.r1
+  | None ->
+      stamp ws.mark ws.gen piece.nodes;
+      if not (member ws piece.r1) then invalid_arg "Separator: designated node not in piece";
+      load ws ~set:ws.mark ~key:ws.gen piece.r1
 
 (* Exclusion bookkeeping: effective size of T(v) once some subtrees have
    been carved out. [exclude] walks the root path adding the carved size. *)
@@ -195,23 +215,31 @@ let in_subtree ws ~root v =
 
 let uniq xs = List.sort_uniq compare xs
 
-(* Assemble a split from the laid-out sets and the side-2 node collection.
-   side2 is given stamped via [anc] marking by the caller. *)
-let assemble ws nodes ~s1 ~s2 ~side2_nodes =
+type cut = { lay1 : int list; lay2 : int list; carved : int list; swapped : bool }
+
+(* A carve's result: the laid-out sets, and the carved part — side 2 —
+   stamped in [anc] so that the rest of the piece, side 1, is the piece
+   minus one array read per node, never a filtered copy. *)
+let cut ws ~s1 ~s2 ~side2_nodes =
   ws.ancgen <- ws.ancgen + 1;
-  List.iter (fun v -> ws.anc.(v) <- ws.ancgen) side2_nodes;
-  let in2 v = ws.anc.(v) = ws.ancgen in
-  let s1 = uniq s1 and s2 = uniq s2 in
-  let t1 = List.filter (fun v -> (not (in2 v)) && not (List.mem v s1)) nodes in
-  let t2 = List.filter (fun v -> in2 v && not (List.mem v s2)) side2_nodes in
-  { s1; t1; s2; t2 }
+  stamp ws.anc ws.ancgen side2_nodes;
+  { lay1 = uniq s1; lay2 = uniq s2; carved = side2_nodes; swapped = false }
 
-let move_all piece =
-  let s2 = uniq (piece.r1 :: Option.to_list piece.r2) in
-  let t2 = List.filter (fun v -> not (List.mem v s2)) piece.nodes in
-  { s1 = []; t1 = []; s2; t2 }
+let swap c = { c with lay1 = c.lay2; lay2 = c.lay1; swapped = not c.swapped }
 
-let swap_sides sp = { s1 = sp.s2; t1 = sp.t2; s2 = sp.s1; t2 = sp.t1 }
+(* Carving nothing keeps the piece on side 1; moving it all is the swap. *)
+let move_all ws piece =
+  swap (cut ws ~s1:(piece.r1 :: Option.to_list piece.r2) ~s2:[] ~side2_nodes:[])
+
+let in_carved ws v = ws.anc.(v) = ws.ancgen
+
+(* The lists of the split a cut describes: the carved part in its own
+   order, the rest in the piece's. *)
+let split_of ws piece c =
+  let carved s = List.filter (fun v -> not (List.mem v s)) c.carved in
+  let rest s = List.filter (fun v -> not (in_carved ws v || List.mem v s)) piece.nodes in
+  if c.swapped then { s1 = c.lay1; t1 = carved c.lay1; s2 = c.lay2; t2 = rest c.lay2 }
+  else { s1 = c.lay1; t1 = rest c.lay1; s2 = c.lay2; t2 = carved c.lay2 }
 
 (* ------------------------------------------------------------------ *)
 (* Lemma 1                                                             *)
@@ -226,31 +254,18 @@ let carve1 ws piece ~target =
   if u = r1 then
     (* No descent possible: piece is a single node or all children empty;
        degenerate, move everything. *)
-    move_all piece
+    move_all ws piece
   else begin
     let z = ws.par.(u) in
     let side2 = subtree_nodes ws u in
     match r2 with
     | Some r2 when in_subtree ws ~root:u r2 ->
-        assemble ws piece.nodes ~s1:[ r1; z ] ~s2:[ u; r2 ] ~side2_nodes:side2
+        cut ws ~s1:[ r1; z ] ~s2:[ u; r2 ] ~side2_nodes:side2
     | Some r2 ->
         let y = lca ws u r2 in
-        assemble ws piece.nodes ~s1:[ r1; r2; z; y ] ~s2:[ u ] ~side2_nodes:side2
-    | None -> assemble ws piece.nodes ~s1:[ r1; z ] ~s2:[ u ] ~side2_nodes:side2
+        cut ws ~s1:[ r1; r2; z; y ] ~s2:[ u ] ~side2_nodes:side2
+    | None -> cut ws ~s1:[ r1; z ] ~s2:[ u ] ~side2_nodes:side2
   end
-
-let lemma1 ws piece ~target =
-  if target <= 0 then invalid_arg "Separator.lemma1: target must be positive";
-  let n = load ws piece.nodes piece.r1 in
-  (match piece.r2 with
-  | Some r2 when not (member ws r2) -> invalid_arg "Separator.lemma1: r2 not in piece"
-  | _ -> ());
-  if target >= n then move_all piece
-  else if 3 * n > 4 * target then carve1 ws piece ~target
-  else
-    (* Precondition violated (target >= 3n/4): carve the complement and
-       swap sides afterwards. *)
-    swap_sides (carve1 ws piece ~target:(n - target))
 
 (* ------------------------------------------------------------------ *)
 (* Lemma 2                                                             *)
@@ -320,23 +335,23 @@ let carve2 ws piece ~target =
     (* Case 1: both designated nodes stay in S1; carve inside T(r2). *)
     match two_stage_carve ws ~from_:r2 ~target with
     | Some (s1x, s2, side2) ->
-        assemble ws piece.nodes ~s1:(r1 :: r2 :: s1x) ~s2 ~side2_nodes:side2
-    | None -> move_all piece
+        cut ws ~s1:(r1 :: r2 :: s1x) ~s2 ~side2_nodes:side2
+    | None -> move_all ws piece
   end
   else if ws.size.(v) < target then begin
     (* Case 2: T(v) (containing r2) moves entirely; top up from T(x,v). *)
     let x = ws.par.(v) in
-    if x < 0 then move_all piece
+    if x < 0 then move_all ws piece
     else begin
       let a2 = target - ws.size.(v) in
       let side2v = subtree_nodes ws v in
       exclude ws v;
       match two_stage_carve ws ~from_:x ~target:a2 with
       | Some (s1x, s2x, side2c) ->
-          assemble ws piece.nodes ~s1:(r1 :: x :: s1x) ~s2:(r2 :: v :: s2x)
+          cut ws ~s1:(r1 :: x :: s1x) ~s2:(r2 :: v :: s2x)
             ~side2_nodes:(side2v @ side2c)
       | None ->
-          assemble ws piece.nodes ~s1:[ r1; x ] ~s2:[ r2; v ] ~side2_nodes:side2v
+          cut ws ~s1:[ r1; x ] ~s2:[ r2; v ] ~side2_nodes:side2v
     end
   end
   else begin
@@ -344,15 +359,15 @@ let carve2 ws piece ~target =
        with Lemma 1 (designated v and r2); the carved part stays on
        side 1, the rest of T(v) moves. *)
     let x = ws.par.(v) in
-    if x < 0 then move_all piece
+    if x < 0 then move_all ws piece
     else begin
       let a' = ws.size.(v) - target in
       if a' = 0 then
-        assemble ws piece.nodes ~s1:[ r1; x ] ~s2:[ r2; v ] ~side2_nodes:(subtree_nodes ws v)
+        cut ws ~s1:[ r1; x ] ~s2:[ r2; v ] ~side2_nodes:(subtree_nodes ws v)
       else begin
         let u' = find1 ws v ~target:a' in
         if u' = v then
-          assemble ws piece.nodes ~s1:[ r1; x ] ~s2:[ r2; v ]
+          cut ws ~s1:[ r1; x ] ~s2:[ r2; v ]
             ~side2_nodes:(subtree_nodes ws v)
         else begin
           let z' = ws.par.(u') in
@@ -361,11 +376,11 @@ let carve2 ws piece ~target =
           let side2 = subtree_nodes ws v in
           if in_subtree ws ~root:u' r2 then
             (* r2 is inside the carved part: it stays on side 1 *)
-            assemble ws piece.nodes ~s1:(r1 :: x :: [ u'; r2 ]) ~s2:[ v; z' ]
+            cut ws ~s1:(r1 :: x :: [ u'; r2 ]) ~s2:[ v; z' ]
               ~side2_nodes:side2
           else begin
             let y' = lca ws u' r2 in
-            assemble ws piece.nodes ~s1:[ r1; x; u' ] ~s2:[ v; z'; r2; y' ]
+            cut ws ~s1:[ r1; x; u' ] ~s2:[ v; z'; r2; y' ]
               ~side2_nodes:side2
           end
         end
@@ -373,15 +388,27 @@ let carve2 ws piece ~target =
     end
   end
 
-let lemma2 ws piece ~target =
-  if target <= 0 then invalid_arg "Separator.lemma2: target must be positive";
-  let n = load ws piece.nodes piece.r1 in
+(* Both lemmas: side 2 aims at [target]. Under the carves'
+   precondition ([3n > 4 target]) carve directly; past it, carve the
+   complement and swap sides; from [target >= n] on, move the piece. *)
+let lemma ~name carve ws ?place piece ~target =
+  if target <= 0 then invalid_arg (name ^ ": target must be positive");
+  let n = prepare ws ?place piece in
   (match piece.r2 with
-  | Some r2 when not (member ws r2) -> invalid_arg "Separator.lemma2: r2 not in piece"
+  | Some r2 when not (member ws r2) -> invalid_arg (name ^ ": r2 not in piece")
   | _ -> ());
-  if target >= n then move_all piece
-  else if 3 * n > 4 * target then carve2 ws piece ~target
-  else swap_sides (carve2 ws piece ~target:(n - target))
+  if target >= n then move_all ws piece
+  else if 3 * n > 4 * target then carve ws piece ~target
+  else swap (carve ws piece ~target:(n - target))
+
+let cut1 ws ~place piece ~target = lemma ~name:"Separator.lemma1" carve1 ws ~place piece ~target
+let cut2 ws ~place piece ~target = lemma ~name:"Separator.lemma2" carve2 ws ~place piece ~target
+
+let lemma1 ws piece ~target =
+  split_of ws piece (lemma ~name:"Separator.lemma1" carve1 ws piece ~target)
+
+let lemma2 ws piece ~target =
+  split_of ws piece (lemma ~name:"Separator.lemma2" carve2 ws piece ~target)
 
 (* ------------------------------------------------------------------ *)
 (* Components and verification                                         *)
@@ -396,12 +423,6 @@ type component = {
   start : int;
   top : int;
 }
-
-let rec stamp a g = function
-  | [] -> ()
-  | v :: rest ->
-      a.(v) <- g;
-      stamp a g rest
 
 (* Push [w] when it is in the walked set — the nodes [set] maps to
    [key] — and not yet visited; returns the new stack height. *)
@@ -443,28 +464,34 @@ let grow ws ~(set : int array) ~key ~place ~bounds v =
   let bounds = match !acc with ([] | [ _ ]) as b -> b | b -> List.rev b in
   { members = !members; count = !count; bounds; start = v; top = !top }
 
-(* Components in reverse order of discovery; a component is discovered
-   at the first occurrence of one of its nodes in [nodes]. Removed nodes
-   are stamped out of the set, so skipping them gives exactly the order
-   a filtered copy of [nodes] would. *)
-let walk ws ~place ~bounds ~nodes ~removed =
-  ws.gen <- ws.gen + 1;
-  stamp ws.mark ws.gen nodes;
-  stamp ws.mark (ws.gen - 1) removed;
+(* Components of the walked set in reverse order of discovery; a
+   component is discovered at the first occurrence of one of its nodes
+   in [nodes], unless that node's anc stamp is [skip] (every stamp is a
+   positive generation, so -1 skips nothing). *)
+let walk ws ~set ~key ~skip ~place ~bounds nodes =
   ws.visgen <- ws.visgen + 1;
   let rec scan acc = function
     | [] -> acc
     | v :: rest ->
-        if member ws v && ws.vis.(v) <> ws.visgen then
-          scan (grow ws ~set:ws.mark ~key:ws.gen ~place ~bounds v :: acc) rest
+        if set.(v) = key && ws.vis.(v) <> ws.visgen && ws.anc.(v) <> skip then
+          scan (grow ws ~set ~key ~place ~bounds v :: acc) rest
         else scan acc rest
   in
   scan [] nodes
 
+(* Removed nodes are stamped out of the set, so skipping them gives
+   exactly the order a filtered copy of [nodes] would. *)
 let components ws ~nodes ~removed =
-  List.map (fun c -> c.members) (walk ws ~place:[||] ~bounds:false ~nodes ~removed)
+  ws.gen <- ws.gen + 1;
+  stamp ws.mark ws.gen nodes;
+  stamp ws.mark (ws.gen - 1) removed;
+  List.map
+    (fun c -> c.members)
+    (walk ws ~set:ws.mark ~key:ws.gen ~skip:(-1) ~place:[||] ~bounds:false nodes)
 
-let components_with_bounds ws ~place ~nodes ~removed = walk ws ~place ~bounds:true ~nodes ~removed
+let unplaced_components ws ~place ?outside nodes =
+  let skip = match outside with Some _ -> ws.ancgen | None -> -1 in
+  walk ws ~set:place ~key:(-1) ~skip ~place ~bounds:true nodes
 
 (* The unplaced nodes are the ones [place] maps to -1. *)
 let component_at ws ~place v =

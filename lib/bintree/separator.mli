@@ -47,17 +47,44 @@ type ws
 
 val make_ws : Bintree.t -> ws
 
-val prepare : ws -> piece -> int
+val prepare : ws -> ?place:int array -> piece -> int
 (** Load a piece into the workspace (membership, orientation, subtree
-    sizes) and return its node count. Called internally by both lemmas;
-    exposed because it is their O(n) hot path and is guaranteed
-    allocation-free, which the test suite pins with a [Gc.minor_words]
-    guard. *)
+    sizes) and return its node count: one DFS from [r1] over [nodes], or,
+    given [place] (guest node -> host vertex, negative when unplaced),
+    over the unplaced nodes — the piece must then be the unplaced
+    component of [r1] (a maximal unplaced set), and its [nodes] are not
+    read. Called internally by both lemmas; exposed because it is their
+    O(n) hot path and is guaranteed allocation-free, which the test
+    suite pins with a [Gc.minor_words] guard. *)
+
+type cut = private {
+  lay1 : int list;  (** [s1], sorted. *)
+  lay2 : int list;  (** [s2], sorted. *)
+  carved : int list;
+      (** The part the lemma's carve cut off, subtree by subtree: side 2,
+          or side 1 when [swapped]. Its membership stays stamped in the
+          workspace until the workspace's next lemma call; the rest of
+          the piece is the other side. *)
+  swapped : bool;
+      (** The carved part is side 1: the lemma carved the complement of
+          side 2 ([3n <= 4 target]), or moves the whole piece
+          ([target >= n]), which carves nothing. *)
+}
+(** A split without its node lists: side [i] is [lay_i] plus [t_i]. *)
+
+val cut1 : ws -> place:int array -> piece -> target:int -> cut
+(** {!lemma1} of a maximal unplaced piece, as a cut: the piece is loaded
+    from [place] ({!prepare}), and its [nodes] are not read. *)
+
+val cut2 : ws -> place:int array -> piece -> target:int -> cut
+(** {!lemma2} of a maximal unplaced piece, as a cut. *)
 
 val lemma1 : ws -> piece -> target:int -> split
 (** Lemma 1 split with side 2 aiming at [target] nodes. Raises
     [Invalid_argument] if [target <= 0] or a designated node is missing
-    from [nodes]. If [target >= |piece|] the whole piece becomes side 2. *)
+    from [nodes]. If [target >= |piece|] the whole piece becomes side 2.
+    The carved side's [t] list keeps the order of the cut's [carved], the
+    other side's the order of [nodes]. *)
 
 val lemma2 : ws -> piece -> target:int -> split
 (** Lemma 2 split: same contract, tighter size error, both laid-out sets
@@ -83,18 +110,21 @@ type component = {
   top : int;               (** The member whose tree parent is outside the set. *)
 }
 
-val components_with_bounds :
-  ws -> place:int array -> nodes:int list -> removed:int list -> component list
-(** {!components} with each component's size and its boundaries against
-    [place] (guest node -> host vertex, negative when unplaced), collected
-    in the same walk. Used to re-form pieces after nodes have been laid. *)
+val unplaced_components :
+  ws -> place:int array -> ?outside:cut -> int list -> component list
+(** For each unplaced node of the list that no earlier component holds,
+    in list order, its unplaced component ({!component_at}); returned in
+    reverse order of discovery. Given [outside], the workspace's last
+    cut, the nodes of its carved part start no component. This is
+    {!components} of the unplaced nodes with sizes and boundaries, as
+    long as every unplaced component it meets lies inside the list: after
+    a cut's [lay1] and [lay2] are placed, each side of a maximal piece is
+    such a list. Used to re-form pieces after nodes have been laid. *)
 
 val component_at : ws -> place:int array -> int -> component
 (** [component_at ws ~place v] is the connected set of unplaced nodes
     (those [place] maps to [-1]) that contains [v], walked by the same
-    DFS from [v]:
-    the component {!components_with_bounds} gives for [v]'s set when [v]
-    is its first node in [nodes]. Allocates only its output. *)
+    DFS from [v]. Allocates only its output. *)
 
 val first_bound : ws -> place:int array -> int -> int * int
 (** [first_bound ws ~place v] runs that DFS from [v] only until it pops

@@ -46,9 +46,12 @@ let run st ~round:i ~a =
         in
         match smallest_big with
         | Some piece when !budget_donor >= 4 && !budget_recv >= 4 ->
-            let sp = Separator.lemma2 st.State.ws (State.separator_piece piece) ~target:!remaining in
+            let cut =
+              Separator.cut2 st.State.ws ~place:st.State.place (State.separator_piece piece)
+                ~target:!remaining
+            in
             State.detach st ~vertex:donor_leaf piece;
-            Moves.apply_split st ~max_level:i ~floor_level:(i - 1) sp ~dest1:donor_new
+            Moves.apply_split st ~max_level:i ~floor_level:(i - 1) piece cut ~dest1:donor_new
               ~dest2:receiver_new;
             Obs.incr c_splits;
             Obs.add c_nodes !remaining;
@@ -56,9 +59,12 @@ let run st ~round:i ~a =
         | Some piece
           when !budget_donor >= 4 && !budget_recv >= 2 && 3 * piece.State.size > 4 * !remaining ->
             (* Lemma 1 lays at most 2 nodes on the receiver side. *)
-            let sp = Separator.lemma1 st.State.ws (State.separator_piece piece) ~target:!remaining in
+            let cut =
+              Separator.cut1 st.State.ws ~place:st.State.place (State.separator_piece piece)
+                ~target:!remaining
+            in
             State.detach st ~vertex:donor_leaf piece;
-            Moves.apply_split st ~max_level:i ~floor_level:(i - 1) sp ~dest1:donor_new
+            Moves.apply_split st ~max_level:i ~floor_level:(i - 1) piece cut ~dest1:donor_new
               ~dest2:receiver_new;
             Obs.incr c_splits;
             Obs.add c_nodes !remaining;

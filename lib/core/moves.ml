@@ -11,7 +11,9 @@ let clamp_vertex st ~floor_level v =
   in
   down v
 
-let reattach st ~floor_level ~fallback ?(removed = []) nodes =
+(* Attach each piece at its first boundary's anchor, clamped to the
+   floor level, or at [fallback] when it has no boundary. *)
+let attach_near st ~floor_level ~fallback pieces =
   List.iter
     (fun (piece : State.piece) ->
       let vertex =
@@ -20,18 +22,26 @@ let reattach st ~floor_level ~fallback ?(removed = []) nodes =
         | [] -> fallback
       in
       State.attach st ~vertex piece)
-    (State.reform st ~nodes ~removed)
+    pieces
 
-let reattach_to st ~vertex ?(removed = []) nodes =
-  List.iter (State.attach st ~vertex) (State.reform st ~nodes ~removed)
+let reattach st ~floor_level ~fallback nodes =
+  attach_near st ~floor_level ~fallback (State.reform st nodes)
 
-let apply_split st ~max_level ~floor_level (sp : Separator.split) ~dest1 ~dest2 =
-  List.iter (fun v -> State.lay st ~max_level ~node:v ~vertex:dest1) sp.s1;
-  List.iter (fun v -> State.lay st ~max_level ~node:v ~vertex:dest2) sp.s2;
-  reattach st ~floor_level ~fallback:dest1 sp.t1;
-  reattach st ~floor_level ~fallback:dest2 sp.t2
+let reattach_to st ~vertex nodes = List.iter (State.attach st ~vertex) (State.reform st nodes)
+
+(* Once [lay1] and [lay2] are placed, each side's unplaced components lie
+   inside it: only laid nodes join the sides, and the piece was maximal.
+   So the carved side re-forms along its own list, the rest along the
+   piece's nodes minus the carved part, side 1 first. *)
+let apply_split st ~max_level ~floor_level (piece : State.piece) (c : Separator.cut) ~dest1 ~dest2 =
+  List.iter (fun v -> State.lay st ~max_level ~node:v ~vertex:dest1) c.lay1;
+  List.iter (fun v -> State.lay st ~max_level ~node:v ~vertex:dest2) c.lay2;
+  let carved () = State.reform st c.carved and rest () = State.reform st ~outside:c piece.nodes in
+  let side1, side2 = if c.swapped then (carved, rest) else (rest, carved) in
+  attach_near st ~floor_level ~fallback:dest1 (side1 ());
+  attach_near st ~floor_level ~fallback:dest2 (side2 ())
 
 let move_whole st ~max_level ~floor_level (piece : State.piece) ~dest =
   let designated = List.sort_uniq compare (List.map (fun b -> b.State.bnode) piece.bounds) in
   List.iter (fun v -> State.lay st ~max_level ~node:v ~vertex:dest) designated;
-  reattach st ~floor_level ~fallback:dest ~removed:designated piece.nodes
+  reattach st ~floor_level ~fallback:dest piece.nodes

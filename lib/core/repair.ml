@@ -19,7 +19,7 @@ type report = {
    fix for a new dilation violation); short distances break ties. *)
 let edge_cost xt dist a b =
   let upper, lower = if Xtree.level a <= Xtree.level b then (a, b) else (b, a) in
-  let in_n = List.mem lower (Xtree.neighbourhood xt upper) in
+  let in_n = Xtree.in_neighbourhood xt upper lower in
   let d = dist a b in
   (if in_n then 0 else 100) + (if d > 3 then 60 * (d - 3) else 0) + d
 
@@ -41,7 +41,7 @@ let improve ?(max_rounds = 8) xt (e : Embedding.t) =
       (fun (u, v) ->
         let a = place.(u) and b = place.(v) in
         let upper, lower = if Xtree.level a <= Xtree.level b then (a, b) else (b, a) in
-        if not (List.mem lower (Xtree.neighbourhood xt upper)) then incr count)
+        if not (Xtree.in_neighbourhood xt upper lower) then incr count)
       (Bintree.edges e.tree);
     !count
   in
@@ -92,7 +92,7 @@ let improve ?(max_rounds = 8) xt (e : Embedding.t) =
             let (upper, upper_node), (lower, lower_node) =
               if Xtree.level a <= Xtree.level b then ((a, u), (b, v)) else ((b, v), (a, u))
             in
-            if not (List.mem lower (Xtree.neighbourhood xt upper)) then begin
+            if not (Xtree.in_neighbourhood xt upper lower) then begin
               (* move the lower node next to the upper image, or failing
                  that the upper node next to the lower image *)
               if try_fix lower_node upper then changed := true

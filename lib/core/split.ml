@@ -262,7 +262,7 @@ let run ?(options = Options.default) ?outer_weight st ~round:i ~alpha =
         if to_lay = [] then State.attach st ~vertex:child p
         else begin
           List.iter (fun v -> State.lay st ~max_level:i ~node:v ~vertex:child) to_lay;
-          Moves.reattach_to st ~vertex:child ~removed:to_lay p.State.nodes
+          Moves.reattach_to st ~vertex:child p.State.nodes
         end)
       pieces
   in
@@ -290,9 +290,11 @@ let run ?(options = Options.default) ?outer_weight st ~round:i ~alpha =
           in
           let target = min delta (piece_size piece) in
           if target > 0 then begin
-            let sp = Separator.lemma2 st.State.ws (State.separator_piece piece) ~target in
+            let cut =
+              Separator.cut2 st.State.ws ~place:st.State.place (State.separator_piece piece) ~target
+            in
             State.detach st ~vertex:heavy piece;
-            Moves.apply_split st ~max_level:i ~floor_level:i sp ~dest1:heavy ~dest2:light;
+            Moves.apply_split st ~max_level:i ~floor_level:i piece cut ~dest1:heavy ~dest2:light;
             Obs.incr c_balance
           end
       end

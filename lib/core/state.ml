@@ -224,14 +224,14 @@ let first_bound st v =
 
 (* Ids are drawn in list order, as [make_piece] over each component
    would draw them. *)
-let reform st ~nodes ~removed =
+let reform st ?outside nodes =
   let rec wrap = function
     | [] -> []
     | c :: rest ->
         let p = piece_of st c in
         p :: wrap rest
   in
-  wrap (Separator.components_with_bounds st.ws ~place:st.place ~nodes ~removed)
+  wrap (Separator.unplaced_components st.ws ~place:st.place ?outside nodes)
 
 let pieces_at st v = st.attached.(v)
 

@@ -83,11 +83,17 @@ val make_piece : t -> int list -> piece
     current placement; [start] is the last node, [top] the one first in
     preorder. *)
 
-val reform : t -> nodes:int list -> removed:int list -> piece list
-(** The connected components of [nodes] minus [removed], wrapped as
-    pieces in one walk: exactly
+val reform : t -> ?outside:Xt_bintree.Separator.cut -> int list -> piece list
+(** The unplaced components that the unplaced nodes of the list meet,
+    wrapped as pieces in one walk over [place]
+    ({!Xt_bintree.Separator.unplaced_components}); given [outside], the
+    last cut made in the state's workspace, the nodes of its carved part
+    start none. Precondition: every unplaced component the walk meets
+    lies inside the list (minus that carved part) — as when the list is
+    the rest of a maximal piece after nodes of it were laid, for every
+    neighbour of such a piece outside it is placed. Then it is exactly
     [List.map (make_piece st) (Separator.components st.ws ~nodes:kept ~removed:[])]
-    with [kept] the nodes not in [removed] — the same pieces in the same
+    with [kept] the list's unplaced nodes — the same pieces in the same
     order, node order, sizes, boundary order, ids and [wide_pieces]
     count — without the filtered copy or the second boundary scan.
     Counts the nodes walked in [state.reform_nodes]. *)

@@ -136,7 +136,7 @@ let embed_uncached ?(capacity = 16) ?height ?(record_trace = false) ?(options = 
   (* Round 0: the initial subtree D0 at the root. *)
   let d0 = bfs_prefix tree (min capacity n) in
   List.iter (fun node -> State.lay st ~max_level:0 ~node ~vertex:Xtree.root) d0;
-  Moves.reattach st ~floor_level:0 ~fallback:Xtree.root ~removed:d0 (List.init n Fun.id);
+  Moves.reattach st ~floor_level:0 ~fallback:Xtree.root (List.init n Fun.id);
   (* Rounds 1..r. *)
   let rows = ref [] and spread_rows = ref [] in
   for i = 1 to height do

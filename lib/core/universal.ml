@@ -1,3 +1,4 @@
+open Xt_obs
 open Xt_topology
 open Xt_bintree
 open Xt_embedding
@@ -9,6 +10,7 @@ let degree_bound = 415
 let slot_vertex_raw slots a mu = (a * slots) + mu
 
 let create ?(slots = 16) height =
+  Obs.span ~arg:height "universal.create" @@ fun () ->
   let xt = Xtree.create ~height in
   let order = Xtree.order xt in
   let edges = ref [] in

@@ -131,6 +131,18 @@ let neighbourhood t a =
 
 let neighbourhood_closure_bound = 20
 
+(* Membership in N(a) by the same windows, clipped by [b] being a vertex. *)
+let in_neighbourhood t a b =
+  if not (mem t a) then invalid_arg "Xtree.in_neighbourhood";
+  mem t b
+  &&
+  let ka = index a and kb = index b in
+  match level b - level a with
+  | 0 -> abs (kb - ka) <= 3
+  | 1 -> (2 * ka) - 2 <= kb && kb <= (2 * ka) + 3
+  | 2 -> (4 * ka) - 2 <= kb && kb <= (4 * ka) + 5
+  | _ -> false
+
 (* ------------------------------------------------------------------ *)
 (* Table-free routing                                                  *)
 (* ------------------------------------------------------------------ *)

@@ -87,6 +87,12 @@ val neighbourhood : t -> vertex -> vertex list
 val neighbourhood_closure_bound : int
 (** 20 — the paper's bound on [|N(a) - {a}|]. *)
 
+val in_neighbourhood : t -> vertex -> vertex -> bool
+(** [in_neighbourhood t a b] is [List.mem b (neighbourhood t a)] in O(1),
+    by address arithmetic: [b] lies 0, 1 or 2 levels below [a], at an
+    index in [[k-3, k+3]], [[2k-2, 2k+3]] or [[4k-2, 4k+5]] for [a]'s
+    index [k]. Raises [Invalid_argument] if [a] is not in [X(r)]. *)
+
 (** {1 Table-free routing}
 
     Large X-trees make per-destination BFS tables expensive; the address

@@ -10,7 +10,7 @@ DOCS="$1"
 shift
 
 # Every subsystem prefix the sources emit (lib/ and the CLI's guest span).
-PREFIXES='obs|parallel|state|cache|netsim|congestion|serve|loadgen|adjust|split|theorem1|theorem3|repair|embedding|conditions|guest'
+PREFIXES='obs|parallel|state|cache|netsim|congestion|serve|loadgen|adjust|split|theorem1|theorem3|repair|embedding|conditions|guest|universal'
 
 names_in_docs() {
   grep -ohE "\\b($PREFIXES)(\\.[a-z_0-9-]+)+\\b" "$DOCS" \

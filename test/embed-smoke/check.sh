@@ -13,3 +13,6 @@ grep -q '^guard PASS$' guard.out
 
 # SPLIT's fill re-forms at most 20 guest nodes per node it lays
 grep -q '^reform guard PASS$' guard.out
+
+# a Theorem 1 embed allocates at most 106 minor words per guest node
+grep -q '^alloc guard PASS$' guard.out

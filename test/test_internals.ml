@@ -111,20 +111,25 @@ let test_split_respects_capacity () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "invariants: %s" e
 
-let test_reattach_components_by_anchor () =
+(* The complete 31-node guest with its root at X-tree vertex 1 and the
+   root's grandchildren laid beside it: the root's children, nodes 1 and
+   2, are then two maximal unplaced sets of one node each. *)
+let two_singletons () =
   let tree = Gen.complete 31 in
   let st = State.create ~tree ~height:2 ~capacity:16 in
-  (* lay the root at X-tree vertex 1 so components anchor there *)
-  State.lay st ~max_level:1 ~node:0 ~vertex:1;
-  (* nodes 1,2 are the root's children: two separate components *)
+  List.iter (fun v -> State.lay st ~max_level:1 ~node:v ~vertex:1) [ 0; 3; 4; 5; 6 ];
+  st
+
+let test_reattach_components_by_anchor () =
+  let st = two_singletons () in
+  (* nodes 1,2 are the root's children: two separate components, both
+     anchored at vertex 1 *)
   Moves.reattach st ~floor_level:1 ~fallback:2 [ 1; 2 ];
   check "two pieces at anchor" 2 (List.length (State.pieces_at st 1));
   check "none at fallback" 0 (List.length (State.pieces_at st 2))
 
 let test_reattach_to_explicit_vertex () =
-  let tree = Gen.complete 31 in
-  let st = State.create ~tree ~height:2 ~capacity:16 in
-  State.lay st ~max_level:1 ~node:0 ~vertex:1;
+  let st = two_singletons () in
   Moves.reattach_to st ~vertex:2 [ 1; 2 ];
   check "both pieces at explicit vertex" 2 (List.length (State.pieces_at st 2));
   check "weight follows" 2 (State.weight_of st 2)
@@ -147,8 +152,10 @@ let test_move_whole_lays_designated () =
    filtered copy, [Separator.components], then [State.make_piece] per
    component — down to piece order, node order, sizes, boundary order,
    piece ids and the [wide_pieces] count. Cases: a random tree, a random
-   connected node set in random order, random placements around it, and
-   0-4 removed set nodes laid as a caller lays them before re-forming. *)
+   connected node set in random order with every neighbour outside it
+   placed (the maximal unplaced set [State.reform] requires), random
+   placements further out, and 0-4 set nodes laid as a caller lays
+   them before re-forming. *)
 type reform_case = { fam : string; n : int; seed : int; removed_count : int }
 
 let print_reform_case c = Printf.sprintf "%s(%d) seed=%d removed=%d" c.fam c.n c.seed c.removed_count
@@ -161,19 +168,16 @@ let reform_case_gen =
     let* removed_count = int_range 0 4 in
     return { fam; n; seed; removed_count })
 
-(* Everything derives from the case seed, so two calls build identical
-   states: one for each side of the comparison. *)
-let reform_scenario c =
+(* A random connected set of 1 to [max_k] nodes, grown from a random
+   node one random frontier pick at a time: its membership, and its
+   nodes in random order. *)
+let random_connected_set rng tree ~max_k =
   let open Xt_prelude in
-  let rng = Rng.make ~seed:c.seed in
-  let tree = (Gen.family c.fam).generate (Rng.split rng) c.n in
   let n = Bintree.n tree in
-  (* grow a connected set from a random node, one random frontier pick
-     at a time *)
   let inset = Array.make n false in
   let pool = Array.make ((3 * n) + 1) 0 and m = ref 1 in
   pool.(0) <- Rng.int rng n;
-  let k = Rng.int_in rng 1 n and members = ref [] and count = ref 0 in
+  let k = Rng.int_in rng 1 max_k and members = ref [] and count = ref 0 in
   while !count < k && !m > 0 do
     let i = Rng.int rng !m in
     let v = pool.(i) in
@@ -192,12 +196,27 @@ let reform_scenario c =
   done;
   let nodes = Array.of_list !members in
   Rng.shuffle rng nodes;
+  (inset, nodes)
+
+(* Everything derives from the case seed, so two calls build identical
+   states: one for each side of the comparison. *)
+let reform_scenario c =
+  let open Xt_prelude in
+  let rng = Rng.make ~seed:c.seed in
+  let tree = (Gen.family c.fam).generate (Rng.split rng) c.n in
+  let n = Bintree.n tree in
+  let inset, nodes = random_connected_set rng tree ~max_k:n in
   let height = 5 in
   let st = State.create ~tree ~height ~capacity:16 in
   let order = Xt_topology.Xtree.order st.State.xt in
   let lay v = State.lay st ~max_level:height ~node:v ~vertex:(Rng.int rng order) in
+  let next_to_set v =
+    let near = ref false in
+    Bintree.iter_neighbours tree v (fun w -> if inset.(w) then near := true);
+    !near
+  in
   for v = 0 to n - 1 do
-    if (not inset.(v)) && Rng.bool rng then lay v
+    if (not inset.(v)) && (next_to_set v || Rng.bool rng) then lay v
   done;
   let picks = Array.copy nodes in
   Rng.shuffle rng picks;
@@ -211,8 +230,8 @@ let run_reform_case c =
   let comps = Separator.components st1.State.ws ~nodes:kept ~removed:[] in
   (* rev_map applies make_piece front to back, drawing ids in list order *)
   let expected = List.rev (List.rev_map (State.make_piece st1) comps) in
-  let st2, nodes, removed = reform_scenario c in
-  let got = State.reform st2 ~nodes ~removed in
+  let st2, nodes, _ = reform_scenario c in
+  let got = State.reform st2 nodes in
   got = expected
   && st1.State.wide_pieces = st2.State.wide_pieces
   && st1.State.next_pid = st2.State.next_pid
@@ -259,7 +278,7 @@ let oracle_fill st ~round:i ~vertex:child =
           match p.State.bounds with b :: _ -> b.State.bnode | [] -> List.hd p.State.nodes
         in
         State.lay st ~max_level:i ~node:peel ~vertex:child;
-        Moves.reattach_to st ~vertex:child ~removed:[ peel ] p.State.nodes
+        Moves.reattach_to st ~vertex:child p.State.nodes
   done
 
 (* Everything derives from the case seed: two calls build identical states. *)
@@ -300,7 +319,7 @@ let fill_scenario c =
     laid;
   let nodes = Array.init n Fun.id in
   if c.shuffled then Rng.shuffle rng nodes;
-  Moves.reattach_to st ~vertex:child ~removed:laid (Array.to_list nodes);
+  Moves.reattach_to st ~vertex:child (Array.to_list nodes);
   (st, round, child)
 
 let run_fill_case c =
@@ -320,6 +339,106 @@ let qcheck_fill =
   QCheck2.Test.make ~count:600 ~name:"fill == per-peel re-forming loop" ~print:print_fill_case
     fill_case_gen run_fill_case
 
+(* ---------------- Lemma splits in one walk ---------------- *)
+
+(* A cut loaded from [place] and applied by [Moves.apply_split] must
+   leave exactly what the list lemma leaves when its side lists are
+   re-formed as filtered copies — [Separator.components], then
+   [State.make_piece] per component, attached as [Moves.reattach]
+   attaches: the same nodes laid, the same pieces (ids, sizes, node
+   order, bounds, starts, tops) in the same order at every vertex, the
+   same id counter and wide-piece count. Cases: a random tree, a random
+   connected set in it with every node outside it placed (a maximal
+   piece, its node list shuffled), designated nodes among its boundary
+   nodes, and a target in each branch of the lemma: [target >= n], the
+   direct carve ([3n > 4 target]) and the swapped complement. *)
+type split_case = { sfam : string; sn : int; sseed : int; lemma : int; branch : int }
+
+let branch_name = [| "move-all"; "direct"; "swapped" |]
+
+let print_split_case c =
+  Printf.sprintf "%s(%d) seed=%d lemma%d %s" c.sfam c.sn c.sseed c.lemma branch_name.(c.branch)
+
+let split_case_gen =
+  QCheck2.Gen.(
+    let* sfam = oneofl [ "uniform"; "path"; "caterpillar"; "broom"; "random-bst"; "random-split" ] in
+    let* sn = int_range 2 400 in
+    let* sseed = int_bound 1_000_000 in
+    let* lemma = int_range 1 2 in
+    let* branch = int_range 0 2 in
+    return { sfam; sn; sseed; lemma; branch })
+
+(* Everything derives from the case seed: two calls build identical
+   states. Returns the state, the piece (not attached, as a caller holds
+   it after detaching), its separator view, the target, the floor level
+   and the two destinations. *)
+let split_scenario c =
+  let open Xt_prelude in
+  let rng = Rng.make ~seed:c.sseed in
+  let tree = (Gen.family c.sfam).generate (Rng.split rng) c.sn in
+  let n = Bintree.n tree in
+  let inset, nodes = random_connected_set rng tree ~max_k:(n - 1) in
+  let height = 5 in
+  let st = State.create ~tree ~height ~capacity:16 in
+  let order = Xt_topology.Xtree.order st.State.xt in
+  for v = 0 to n - 1 do
+    if not inset.(v) then State.lay st ~max_level:height ~node:v ~vertex:(Rng.int rng order)
+  done;
+  let piece = State.make_piece st (Array.to_list nodes) in
+  let bnodes = Array.of_list (List.sort_uniq compare (List.map (fun b -> b.State.bnode) piece.bounds)) in
+  let pick () = bnodes.(Rng.int rng (Array.length bnodes)) in
+  let r1 = pick () in
+  let r2 = if Rng.int rng 3 = 0 then None else Some (pick ()) in
+  let size = piece.State.size in
+  (* the direct carve needs 1 <= target <= (3n - 1) / 4, the swapped one
+     ceil(3n / 4) <= target <= n - 1; too small a piece moves whole *)
+  let direct_hi = ((3 * size) - 1) / 4 and swapped_lo = ((3 * size) + 3) / 4 in
+  let target =
+    match c.branch with
+    | 1 when direct_hi >= 1 -> Rng.int_in rng 1 direct_hi
+    | 2 when swapped_lo <= size - 1 -> Rng.int_in rng swapped_lo (size - 1)
+    | _ -> size + Rng.int rng 3
+  in
+  let floor_level = Rng.int_in rng 0 height in
+  let dest1 = Rng.int rng order and dest2 = Rng.int rng order in
+  (st, piece, { Separator.nodes = piece.nodes; r1; r2 }, target, floor_level, dest1, dest2)
+
+let run_split_case c =
+  let max_level = 5 in
+  let st1, _, sep, target, floor_level, dest1, dest2 = split_scenario c in
+  let sp = (if c.lemma = 1 then Separator.lemma1 else Separator.lemma2) st1.State.ws sep ~target in
+  List.iter (fun v -> State.lay st1 ~max_level ~node:v ~vertex:dest1) sp.s1;
+  List.iter (fun v -> State.lay st1 ~max_level ~node:v ~vertex:dest2) sp.s2;
+  let reattach ~fallback t =
+    let comps = Separator.components st1.State.ws ~nodes:t ~removed:[] in
+    List.iter
+      (fun (p : State.piece) ->
+        let vertex =
+          match p.bounds with
+          | b :: _ -> Moves.clamp_vertex st1 ~floor_level b.anchor
+          | [] -> fallback
+        in
+        State.attach st1 ~vertex p)
+      (List.rev (List.rev_map (State.make_piece st1) comps))
+  in
+  reattach ~fallback:dest1 sp.t1;
+  reattach ~fallback:dest2 sp.t2;
+  let st2, piece, sep, target, floor_level, dest1, dest2 = split_scenario c in
+  let place = st2.State.place in
+  let cut = (if c.lemma = 1 then Separator.cut1 else Separator.cut2) st2.State.ws ~place sep ~target in
+  Moves.apply_split st2 ~max_level ~floor_level piece cut ~dest1 ~dest2;
+  st1.State.place = st2.State.place
+  && st1.State.occ = st2.State.occ
+  && st1.State.weight = st2.State.weight
+  && st1.State.attached = st2.State.attached
+  && st1.State.next_pid = st2.State.next_pid
+  && st1.State.wide_pieces = st2.State.wide_pieces
+  && State.check_invariants st2 = Ok ()
+
+let qcheck_split =
+  QCheck2.Test.make ~count:600 ~name:"one-walk split == list lemma + filtered re-form"
+    ~print:print_split_case split_case_gen run_split_case
+
 let suite =
   [
     ("clamp vertex", `Quick, test_clamp_vertex);
@@ -333,4 +452,5 @@ let suite =
     ("move whole lays designated", `Quick, test_move_whole_lays_designated);
     QCheck_alcotest.to_alcotest ~long:false qcheck_reform;
     QCheck_alcotest.to_alcotest ~long:false qcheck_fill;
+    QCheck_alcotest.to_alcotest ~long:false qcheck_split;
   ]

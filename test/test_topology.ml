@@ -367,6 +367,21 @@ let test_distance_allocation_free () =
     (Printf.sprintf "~40k distance queries allocated %.0f words" allocated)
     true (allocated < 256.)
 
+(* [Xtree.in_neighbourhood] is membership in [Xtree.neighbourhood], on
+   every vertex pair of X(1)-X(8). *)
+let test_in_neighbourhood_exact () =
+  for h = 1 to 8 do
+    let t = Xtree.create ~height:h in
+    for a = 0 to Xtree.order t - 1 do
+      let n_a = Xtree.neighbourhood t a in
+      for b = 0 to Xtree.order t - 1 do
+        if Xtree.in_neighbourhood t a b <> List.mem b n_a then
+          Alcotest.failf "X(%d): %s in N(%s) is %b" h (Xtree.to_string b) (Xtree.to_string a)
+            (List.mem b n_a)
+      done
+    done
+  done
+
 let suite =
   suite
   @ [
@@ -376,4 +391,5 @@ let suite =
       ("greedy route is shortest", `Quick, test_route_is_shortest);
       ("route next hop validation", `Quick, test_route_next_hop_validation);
       ("closed-form distance allocation free", `Quick, test_distance_allocation_free);
+      ("in_neighbourhood = membership in N(a)", `Quick, test_in_neighbourhood_exact);
     ]
