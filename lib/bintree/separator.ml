@@ -319,18 +319,14 @@ let carve2 ws piece ~target =
   let r1 = piece.r1 in
   let r2 = match piece.r2 with Some r2 when r2 <> r1 -> r2 | _ -> r1 in
   reset_exclusions ws;
-  (* procedure find2: walk from r1 towards r2 while |T(v)| > 4A/3 *)
-  let path =
-    (* nodes from r1 to r2 in order *)
-    let rec up acc v = if v = r1 then v :: acc else up (v :: acc) ws.par.(v) in
-    up [] r2
+  (* procedure find2: walk from r1 towards r2 while |T(v)| > 4A/3. Sizes
+     fall strictly along that path, so the walk stops at its highest node
+     with |T(v)| <= 4A/3, or at r2 when there is none: climb to that node
+     from r2 instead. *)
+  let rec climb v =
+    if v <> r1 && 3 * ws.size.(ws.par.(v)) <= 4 * target then climb ws.par.(v) else v
   in
-  let rec walk = function
-    | [] -> r2
-    | [ v ] -> v
-    | v :: rest -> if 3 * ws.size.(v) > 4 * target && v <> r2 then walk rest else v
-  in
-  let v = walk path in
+  let v = climb r2 in
   if v = r2 && 3 * ws.size.(v) > 4 * target then begin
     (* Case 1: both designated nodes stay in S1; carve inside T(r2). *)
     match two_stage_carve ws ~from_:r2 ~target with

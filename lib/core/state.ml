@@ -26,6 +26,13 @@ type held = {
   mutable h_len : int;
 }
 
+type search = {
+  seen : int array;
+  queue : int array;
+  mutable stamp : int;
+  mutable tail : int;
+}
+
 type t = {
   tree : Bintree.t;
   xt : Xtree.t;
@@ -38,6 +45,7 @@ type t = {
   mirror : Bytes.t;
   ws : Separator.ws;
   held : held;
+  search : search;
   mutable placed : int;
   mutable next_pid : int;
   mutable fallbacks : int;
@@ -116,6 +124,7 @@ let create ~tree ~height ~capacity =
     mirror = mirror_preorder tree;
     ws = Separator.make_ws tree;
     held = make_held ~laid:(min capacity (Bintree.n tree));
+    search = { seen = Array.make order 0; queue = Array.make order 0; stamp = 0; tail = 0 };
     placed = 0;
     next_pid = 0;
     fallbacks = 0;
@@ -129,23 +138,26 @@ let rec add_weight st v delta =
   if v > 0 then add_weight st ((v - 1) / 2) delta
 
 (* Nearest vertex with a free slot among levels <= max_level, by BFS from
-   [from_] in the X-tree. *)
+   [from_] in the X-tree. The search stamps the vertices it reaches in
+   the state's scratch, so it allocates only its [visit] closure. *)
 let nearest_free st ~max_level ~from_ =
-  let g = Xtree.graph st.xt in
-  let seen = Array.make (Graph.n g) false in
-  let queue = Queue.create () in
-  Queue.add from_ queue;
-  seen.(from_) <- true;
-  let found = ref (-1) in
-  while !found < 0 && not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
+  let g = Xtree.graph st.xt and s = st.search in
+  s.stamp <- s.stamp + 1;
+  s.tail <- 0;
+  let visit w =
+    if s.seen.(w) <> s.stamp then begin
+      s.seen.(w) <- s.stamp;
+      s.queue.(s.tail) <- w;
+      s.tail <- s.tail + 1
+    end
+  in
+  visit from_;
+  let head = ref 0 and found = ref (-1) in
+  while !found < 0 && !head < s.tail do
+    let v = s.queue.(!head) in
+    incr head;
     if st.occ.(v) < st.capacity && Xtree.level v <= max_level then found := v
-    else
-      Graph.iter_neighbours g v (fun w ->
-          if not seen.(w) then begin
-            seen.(w) <- true;
-            Queue.add w queue
-          end)
+    else Graph.iter_neighbours g v visit
   done;
   !found
 

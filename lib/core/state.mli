@@ -36,6 +36,17 @@ type held = {
     (one entry per placed neighbour). Sized for one fill: at most
     [2 × min capacity n + 2] pieces, for an [n]-node guest. *)
 
+type search = {
+  seen : int array;
+  queue : int array;
+  mutable stamp : int;
+  mutable tail : int;
+}
+(** Scratch of the nearest-free-slot search behind {!lay}'s fallback: a
+    BFS queue over the X-tree's vertices and, per vertex, the stamp of
+    the last search that reached it. Kept in the state, so a fallback
+    allocates nothing in the major heap. *)
+
 type t = {
   tree : Xt_bintree.Bintree.t;
   xt : Xt_topology.Xtree.t;
@@ -48,6 +59,7 @@ type t = {
   mirror : Bytes.t;             (** the guest's mirror preorder; read with {!mpos} *)
   ws : Xt_bintree.Separator.ws;
   held : held;                  (** the fill's scratch *)
+  search : search;              (** the fallback's scratch *)
   mutable placed : int;
   mutable next_pid : int;
   mutable fallbacks : int;      (** placements that had to divert to a free slot *)

@@ -15,23 +15,111 @@ let link_index g ~at ~hop = (2 * Graph.edge_index g at hop) + if at < hop then 0
 
 (* The core is event-driven: instead of sweeping all 2m directed links
    and all n inboxes every cycle (the retained [Sim_ref] does exactly
-   that), we keep dense worklists — "active sets" — of only the links
-   and inboxes that currently hold messages, re-sorted into index order
-   at the top of each cycle so the drain order, and therefore every
+   that), we keep "active sets" of only the links and inboxes that
+   currently hold messages. Each is a two-level bitset (one bit per
+   index, one summary bit per non-empty word), so inserting and removing
+   cost O(1) and a walk visits the members in ascending index order —
+   the order of the sweep, so the drain order, and therefore every
    observable (cycle counts, delivery order, link loads, high-water
    marks), is bit-identical to the sweep semantics. Messages live in
    flat arenas of parallel int arrays recycled through free lists, and
    each link/inbox FIFO is a growable power-of-two ring of message ids,
    so the steady-state loop moves only integers and allocates nothing
-   (guarded by a [Gc.minor_words] test). When exactly one message is in
-   flight on a link — the latency-bound regime, e.g. [pingpong_sweep] —
-   [run] skips the idle cycles entirely and fast-forwards the message
-   along its whole remaining route in one jump.
+   (guarded by a [Gc.minor_words] test).
+   When exactly one message is in flight on a link — the latency-bound
+   regime, e.g. [pingpong_sweep] — [run] skips the idle cycles entirely
+   and fast-forwards the message along its whole remaining route in one
+   jump.
 
-   A stepped cycle is two passes over the active sets: [drain_links]
+   A stepped cycle is two walks over the active sets: [drain_links]
    moves every non-empty link one batch forward, then [serve_inboxes]
    completes up to [service_rate] messages per non-empty inbox, and the
    served batch is handed to the delivery callbacks. *)
+
+(* ------------------------------------------------------------------ *)
+(* Active sets: two-level bitsets                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Members are link or vertex indices. [bits] holds one bit per index and
+   [summary] one bit per non-zero word of [bits], in 32-bit words, so the
+   lowest set bit of a word is one multiply into a de Bruijn table.
+   [card] counts the members and [lo] is the lowest non-zero summary word
+   while [card > 0]: a walk starts there and stops at the last member, so
+   a step over one queued message costs the same on any host. *)
+type aset = {
+  bits : int array;
+  summary : int array;
+  mutable card : int;
+  mutable lo : int;
+}
+
+let make_aset n =
+  { bits = Array.make ((n + 31) lsr 5) 0; summary = Array.make ((n + 1023) lsr 10) 0; card = 0; lo = 0 }
+
+let debruijn =
+  "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\
+   \031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
+
+(* The position of a single set bit [b] of a 32-bit word. *)
+let[@inline] bit_pos b = Char.code (String.unsafe_get debruijn (((b * 0x077CB531) lsr 27) land 31))
+
+let[@inline] add s i =
+  let w = i lsr 5 in
+  let word = s.bits.(w) and bit = 1 lsl (i land 31) in
+  if word land bit = 0 then begin
+    s.bits.(w) <- word lor bit;
+    if word = 0 then begin
+      let sw = w lsr 5 in
+      s.summary.(sw) <- s.summary.(sw) lor (1 lsl (w land 31));
+      if s.card = 0 || sw < s.lo then s.lo <- sw
+    end;
+    s.card <- s.card + 1
+  end
+
+(* The least member of a non-empty set. *)
+let least s =
+  let sum = s.summary.(s.lo) in
+  let w = (s.lo lsl 5) lor bit_pos (sum land -sum) in
+  let word = s.bits.(w) in
+  (w lsl 5) lor bit_pos (word land -word)
+
+(* Empty a set whose only member is [i]. *)
+let clear s i =
+  s.bits.(i lsr 5) <- 0;
+  s.summary.(i lsr 10) <- 0;
+  s.card <- 0
+
+(* [walk s t f] calls [f t i] on every member [i] of [s] in ascending
+   order and drops [i] from [s] when [f] returns [false]. [f] must not
+   add to [s]. *)
+let walk s t f =
+  let left = ref s.card and sw = ref s.lo and lo = ref (-1) in
+  while !left > 0 do
+    let sum = s.summary.(!sw) in
+    let rest = ref sum and kept = ref sum in
+    while !rest <> 0 do
+      let wbit = !rest land - !rest in
+      rest := !rest lxor wbit;
+      let w = (!sw lsl 5) lor bit_pos wbit in
+      let word = s.bits.(w) in
+      let r = ref word and keep = ref word in
+      while !r <> 0 do
+        let bit = !r land - !r in
+        r := !r lxor bit;
+        decr left;
+        if not (f t ((w lsl 5) lor bit_pos bit)) then begin
+          keep := !keep lxor bit;
+          s.card <- s.card - 1
+        end
+      done;
+      s.bits.(w) <- !keep;
+      if !keep = 0 then kept := !kept lxor wbit
+    done;
+    s.summary.(!sw) <- !kept;
+    if !kept <> 0 && !lo < 0 then lo := !sw;
+    incr sw
+  done;
+  if !lo >= 0 then s.lo <- !lo
 
 type t = {
   graph : Graph.t;
@@ -55,21 +143,16 @@ type t = {
   iring : int array array;
   ihead : int array;
   ilen : int array;
-  (* active sets: dense stacks of the non-empty links / inboxes, with
-     their in-set flags; sized to 2m / n, so they never grow *)
-  act_link : int array;
-  mutable n_act_link : int;
-  link_in_set : int array;
-  act_inbox : int array;
-  mutable n_act_inbox : int;
-  inbox_in_set : int array;
+  (* active sets: the non-empty links / inboxes; sized to 2m / n, so
+     they never grow *)
+  links : aset;
+  inboxes : aset;
   (* per-cycle scratch, persistent so the run loop reallocates nothing *)
   mutable moved_id : int array;   (* message popped off a link this cycle *)
   mutable moved_at : int array;   (* ... and the endpoint it arrived at *)
   mutable nmoved : int;
   mutable served : int array;     (* messages completing service this cycle *)
   mutable nserved : int;
-  mutable nkeep : int;            (* compaction cursor for the active sets *)
   mutable high_water : int;
   mutable inbox_high_water : int;
   mutable cycle : int;
@@ -155,59 +238,18 @@ let rpop rings heads lens i =
   v
 
 (* ------------------------------------------------------------------ *)
-(* Active-set sort: in-place quicksort over a prefix of an int array.
-   Written with recursion instead of refs so sorting allocates nothing
-   (a local [ref] is a minor-heap cell in vanilla ocamlopt); recursing
-   on the smaller half first keeps the stack at O(log n).              *)
-(* ------------------------------------------------------------------ *)
-
-let rec scan_up a p i = if a.(i) < p then scan_up a p (i + 1) else i
-let rec scan_down a p j = if a.(j) > p then scan_down a p (j - 1) else j
-
-let rec partition a p i j =
-  let i = scan_up a p i and j = scan_down a p j in
-  if i >= j then j
-  else begin
-    let v = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- v;
-    partition a p (i + 1) (j - 1)
-  end
-
-let rec sort_range a lo hi =
-  if lo < hi then begin
-    let mid = partition a a.((lo + hi) / 2) lo hi in
-    if mid - lo < hi - mid then begin
-      sort_range a lo mid;
-      sort_range a (mid + 1) hi
-    end
-    else begin
-      sort_range a (mid + 1) hi;
-      sort_range a lo mid
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Enqueue paths                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let push_inbox t ~at id =
   rpush t.iring t.ihead t.ilen at id;
   if t.ilen.(at) > t.inbox_high_water then t.inbox_high_water <- t.ilen.(at);
-  if t.inbox_in_set.(at) = 0 then begin
-    t.inbox_in_set.(at) <- 1;
-    t.act_inbox.(t.n_act_inbox) <- at;
-    t.n_act_inbox <- t.n_act_inbox + 1
-  end
+  add t.inboxes at
 
 let push_link t l id =
   rpush t.lring t.lhead t.llen l id;
   if t.llen.(l) > t.high_water then t.high_water <- t.llen.(l);
-  if t.link_in_set.(l) = 0 then begin
-    t.link_in_set.(l) <- 1;
-    t.act_link.(t.n_act_link) <- l;
-    t.n_act_link <- t.n_act_link + 1
-  end
+  add t.links l
 
 let send t ~src ~dst ~tag =
   if src < 0 || src >= Graph.n t.graph || dst < 0 || dst >= Graph.n t.graph then
@@ -262,29 +304,21 @@ let push_served t id =
 (* The two passes of a stepped cycle                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Advance one batch per non-empty link, in link-index order (hence the
-   sort) so runs are deterministic; arrivals join the destination's
-   inbox and may still be served this cycle, forwards re-enter the ring
-   of their next link. Links drained dry drop out of the active set in
-   place. *)
-let drain_links t =
-  if t.n_act_link > 1 then sort_range t.act_link 0 (t.n_act_link - 1);
-  t.nmoved <- 0;
-  t.nkeep <- 0;
-  for j = 0 to t.n_act_link - 1 do
-    let l = t.act_link.(j) in
-    let npop = if t.link_capacity < t.llen.(l) then t.link_capacity else t.llen.(l) in
-    for _ = 1 to npop do
-      t.link_load.(l) <- t.link_load.(l) + 1;
-      push_moved t t.link_dst.(l) (rpop t.lring t.lhead t.llen l)
-    done;
-    if t.llen.(l) > 0 then begin
-      t.act_link.(t.nkeep) <- l;
-      t.nkeep <- t.nkeep + 1
-    end
-    else t.link_in_set.(l) <- 0
+(* Advance one batch per non-empty link, in link-index order so runs
+   are deterministic; arrivals join the destination's inbox and may
+   still be served this cycle, forwards re-enter the ring of their next
+   link once every link has moved. Links drained dry leave the set. *)
+let drain_link t l =
+  let npop = if t.link_capacity < t.llen.(l) then t.link_capacity else t.llen.(l) in
+  for _ = 1 to npop do
+    t.link_load.(l) <- t.link_load.(l) + 1;
+    push_moved t t.link_dst.(l) (rpop t.lring t.lhead t.llen l)
   done;
-  t.n_act_link <- t.nkeep;
+  t.llen.(l) > 0
+
+let drain_links t =
+  t.nmoved <- 0;
+  walk t.links t drain_link;
   for k = 0 to t.nmoved - 1 do
     let at = t.moved_at.(k) in
     let id = t.moved_id.(k) in
@@ -297,24 +331,17 @@ let drain_links t =
   done
 
 (* CPU service: each non-empty inbox completes up to service_rate
-   messages, swept in ascending vertex order into the served batch. *)
-let serve_inboxes t =
-  if t.n_act_inbox > 1 then sort_range t.act_inbox 0 (t.n_act_inbox - 1);
-  t.nserved <- 0;
-  t.nkeep <- 0;
-  for j = 0 to t.n_act_inbox - 1 do
-    let x = t.act_inbox.(j) in
-    let npop = if t.service_rate < t.ilen.(x) then t.service_rate else t.ilen.(x) in
-    for _ = 1 to npop do
-      push_served t (rpop t.iring t.ihead t.ilen x)
-    done;
-    if t.ilen.(x) > 0 then begin
-      t.act_inbox.(t.nkeep) <- x;
-      t.nkeep <- t.nkeep + 1
-    end
-    else t.inbox_in_set.(x) <- 0
+   messages, walked in ascending vertex order into the served batch. *)
+let serve_inbox t x =
+  let npop = if t.service_rate < t.ilen.(x) then t.service_rate else t.ilen.(x) in
+  for _ = 1 to npop do
+    push_served t (rpop t.iring t.ihead t.ilen x)
   done;
-  t.n_act_inbox <- t.nkeep
+  t.ilen.(x) > 0
+
+let serve_inboxes t =
+  t.nserved <- 0;
+  walk t.inboxes t serve_inbox
 
 (* ------------------------------------------------------------------ *)
 (* Delivery, in the order the reference core's list-consing produces —
@@ -340,27 +367,44 @@ let deliver_batch t ~on_deliver =
 
 (* ------------------------------------------------------------------ *)
 (* Per-cycle series for the trace viewer; only non-empty queues can
-   contribute, so sweeping the active sets sees every message. Only
+   contribute, so scanning the active sets sees every message. Only
    called with tracing enabled (it allocates).                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The largest and the total length of the queues of [s]'s members,
+   whose lengths are [lens]: [walk]'s visit order, read-only. *)
+let queue_stats s lens =
+  let maxq = ref 0 and total = ref 0 and left = ref s.card and sw = ref s.lo in
+  while !left > 0 do
+    let rest = ref s.summary.(!sw) in
+    while !rest <> 0 do
+      let wbit = !rest land - !rest in
+      rest := !rest lxor wbit;
+      let w = (!sw lsl 5) lor bit_pos wbit in
+      let r = ref s.bits.(w) in
+      while !r <> 0 do
+        let bit = !r land - !r in
+        r := !r lxor bit;
+        decr left;
+        let q = lens.((w lsl 5) lor bit_pos bit) in
+        total := !total + q;
+        if q > !maxq then maxq := q
+      done
+    done;
+    incr sw
+  done;
+  (!maxq, !total)
+
 let trace_series t =
   let links = Array.length t.link_load in
-  let maxq = ref 0 and queued = ref 0 and maxinbox = ref 0 in
-  for j = 0 to t.n_act_link - 1 do
-    let l = t.llen.(t.act_link.(j)) in
-    if l > !maxq then maxq := l;
-    queued := !queued + l
-  done;
-  for j = 0 to t.n_act_inbox - 1 do
-    let l = t.ilen.(t.act_inbox.(j)) in
-    if l > !maxinbox then maxinbox := l
-  done;
-  Obs.counter_event "netsim.in_flight" t.in_flight;
-  Obs.counter_event "netsim.queued" !queued;
-  Obs.counter_event "netsim.queue_depth_max" !maxq;
-  Obs.counter_event "netsim.inbox_depth_max" !maxinbox;
-  Obs.counter_event "netsim.link_util_pct"
+  let maxq, queued = queue_stats t.links t.llen in
+  let maxinbox, _ = queue_stats t.inboxes t.ilen in
+  let ts = Obs.now_ns () in
+  Obs.counter_event ~ts "netsim.in_flight" t.in_flight;
+  Obs.counter_event ~ts "netsim.queued" queued;
+  Obs.counter_event ~ts "netsim.queue_depth_max" maxq;
+  Obs.counter_event ~ts "netsim.inbox_depth_max" maxinbox;
+  Obs.counter_event ~ts "netsim.link_util_pct"
     (if links = 0 then 0 else 100 * t.nmoved / (links * t.link_capacity))
 
 (* ------------------------------------------------------------------ *)
@@ -398,10 +442,9 @@ let rec walk_route t at dst =
    at least 1; the message is served on its arrival cycle, as in the
    stepped semantics. *)
 let fast_forward t ~on_deliver =
-  let l = t.act_link.(0) in
+  let l = least t.links in
   let id = rpop t.lring t.lhead t.llen l in
-  t.n_act_link <- 0;
-  t.link_in_set.(l) <- 0;
+  clear t.links l;
   t.link_load.(l) <- t.link_load.(l) + 1;
   let hops = 1 + walk_route t t.link_dst.(l) t.msg_dst.(id) in
   if t.inbox_high_water < 1 then t.inbox_high_water <- 1;
@@ -414,7 +457,7 @@ let run t ~on_deliver =
   Obs.span "netsim.run" @@ fun () ->
   let start = t.cycle in
   while t.in_flight > 0 do
-    if t.in_flight = 1 && t.n_act_link = 1 && t.n_act_inbox = 0 then
+    if t.in_flight = 1 && t.links.card = 1 && t.inboxes.card = 0 then
       fast_forward t ~on_deliver
     else step t ~on_deliver
   done;
@@ -453,18 +496,13 @@ let create ?(link_capacity = 1) ?(service_rate = max_int) graph =
     iring = Array.make n empty_ring;
     ihead = Array.make n 0;
     ilen = Array.make n 0;
-    act_link = Array.make (2 * m) 0;
-    n_act_link = 0;
-    link_in_set = Array.make (2 * m) 0;
-    act_inbox = Array.make n 0;
-    n_act_inbox = 0;
-    inbox_in_set = Array.make n 0;
+    links = make_aset (2 * m);
+    inboxes = make_aset n;
     moved_id = Array.make 64 0;
     moved_at = Array.make 64 0;
     nmoved = 0;
     served = Array.make 64 0;
     nserved = 0;
-    nkeep = 0;
     high_water = 0;
     inbox_high_water = 0;
     cycle = 0;

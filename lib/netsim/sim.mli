@@ -8,16 +8,18 @@
     naturally. [run] executes until the network is quiescent and returns
     the cycle count — the quantity the paper's dilation is a proxy for.
 
-    The core is event-driven: dense active sets track only the links
-    and inboxes that currently hold messages (drained in link-index
-    order, so results are bit-identical to a full sweep — the retained
-    {!Sim_ref} is the executable specification), message FIFOs are
-    growable int rings over a flat arena, and the steady-state loop
-    allocates nothing. When the network is latency-bound — exactly one
-    message in flight, sitting on a link — [run] skips the idle cycles
-    and fast-forwards the message along its whole remaining route, so
-    serial workloads cost O(total hops) instead of
-    O(cycles × topology).
+    The core is event-driven: two-level bitsets track only the links
+    and inboxes that currently hold messages, and each cycle walks them
+    in ascending index order, with no sort, so results are bit-identical
+    to a full sweep — the retained {!Sim_ref} is the executable
+    specification. A walk starts at the set's first member and stops
+    after its last, so a cycle with one busy queue costs the same on any
+    host. Message FIFOs are growable int rings over a flat arena, and
+    the steady-state loop allocates nothing. When the network is
+    latency-bound — exactly one message in flight, sitting on a link —
+    [run] skips the idle cycles and fast-forwards the message along its
+    whole remaining route, so serial workloads cost O(total hops)
+    instead of O(cycles × topology).
 
     The simulator records through [Xt_obs.Obs]: the [netsim.sent] /
     [netsim.delivered] / [netsim.hops] counters and the

@@ -353,30 +353,46 @@ let pp_dump b d =
 (* Tracing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type ev = {
-  e_name : string;
-  ph : char;
-  ts : int;
-  e_arg : int; (* min_int = none *)
-  e_arg2 : int; (* min_int = none; major-words delta under GC sampling *)
+(* One track per shard, stored like the flight recorder's rings as
+   parallel arrays, so recording an event allocates nothing (the arrays
+   double when full) and leaves no young pointer in an old array. *)
+type track = {
+  mutable names : string array;
+  mutable phs : Bytes.t;
+  mutable tss : int array;
+  mutable args : int array; (* min_int = none *)
+  mutable args2 : int array; (* min_int = none; major-words delta under GC sampling *)
+  mutable len : int;
 }
 
-let dummy_ev = { e_name = ""; ph = 'X'; ts = 0; e_arg = min_int; e_arg2 = min_int }
+let tracks =
+  Array.init nshards (fun _ ->
+      { names = [||]; phs = Bytes.empty; tss = [||]; args = [||]; args2 = [||]; len = 0 })
 
-type track = { mutable evs : ev array; mutable len : int }
+let grow_track t =
+  let cap = Array.length t.tss in
+  let cap' = max 256 (2 * cap) in
+  let grow a fill =
+    let b = Array.make cap' fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.names <- grow t.names "";
+  t.phs <- Bytes.extend t.phs 0 (cap' - cap);
+  t.tss <- grow t.tss 0;
+  t.args <- grow t.args min_int;
+  t.args2 <- grow t.args2 min_int
 
-let tracks = Array.init nshards (fun _ -> { evs = [||]; len = 0 })
-
-let push ph name arg arg2 =
+let push ph name ts arg arg2 =
   let t = tracks.(shard_index ()) in
-  let cap = Array.length t.evs in
-  if t.len = cap then begin
-    let evs = Array.make (max 256 (2 * cap)) dummy_ev in
-    Array.blit t.evs 0 evs 0 cap;
-    t.evs <- evs
-  end;
-  t.evs.(t.len) <- { e_name = name; ph; ts = now_ns (); e_arg = arg; e_arg2 = arg2 };
-  t.len <- t.len + 1
+  if t.len = Array.length t.tss then grow_track t;
+  let i = t.len in
+  t.names.(i) <- name;
+  Bytes.set t.phs i ph;
+  t.tss.(i) <- ts;
+  t.args.(i) <- arg;
+  t.args2.(i) <- arg2;
+  t.len <- i + 1
 
 let reset_trace () = Array.iter (fun t -> t.len <- 0) tracks
 
@@ -446,20 +462,22 @@ let set_recorder_capacity n =
       r.r_total <- 0)
     rings
 
-let rec_push ph name arg arg2 =
+let rec_push ph name ts arg arg2 =
   let r = rings.(shard_index ()) in
   let i = r.r_total land (Array.length r.r_ts - 1) in
   r.r_names.(i) <- name;
   Bytes.unsafe_set r.r_ph i ph;
-  r.r_ts.(i) <- now_ns ();
+  r.r_ts.(i) <- ts;
   r.r_arg.(i) <- arg;
   r.r_arg2.(i) <- arg2;
   r.r_total <- r.r_total + 1
 
-(* Route one event to whichever sinks are armed. *)
-let emit ph name arg arg2 =
-  if !tracing_on then push ph name arg arg2;
-  if !recorder_on then rec_push ph name arg arg2
+(* Route one event to whichever sinks are armed, both stamped [ts]. *)
+let emit_at ts ph name arg arg2 =
+  if !tracing_on then push ph name ts arg arg2;
+  if !recorder_on then rec_push ph name ts arg arg2
+
+let emit ph name arg arg2 = emit_at (now_ns ()) ph name arg arg2
 
 let gc_sample () =
   let s = Gc.quick_stat () in
@@ -486,7 +504,9 @@ let span ?(arg = min_int) name f =
 let instant ?(arg = min_int) name =
   if !tracing_on || !recorder_on then emit 'i' name arg min_int
 
-let counter_event name v = if !tracing_on || !recorder_on then emit 'C' name v min_int
+let counter_event ?ts name v =
+  if !tracing_on || !recorder_on then
+    emit_at (match ts with Some ts -> ts | None -> now_ns ()) 'C' name v min_int
 
 let trace_json () =
   let b = Buffer.create 4096 in
@@ -509,19 +529,19 @@ let trace_json () =
   Array.iteri
     (fun tid t ->
       for i = 0 to t.len - 1 do
-        let e = t.evs.(i) in
-        let us = float_of_int (e.ts - !trace_origin) /. 1e3 in
+        let ph = Bytes.get t.phs i and arg = t.args.(i) in
+        let us = float_of_int (t.tss.(i) - !trace_origin) /. 1e3 in
         sep ();
         Buffer.add_string b
           (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"%c\",\"ts\":%.3f,\"pid\":1,\"tid\":%d"
-             (json_escape e.e_name) e.ph us tid);
-        (match e.ph with
-        | 'C' -> Buffer.add_string b (Printf.sprintf ",\"args\":{\"value\":%d}" e.e_arg)
+             (json_escape t.names.(i)) ph us tid);
+        (match ph with
+        | 'C' -> Buffer.add_string b (Printf.sprintf ",\"args\":{\"value\":%d}" arg)
         | 'i' -> Buffer.add_string b ",\"s\":\"t\""
         | _ -> ());
-        if e.ph <> 'C' && e.e_arg <> min_int then begin
-          Buffer.add_string b (Printf.sprintf ",\"args\":{\"v\":%d" e.e_arg);
-          if e.e_arg2 <> min_int then Buffer.add_string b (Printf.sprintf ",\"v2\":%d" e.e_arg2);
+        if ph <> 'C' && arg <> min_int then begin
+          Buffer.add_string b (Printf.sprintf ",\"args\":{\"v\":%d" arg);
+          if t.args2.(i) <> min_int then Buffer.add_string b (Printf.sprintf ",\"v2\":%d" t.args2.(i));
           Buffer.add_char b '}'
         end;
         Buffer.add_char b '}'
@@ -553,15 +573,14 @@ let events () =
   for tid = nshards - 1 downto 0 do
     let t = tracks.(tid) in
     for i = t.len - 1 downto 0 do
-      let e = t.evs.(i) in
       acc :=
         {
           ev_tid = tid;
-          ev_name = e.e_name;
-          ev_ph = e.ph;
-          ev_ts = e.ts - !trace_origin;
-          ev_arg = e.e_arg;
-          ev_arg2 = e.e_arg2;
+          ev_name = t.names.(i);
+          ev_ph = Bytes.get t.phs i;
+          ev_ts = t.tss.(i) - !trace_origin;
+          ev_arg = t.args.(i);
+          ev_arg2 = t.args2.(i);
         }
         :: !acc
     done

@@ -166,9 +166,11 @@ val span : ?arg:int -> string -> (unit -> 'a) -> 'a
 val instant : ?arg:int -> string -> unit
 (** A zero-duration instant event. *)
 
-val counter_event : string -> int -> unit
+val counter_event : ?ts:int -> string -> int -> unit
 (** A Chrome counter-track sample ([ph = "C"]): a named time series,
-    e.g. per-cycle queue depth in the network simulator. *)
+    e.g. per-cycle queue depth in the network simulator. [ts] (default:
+    {!now_ns} at the call) stamps it, so the samples of one instant can
+    share one clock read. *)
 
 val reset_trace : unit -> unit
 (** Discard all recorded events. *)

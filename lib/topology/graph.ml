@@ -24,68 +24,77 @@ let slot g u v =
   done;
   !pos
 
+(* Linear-time CSR build. Bucket every directed copy of every edge by
+   its source ([raw], rows unsorted, repeats kept); then walk the
+   buckets in ascending vertex order and append each bucket's vertex to
+   the rows of its members. That transposes [raw] into rows that come
+   out sorted, with the repeats of a pair adjacent and so dropped as they
+   arrive; the rows are then packed into [col]. *)
 let of_edges ~n edges =
   if n < 0 then invalid_arg "Graph.of_edges: negative n";
-  let check v = if v < 0 || v >= n then invalid_arg "Graph.of_edges: endpoint out of range" in
-  (* Normalise: drop self-loops, orient u < v, dedupe. *)
-  let normalised =
-    List.filter_map
-      (fun (u, v) ->
-        check u;
-        check v;
-        if u = v then None else Some (min u v, max u v))
-      edges
-  in
-  let sorted = List.sort_uniq compare normalised in
-  let m = List.length sorted in
-  let deg = Array.make n 0 in
+  (* [start.(u)] is row [u]'s first slot in [raw] and [sorted]: count
+     each row's entries one slot up, then sum the counts *)
+  let start = Array.make (n + 1) 0 in
   List.iter
     (fun (u, v) ->
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1)
-    sorted;
+      if u < 0 || u >= n || v < 0 || v >= n then
+        invalid_arg "Graph.of_edges: endpoint out of range";
+      if u <> v then begin
+        start.(u + 1) <- start.(u + 1) + 1;
+        start.(v + 1) <- start.(v + 1) + 1
+      end)
+    edges;
+  for u = 0 to n - 1 do
+    start.(u + 1) <- start.(u + 1) + start.(u)
+  done;
+  let raw = Array.make start.(n) 0 in
+  let fill = Array.sub start 0 n in
+  let push a u v =
+    a.(fill.(u)) <- v;
+    fill.(u) <- fill.(u) + 1
+  in
+  List.iter
+    (fun (u, v) ->
+      if u <> v then begin
+        push raw u v;
+        push raw v u
+      end)
+    edges;
+  let sorted = Array.make start.(n) 0 in
+  Array.blit start 0 fill 0 n;
+  for v = 0 to n - 1 do
+    for k = start.(v) to start.(v + 1) - 1 do
+      let u = raw.(k) in
+      if fill.(u) = start.(u) || sorted.(fill.(u) - 1) <> v then push sorted u v
+    done
+  done;
   let row = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    row.(i + 1) <- row.(i) + deg.(i)
+  for u = 0 to n - 1 do
+    row.(u + 1) <- row.(u) + fill.(u) - start.(u)
   done;
-  let col = Array.make (2 * m) 0 in
-  let cursor = Array.copy row in
-  let push u v =
-    col.(cursor.(u)) <- v;
-    cursor.(u) <- cursor.(u) + 1
-  in
-  List.iter
-    (fun (u, v) ->
-      push u v;
-      push v u)
-    sorted;
-  for i = 0 to n - 1 do
-    let lo = row.(i) and hi = row.(i + 1) in
-    let slice = Array.sub col lo (hi - lo) in
-    Array.sort compare slice;
-    Array.blit slice 0 col lo (hi - lo)
+  let col = Array.make row.(n) 0 in
+  for u = 0 to n - 1 do
+    Array.blit sorted start.(u) col row.(u) (row.(u + 1) - row.(u))
   done;
-  (* Edge ids: number the (u < v) edges in sorted order, then stamp both
-     CSR directions so hot paths can index edge-keyed arrays in O(1). *)
-  let eid = Array.make (2 * m) (-1) in
-  let g = { n; m; row; col; eid; routes = Atomic.make [||]; queue = Atomic.make [||] } in
+  (* Edge ids: number the (u < v) edges in row order, then stamp the
+     (v, u) direction. Visiting u in ascending order reaches each row v's
+     entries below v in their sorted order, so a cursor per row finds
+     them. *)
+  let eid = Array.make row.(n) (-1) in
   let next = ref 0 in
+  Array.blit row 0 fill 0 n;
   for u = 0 to n - 1 do
     for k = row.(u) to row.(u + 1) - 1 do
-      if col.(k) > u then begin
+      let v = col.(k) in
+      if v > u then begin
         eid.(k) <- !next;
+        eid.(fill.(v)) <- !next;
+        fill.(v) <- fill.(v) + 1;
         incr next
       end
     done
   done;
-  (* second pass: mirror ids onto the (v, u) direction *)
-  for u = 0 to n - 1 do
-    for k = row.(u) to row.(u + 1) - 1 do
-      let v = col.(k) in
-      if v > u then eid.(slot g v u) <- eid.(k)
-    done
-  done;
-  g
+  { n; m = !next; row; col; eid; routes = Atomic.make [||]; queue = Atomic.make [||] }
 
 let n g = g.n
 let m g = g.m

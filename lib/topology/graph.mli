@@ -8,8 +8,11 @@
 type t
 
 val of_edges : n:int -> (int * int) list -> t
-(** [of_edges ~n edges] builds the graph on vertices [0..n-1]. Raises
-    [Invalid_argument] if an endpoint is out of range or [n < 0]. *)
+(** [of_edges ~n edges] builds the graph on vertices [0..n-1] in
+    O(n + |edges|) time: two counting passes, with no comparison sort.
+    Edge ids number the edges [{u < v}] in order of [u], then [v].
+    Raises [Invalid_argument] if an endpoint is out of range or
+    [n < 0]. *)
 
 val n : t -> int
 (** Number of vertices. *)

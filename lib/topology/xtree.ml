@@ -131,17 +131,19 @@ let neighbourhood t a =
 
 let neighbourhood_closure_bound = 20
 
-(* Membership in N(a) by the same windows, clipped by [b] being a vertex. *)
-let in_neighbourhood t a b =
-  if not (mem t a) then invalid_arg "Xtree.in_neighbourhood";
-  mem t b
-  &&
-  let ka = index a and kb = index b in
-  match level b - level a with
+(* The same windows, on indices [ka] and [kb] of vertices [gap] levels
+   apart. *)
+let in_window ~gap ka kb =
+  match gap with
   | 0 -> abs (kb - ka) <= 3
   | 1 -> (2 * ka) - 2 <= kb && kb <= (2 * ka) + 3
   | 2 -> (4 * ka) - 2 <= kb && kb <= (4 * ka) + 5
   | _ -> false
+
+(* Membership in N(a) by those windows, clipped by [b] being a vertex. *)
+let in_neighbourhood t a b =
+  if not (mem t a) then invalid_arg "Xtree.in_neighbourhood";
+  mem t b && in_window ~gap:(level b - level a) (index a) (index b)
 
 (* ------------------------------------------------------------------ *)
 (* Table-free routing                                                  *)

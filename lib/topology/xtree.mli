@@ -93,6 +93,13 @@ val in_neighbourhood : t -> vertex -> vertex -> bool
     index in [[k-3, k+3]], [[2k-2, 2k+3]] or [[4k-2, 4k+5]] for [a]'s
     index [k]. Raises [Invalid_argument] if [a] is not in [X(r)]. *)
 
+val in_window : gap:int -> int -> int -> bool
+(** [in_window ~gap ka kb] is that window test on addresses already split:
+    a vertex of index [kb] lying [gap] levels below one of index [ka].
+    [in_neighbourhood t a b] is
+    [mem t b && in_window ~gap:(level b - level a) (index a) (index b)],
+    so a caller that knows the levels need not recompute them. *)
+
 (** {1 Table-free routing}
 
     Large X-trees make per-destination BFS tables expensive; the address

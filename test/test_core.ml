@@ -169,6 +169,45 @@ let test_state_lay_fallback () =
   check "fallback counted" 1 st.State.fallbacks;
   checkb "placed somewhere else" true (st.State.place.(1) <> 0 && st.State.place.(1) >= 0)
 
+(* With capacity 1, nodes laid one by one at the full root fill the
+   X-tree in the FIFO order of a BFS from the root over sorted adjacency;
+   once the search's scratch exists, a fallback allocates nothing in the
+   major heap (a fresh [seen] array of X(10)'s order would be 2047
+   words there). *)
+let test_state_fallback_order_and_allocation () =
+  let height = 10 in
+  let xt = Xt_topology.Xtree.create ~height in
+  let order = Xt_topology.Xtree.order xt in
+  let tree = Gen.complete order in
+  let st = State.create ~tree ~height ~capacity:1 in
+  let g = Xt_topology.Xtree.graph xt in
+  let bfs = Array.make order 0 and seen = Array.make order false in
+  let tail = ref 1 in
+  seen.(0) <- true;
+  for head = 0 to order - 1 do
+    Array.iter
+      (fun w ->
+        if not seen.(w) then begin
+          seen.(w) <- true;
+          bfs.(!tail) <- w;
+          incr tail
+        end)
+      (Xt_topology.Graph.neighbours g bfs.(head))
+  done;
+  State.lay st ~max_level:height ~node:0 ~vertex:0;
+  State.lay st ~max_level:height ~node:1 ~vertex:0;
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for node = 2 to 201 do
+    State.lay st ~max_level:height ~node ~vertex:0
+  done;
+  let major = (Gc.quick_stat ()).Gc.major_words -. before in
+  for node = 0 to 201 do
+    check (Printf.sprintf "node %d at the BFS's %dth vertex" node node) bfs.(node) st.State.place.(node)
+  done;
+  check "fallbacks" 201 st.State.fallbacks;
+  checkb (Printf.sprintf "200 fallbacks allocated %.0f major words" major) true (major = 0.)
+
 let test_state_attach_detach () =
   let tree = Gen.complete 31 in
   let st = State.create ~tree ~height:2 ~capacity:16 in
@@ -211,6 +250,7 @@ let suite =
     ("state invariants", `Quick, test_state_invariants_after_rounds);
     ("state lay and weights", `Quick, test_state_lay_and_weights);
     ("state lay fallback", `Quick, test_state_lay_fallback);
+    ("state fallback: BFS order, no major words", `Quick, test_state_fallback_order_and_allocation);
     ("state attach/detach", `Quick, test_state_attach_detach);
     ("make_piece boundaries", `Quick, test_make_piece_boundaries);
   ]

@@ -88,6 +88,57 @@ let test_constrained_exhaustive () =
       done)
     families
 
+(* ---------------- larger hosts ---------------------------------------- *)
+
+(* The hosts above have at most a few hundred directed links and
+   vertices, so each of [Sim]'s active sets stays inside its first
+   summary word (1024 indices). These two reach past it: a native
+   ~5000-node guest (9 998 directed links, 5 000 inboxes) and a
+   ~5000-node guest placed at random on X(12) (32 736 links, 8 191
+   inboxes), each under link capacity 1 and 2 and service rate
+   unlimited and 1. [Sim_ref] sweeps every queue of the host each cycle,
+   so the serial ping-pong sweep, one message at a time for thousands of
+   cycles, runs under two of the four knob settings on the native guest
+   and on a 48-node guest spread over X(12). *)
+let large_knobs = [ (1, None); (2, None); (1, Some 1); (2, Some 1) ]
+let pingpong_knobs = [ (1, None); (2, Some 1) ]
+let is_pingpong widx = workload_name widx = "pingpong-sweep"
+
+let compare_large ~what ~graph ~place ~tree widx =
+  List.iter
+    (fun (link_capacity, service_rate) ->
+      let what =
+        Printf.sprintf "%s, %s cap=%d rate=%s" (workload_name widx) what link_capacity
+          (match service_rate with None -> "inf" | Some r -> string_of_int r)
+      in
+      compare_runs ~what ~link_capacity ?service_rate ~graph ~place ~tree widx)
+    (if is_pingpong widx then pingpong_knobs else large_knobs)
+
+let test_large_native () =
+  let tree = Gen.random_bst (Xt_prelude.Rng.make ~seed:1908) 5000 in
+  let graph = Workload.guest_graph tree in
+  let place = Array.init 5000 Fun.id in
+  for widx = 0 to n_workloads - 1 do
+    compare_large ~what:"native random-bst(5000)" ~graph ~place ~tree widx
+  done
+
+let test_large_random_xtree () =
+  let rng = Xt_prelude.Rng.make ~seed:1909 in
+  let xt = Xtree.create ~height:12 in
+  let graph = Xtree.graph xt in
+  let spread n =
+    let tree = Gen.random_bst rng n in
+    (tree, Array.init n (fun _ -> Xt_prelude.Rng.int rng (Xtree.order xt)))
+  in
+  let tree, place = spread 5000 in
+  let small_tree, small_place = spread 48 in
+  for widx = 0 to n_workloads - 1 do
+    if is_pingpong widx then
+      compare_large ~what:"random-bst(48) spread over X(12)" ~graph ~place:small_place
+        ~tree:small_tree widx
+    else compare_large ~what:"random-bst(5000) spread over X(12)" ~graph ~place ~tree widx
+  done
+
 (* ---------------- qcheck: random cases across the full knob space ---- *)
 
 type eq_case = {
@@ -183,15 +234,11 @@ let test_degenerate_single_link () =
 
 (* ---------------- steady-state loop allocates nothing ---------------- *)
 
-let test_run_allocation_free () =
-  let n = 64 in
-  let host = Graph.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1))) in
+let run_loop_allocation host sends =
   let sim = Sim.create ~service_rate:1 host in
   let on_deliver ~tag:_ _ = () in
   let batch () =
-    for v = 0 to 19 do
-      Sim.send sim ~src:v ~dst:(n - 1 - v) ~tag:v
-    done;
+    List.iter (fun (src, dst) -> Sim.send sim ~src ~dst ~tag:src) sends;
     ignore (Sim.run sim ~on_deliver)
   in
   (* warm up: sizes the arena, rings, scratch buffers and the latency
@@ -207,6 +254,22 @@ let test_run_allocation_free () =
   checkb
     (Printf.sprintf "run loop allocated %.0f minor words" allocated)
     true (allocated < 256.)
+
+let test_run_allocation_free () =
+  let n = 64 in
+  let host = Graph.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1))) in
+  run_loop_allocation host (List.init 20 (fun v -> (v, n - 1 - v)))
+
+(* The same on X(12), whose active sets span 32 summary words of links
+   and 8 of inboxes: messages between the two ends of each level, and
+   from the leaves to the root, queue on links and inboxes all over the
+   index range. *)
+let test_run_allocation_free_xtree () =
+  let xt = Xtree.create ~height:12 in
+  let n = Xtree.order xt in
+  let ends = List.init 12 (fun l -> (Xtree.id ~level:(l + 1) ~index:0, Xtree.id ~level:(l + 1) ~index:((1 lsl (l + 1)) - 1))) in
+  let to_root = List.init 24 (fun k -> (n - 1 - (170 * k), 0)) in
+  run_loop_allocation (Xtree.graph xt) (ends @ List.map (fun (a, b) -> (b, a)) ends @ to_root)
 
 let test_fast_forward_allocation_free () =
   (* the idle-skip path: one message at a time over a long path *)
@@ -272,11 +335,14 @@ let suite =
     ("native exhaustive equivalence", `Quick, test_native_exhaustive);
     ("embedded exhaustive equivalence", `Slow, test_embedded_exhaustive);
     ("constrained exhaustive equivalence", `Quick, test_constrained_exhaustive);
+    ("large native equivalence", `Slow, test_large_native);
+    ("large random X(12) equivalence", `Slow, test_large_random_xtree);
     QCheck_alcotest.to_alcotest ~long:false qcheck_equivalence;
     ("degenerate: zero messages", `Quick, test_degenerate_zero_messages);
     ("degenerate: single host", `Quick, test_degenerate_single_host);
     ("degenerate: single link", `Quick, test_degenerate_single_link);
     ("run loop allocation free", `Quick, test_run_allocation_free);
+    ("run loop allocation free on X(12)", `Quick, test_run_allocation_free_xtree);
     ("fast forward allocation free", `Quick, test_fast_forward_allocation_free);
     ("shared routes allocation free", `Quick, test_shared_routes_allocation_free);
   ]

@@ -382,6 +382,80 @@ let test_in_neighbourhood_exact () =
     done
   done
 
+(* [Graph.of_edges] against the list-sort builder it replaced, kept here
+   as the reference: normalise each pair to (min, max), drop self-loops,
+   [List.sort_uniq compare], and number the edges in that sorted order. *)
+let list_sort_of_edges ~n edges =
+  if n < 0 then invalid_arg "Graph.of_edges: negative n";
+  let check v = if v < 0 || v >= n then invalid_arg "Graph.of_edges: endpoint out of range" in
+  let sorted =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (u, v) ->
+           check u;
+           check v;
+           if u = v then None else Some (min u v, max u v))
+         edges)
+  in
+  let adj = Array.make n [] in
+  List.iter
+    (fun (u, v) ->
+      adj.(u) <- v :: adj.(u);
+      adj.(v) <- u :: adj.(v))
+    sorted;
+  let eid = Hashtbl.create 16 in
+  List.iteri (fun i e -> Hashtbl.replace eid e i) sorted;
+  (List.length sorted, Array.map (fun l -> Array.of_list (List.sort compare l)) adj, eid)
+
+(* Random [n] from -1 up (0 and 1 included); edge lists with repeats,
+   reversed copies and self-loops, and now and then one endpoint out of
+   range at a random position. *)
+let edge_list_gen =
+  QCheck2.Gen.(
+    let* n = int_range (-1) 40 in
+    let vertex = if n <= 0 then return 0 else int_bound (n - 1) in
+    let* base = list_size (int_bound 60) (pair vertex vertex) in
+    let* loops = list_size (int_bound 4) (map (fun v -> (v, v)) vertex) in
+    let* k = int_bound (List.length base) in
+    let reversed = List.filteri (fun i _ -> i < k) base |> List.map (fun (u, v) -> (v, u)) in
+    let repeats = List.filteri (fun i _ -> i mod 3 = 0) base in
+    let* edges = shuffle_l (base @ loops @ reversed @ repeats) in
+    let* bad = frequencyl [ (4, None); (1, Some ()) ] in
+    match bad with
+    | None -> return (n, edges)
+    | Some () ->
+        let* at = int_bound (List.length edges) in
+        let* u = oneofl [ -1; n; n + 7 ] in
+        let* v = vertex in
+        let* flip = bool in
+        let e = if flip then (v, u) else (u, v) in
+        return (n, List.filteri (fun i _ -> i < at) edges @ (e :: List.filteri (fun i _ -> i >= at) edges)))
+
+let print_edge_list (n, edges) =
+  Printf.sprintf "n=%d [%s]" n
+    (String.concat "; " (List.map (fun (u, v) -> Printf.sprintf "(%d,%d)" u v) edges))
+
+let qcheck_of_edges_reference =
+  QCheck2.Test.make ~count:500 ~name:"graph: of_edges == list-sort reference"
+    ~print:print_edge_list edge_list_gen (fun (n, edges) ->
+      let outcome f = match f () with v -> Ok v | exception Invalid_argument msg -> Error msg in
+      match (outcome (fun () -> list_sort_of_edges ~n edges), outcome (fun () -> Graph.of_edges ~n edges)) with
+      | Error a, Error b -> a = b
+      | Ok (m, adj, eid), Ok g ->
+          Graph.n g = n
+          && Graph.m g = m
+          && List.for_all (fun u -> Graph.neighbours g u = adj.(u)) (List.init n Fun.id)
+          && List.for_all
+               (fun u ->
+                 List.for_all
+                   (fun v ->
+                     let expected = Hashtbl.find_opt eid (min u v, max u v) in
+                     let got = match Graph.edge_index g u v with i -> Some i | exception Invalid_argument _ -> None in
+                     expected = got)
+                   (List.init n Fun.id))
+               (List.init n Fun.id)
+      | _ -> false)
+
 let suite =
   suite
   @ [
@@ -392,4 +466,5 @@ let suite =
       ("route next hop validation", `Quick, test_route_next_hop_validation);
       ("closed-form distance allocation free", `Quick, test_distance_allocation_free);
       ("in_neighbourhood = membership in N(a)", `Quick, test_in_neighbourhood_exact);
+      QCheck_alcotest.to_alcotest ~long:false qcheck_of_edges_reference;
     ]
