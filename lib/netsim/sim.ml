@@ -6,13 +6,6 @@ let c_delivered = Obs.counter "netsim.delivered"
 let c_hops = Obs.counter "netsim.hops"
 let h_latency = Obs.histogram "netsim.latency_cycles"
 
-(* Directed-link index: the undirected edge id from [Graph.edge_index]
-   doubled, plus the direction bit (0 = towards the higher-numbered
-   endpoint). Dense, so per-send queue lookup is a binary search in the
-   sender's adjacency instead of a hash, and per-link series (loads,
-   utilisation) are plain array sweeps. *)
-let link_index g ~at ~hop = (2 * Graph.edge_index g at hop) + if at < hop then 0 else 1
-
 (* The core is event-driven: instead of sweeping all 2m directed links
    and all n inboxes every cycle (the retained [Sim_ref] does exactly
    that), we keep "active sets" of only the links and inboxes that
@@ -23,13 +16,20 @@ let link_index g ~at ~hop = (2 * Graph.edge_index g at hop) + if at < hop then 0
    observable (cycle counts, delivery order, link loads, high-water
    marks), is bit-identical to the sweep semantics. Messages live in
    flat arenas of parallel int arrays recycled through free lists, and
-   each link/inbox FIFO is a growable power-of-two ring of message ids,
-   so the steady-state loop moves only integers and allocates nothing
-   (guarded by a [Gc.minor_words] test).
+   each link/inbox FIFO is an intrusive list threaded through the
+   arena's [msg_next] field (first, last and length per queue), so the
+   steady-state loop moves only integers and allocates nothing (guarded
+   by a [Gc.minor_words] test).
    When exactly one message is in flight on a link — the latency-bound
    regime, e.g. [pingpong_sweep] — [run] skips the idle cycles entirely
    and fast-forwards the message along its whole remaining route in one
    jump.
+
+   Links are indexed by directed-link number: the undirected edge id
+   doubled, plus the direction bit (0 = towards the higher-numbered
+   endpoint), as [Router.next_link] names it. So each hop's queue is one
+   route lookup away, and per-link series (loads, utilisation) are
+   plain array sweeps.
 
    A stepped cycle is two walks over the active sets: [drain_links]
    moves every non-empty link one batch forward, then [serve_inboxes]
@@ -130,18 +130,18 @@ type t = {
   mutable msg_dst : int array;
   mutable msg_tag : int array;
   mutable msg_sent : int array;   (* injection cycle *)
+  mutable msg_next : int array;   (* the next message in its queue *)
   mutable free_ids : int array;   (* recycled ids, stack of size [n_free] *)
   mutable n_free : int;
   mutable arena_top : int;        (* ids below this have been handed out *)
-  (* FIFO ring per directed link, holding message ids *)
-  lring : int array array;
-  lhead : int array;
+  (* FIFO per directed link: first and last message id, and length *)
+  lfirst : int array;
+  llast : int array;
   llen : int array;
-  link_dst : int array;           (* directed link -> its receiving endpoint *)
   link_load : int array;          (* messages that traversed each directed link *)
-  (* FIFO ring per vertex inbox: arrived messages awaiting CPU service *)
-  iring : int array array;
-  ihead : int array;
+  (* FIFO per vertex inbox: arrived messages awaiting CPU service *)
+  ifirst : int array;
+  ilast : int array;
   ilen : int array;
   (* active sets: the non-empty links / inboxes; sized to 2m / n, so
      they never grow *)
@@ -164,8 +164,6 @@ type t = {
 
 type handler = tag:int -> t -> unit
 
-let empty_ring : int array = [||]
-
 (* ------------------------------------------------------------------ *)
 (* Message arena                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -180,6 +178,7 @@ let grow_arena t =
   t.msg_dst <- grow t.msg_dst;
   t.msg_tag <- grow t.msg_tag;
   t.msg_sent <- grow t.msg_sent;
+  t.msg_next <- grow t.msg_next;
   t.free_ids <- grow t.free_ids
 
 let alloc_msg t ~dst ~tag ~sent =
@@ -206,48 +205,32 @@ let free_msg t id =
   t.n_free <- t.n_free + 1
 
 (* ------------------------------------------------------------------ *)
-(* Power-of-two ring buffers (shared across links and inboxes)         *)
+(* Intrusive FIFOs: queue [i] runs from [first.(i)] along [msg_next]    *)
+(* for [lens.(i)] messages, ending at [last.(i)]                       *)
 (* ------------------------------------------------------------------ *)
 
-let rpush rings heads lens i v =
-  let buf = rings.(i) in
-  let cap = Array.length buf in
-  let len = lens.(i) in
-  if len = cap then begin
-    (* grow, unwrapping the ring to the front of the new buffer *)
-    let nbuf = Array.make (if cap = 0 then 4 else 2 * cap) 0 in
-    let h = heads.(i) in
-    for k = 0 to len - 1 do
-      nbuf.(k) <- buf.((h + k) land (cap - 1))
-    done;
-    rings.(i) <- nbuf;
-    heads.(i) <- 0;
-    nbuf.(len) <- v;
-    lens.(i) <- len + 1
-  end
-  else begin
-    buf.((heads.(i) + len) land (cap - 1)) <- v;
-    lens.(i) <- len + 1
-  end
+let qpush t first last lens i id =
+  if lens.(i) = 0 then first.(i) <- id else t.msg_next.(last.(i)) <- id;
+  last.(i) <- id;
+  lens.(i) <- lens.(i) + 1
 
-let rpop rings heads lens i =
-  let buf = rings.(i) in
-  let v = buf.(heads.(i)) in
-  heads.(i) <- (heads.(i) + 1) land (Array.length buf - 1);
+let qpop t first lens i =
+  let id = first.(i) in
+  first.(i) <- t.msg_next.(id);
   lens.(i) <- lens.(i) - 1;
-  v
+  id
 
 (* ------------------------------------------------------------------ *)
 (* Enqueue paths                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let push_inbox t ~at id =
-  rpush t.iring t.ihead t.ilen at id;
+  qpush t t.ifirst t.ilast t.ilen at id;
   if t.ilen.(at) > t.inbox_high_water then t.inbox_high_water <- t.ilen.(at);
   add t.inboxes at
 
 let push_link t l id =
-  rpush t.lring t.lhead t.llen l id;
+  qpush t t.lfirst t.llast t.llen l id;
   if t.llen.(l) > t.high_water then t.high_water <- t.llen.(l);
   add t.links l
 
@@ -257,10 +240,8 @@ let send t ~src ~dst ~tag =
   t.in_flight <- t.in_flight + 1;
   Obs.incr c_sent;
   if src = dst then push_inbox t ~at:src (alloc_msg t ~dst ~tag ~sent:t.cycle)
-  else begin
-    let hop = Router.next_hop t.router ~current:src ~dst in
-    push_link t (link_index t.graph ~at:src ~hop) (alloc_msg t ~dst ~tag ~sent:t.cycle)
-  end
+  else
+    push_link t (Router.next_link t.router ~current:src ~dst) (alloc_msg t ~dst ~tag ~sent:t.cycle)
 
 let record_latency t v =
   let cap = Array.length t.latencies in
@@ -306,13 +287,13 @@ let push_served t id =
 
 (* Advance one batch per non-empty link, in link-index order so runs
    are deterministic; arrivals join the destination's inbox and may
-   still be served this cycle, forwards re-enter the ring of their next
+   still be served this cycle, forwards re-enter the queue of their next
    link once every link has moved. Links drained dry leave the set. *)
 let drain_link t l =
   let npop = if t.link_capacity < t.llen.(l) then t.link_capacity else t.llen.(l) in
   for _ = 1 to npop do
     t.link_load.(l) <- t.link_load.(l) + 1;
-    push_moved t t.link_dst.(l) (rpop t.lring t.lhead t.llen l)
+    push_moved t (Router.link_dst t.router l) (qpop t t.lfirst t.llen l)
   done;
   t.llen.(l) > 0
 
@@ -324,10 +305,7 @@ let drain_links t =
     let id = t.moved_id.(k) in
     let dst = t.msg_dst.(id) in
     if dst = at then push_inbox t ~at id
-    else begin
-      let hop = Router.next_hop t.router ~current:at ~dst in
-      push_link t (link_index t.graph ~at ~hop) id
-    end
+    else push_link t (Router.next_link t.router ~current:at ~dst) id
   done
 
 (* CPU service: each non-empty inbox completes up to service_rate
@@ -335,7 +313,7 @@ let drain_links t =
 let serve_inbox t x =
   let npop = if t.service_rate < t.ilen.(x) then t.service_rate else t.ilen.(x) in
   for _ = 1 to npop do
-    push_served t (rpop t.iring t.ihead t.ilen x)
+    push_served t (qpop t t.ifirst t.ilen x)
   done;
   t.ilen.(x) > 0
 
@@ -428,10 +406,9 @@ let step t ~on_deliver =
 let rec walk_route t at dst =
   if at = dst then 0
   else begin
-    let hop = Router.next_hop t.router ~current:at ~dst in
-    let l = link_index t.graph ~at ~hop in
+    let l = Router.next_link t.router ~current:at ~dst in
     t.link_load.(l) <- t.link_load.(l) + 1;
-    1 + walk_route t hop dst
+    1 + walk_route t (Router.link_dst t.router l) dst
   end
 
 (* Exactly one message in flight, sitting on a link: every cycle until
@@ -443,10 +420,10 @@ let rec walk_route t at dst =
    stepped semantics. *)
 let fast_forward t ~on_deliver =
   let l = least t.links in
-  let id = rpop t.lring t.lhead t.llen l in
+  let id = qpop t t.lfirst t.llen l in
   clear t.links l;
   t.link_load.(l) <- t.link_load.(l) + 1;
-  let hops = 1 + walk_route t t.link_dst.(l) t.msg_dst.(id) in
+  let hops = 1 + walk_route t (Router.link_dst t.router l) t.msg_dst.(id) in
   if t.inbox_high_water < 1 then t.inbox_high_water <- 1;
   Obs.add c_hops hops;
   t.cycle <- t.cycle + hops;
@@ -472,11 +449,6 @@ let create ?(link_capacity = 1) ?(service_rate = max_int) graph =
   if service_rate <= 0 then invalid_arg "Sim.create: service rate";
   let n = Graph.n graph in
   let m = Graph.m graph in
-  let link_dst = Array.make (2 * m) (-1) in
-  Graph.iter_edges graph (fun u v ->
-      let eid = Graph.edge_index graph u v in
-      link_dst.(2 * eid) <- max u v;
-      link_dst.((2 * eid) + 1) <- min u v);
   {
     graph;
     router = Router.create graph;
@@ -485,16 +457,16 @@ let create ?(link_capacity = 1) ?(service_rate = max_int) graph =
     msg_dst = Array.make 64 0;
     msg_tag = Array.make 64 0;
     msg_sent = Array.make 64 0;
+    msg_next = Array.make 64 0;
     free_ids = Array.make 64 0;
     n_free = 0;
     arena_top = 0;
-    lring = Array.make (2 * m) empty_ring;
-    lhead = Array.make (2 * m) 0;
+    lfirst = Array.make (2 * m) 0;
+    llast = Array.make (2 * m) 0;
     llen = Array.make (2 * m) 0;
-    link_dst;
     link_load = Array.make (2 * m) 0;
-    iring = Array.make n empty_ring;
-    ihead = Array.make n 0;
+    ifirst = Array.make n 0;
+    ilast = Array.make n 0;
     ilen = Array.make n 0;
     links = make_aset (2 * m);
     inboxes = make_aset n;

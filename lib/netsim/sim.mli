@@ -14,8 +14,11 @@
     to a full sweep — the retained {!Sim_ref} is the executable
     specification. A walk starts at the set's first member and stops
     after its last, so a cycle with one busy queue costs the same on any
-    host. Message FIFOs are growable int rings over a flat arena, and
-    the steady-state loop allocates nothing. When the network is
+    host. Messages live in a flat arena of int arrays, and every link
+    and inbox FIFO is an intrusive list threaded through it (no per-queue
+    buffer to grow); each hop is one route lookup that names its
+    directed link ({!Router.next_link}), and the steady-state loop
+    allocates nothing. When the network is
     latency-bound — exactly one message in flight, sitting on a link —
     [run] skips the idle cycles and fast-forwards the message along its
     whole remaining route, so serial workloads cost O(total hops)

@@ -103,7 +103,7 @@ val slowdown : spec -> Xt_embedding.Embedding.t -> float
 
     A batch of independent (workload × tree × host) replays. Each case
     builds its own simulator; cases on one host share only that host's
-    route table ({!Xt_topology.Graph.next_hop}). *)
+    route table ({!Xt_topology.Graph.route_slot}). *)
 
 type case = {
   label : string;

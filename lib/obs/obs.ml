@@ -80,7 +80,12 @@ type hshard = {
   mutable hmax : int;
 }
 
-type histogram = { name : string; bounds : int array; shards : hshard array }
+type histogram = {
+  name : string;
+  bounds : int array;
+  pow2 : bool; (* bounds are [default_buckets]: bucket by bit arithmetic *)
+  shards : hshard array;
+}
 
 let registry_mutex = Mutex.create ()
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
@@ -130,6 +135,7 @@ let histogram ?(buckets = default_buckets) name =
       {
         name;
         bounds = Array.copy buckets;
+        pow2 = buckets = default_buckets;
         shards =
           Array.init nshards (fun _ ->
               {
@@ -144,7 +150,7 @@ let histogram ?(buckets = default_buckets) name =
 (* First bucket whose inclusive upper bound is >= v, else the overflow
    slot. Binary search: bounds are small arrays but latency ladders have
    ~30 entries. *)
-let bucket_of bounds v =
+let bucket_search bounds v =
   let nb = Array.length bounds in
   if v > bounds.(nb - 1) then nb
   else begin
@@ -156,10 +162,32 @@ let bucket_of bounds v =
     !lo
   end
 
+let debruijn =
+  "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\
+   \031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
+
+(* [bucket_search default_buckets v] in O(1): bucket [i] holds
+   (2^(i-1), 2^i], so a [v] in (1, 2^29] lands in bucket ceil(log2 v),
+   the bit length of [v - 1]. Smearing [v - 1] rightwards and adding one
+   leaves the single bit 2^ceil(log2 v), whose position is one multiply
+   into a de Bruijn table. *)
+let pow2_bucket v =
+  if v <= 1 then 0
+  else if v > 1 lsl 29 then 30
+  else begin
+    let x = v - 1 in
+    let x = x lor (x lsr 1) in
+    let x = x lor (x lsr 2) in
+    let x = x lor (x lsr 4) in
+    let x = x lor (x lsr 8) in
+    let x = x lor (x lsr 16) in
+    Char.code (String.unsafe_get debruijn ((((x + 1) * 0x077CB531) lsr 27) land 31))
+  end
+
 let observe h v =
   if !metrics_on then begin
     let s = h.shards.(shard_index ()) in
-    let b = bucket_of h.bounds v in
+    let b = if h.pow2 then pow2_bucket v else bucket_search h.bounds v in
     s.hcounts.(b) <- s.hcounts.(b) + 1;
     s.hsum <- s.hsum + v;
     s.hcount <- s.hcount + 1;

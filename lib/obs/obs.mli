@@ -103,6 +103,17 @@ val histogram : ?buckets:int array -> string -> histogram
     registration win). *)
 
 val observe : histogram -> int -> unit
+(** Count a sample in its bucket. A histogram on the default ladder
+    finds the bucket in O(1) ({!pow2_bucket}); any other ladder by
+    binary search ({!bucket_search}). *)
+
+val bucket_search : int array -> int -> int
+(** [bucket_search bounds v]: the first bucket whose bound is [>= v], or
+    [Array.length bounds] (the overflow bucket). O(log buckets). *)
+
+val pow2_bucket : int -> int
+(** [bucket_search] on the default ladder, by bit arithmetic: for every
+    [v], [pow2_bucket v = bucket_search [|1; 2; …; 2{^29}|] v]. *)
 
 val time_ns : histogram -> (unit -> 'a) -> 'a
 (** Run the thunk and observe its duration in nanoseconds. When metrics

@@ -184,14 +184,28 @@ let run ?(config = default) ?state ic oc =
     stats = Theorem1.cache_stats cache;
   }
 
+(* Names for the socket before it listens, one per [listen] call. *)
+let unpublished = Atomic.make 0
+
 let listen ?(config = default) ?max_conns ~path () =
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try if Sys.file_exists path then Sys.remove path with Sys_error _ -> ());
-  (try Unix.bind sock (Unix.ADDR_UNIX path)
+  (* Bind and listen under a sibling name, then rename the socket onto
+     [path]: a client that waits for [path] to exist finds a socket that
+     already accepts, never one that refuses. *)
+  let tmp =
+    Filename.concat (Filename.dirname path)
+      (Printf.sprintf ".xt%d-%d" (Unix.getpid ()) (Atomic.fetch_and_add unpublished 1))
+  in
+  (try
+     (try Sys.remove tmp with Sys_error _ -> ());
+     Unix.bind sock (Unix.ADDR_UNIX tmp);
+     Unix.listen sock 8;
+     Unix.rename tmp path
    with Unix.Unix_error (err, fn, _) ->
      Unix.close sock;
+     (try Sys.remove tmp with Sys_error _ -> ());
      raise (Unix.Unix_error (err, fn, path)));
-  Unix.listen sock 8;
   let state = make_state config in
   let conns = ref 0 in
   let more () = match max_conns with None -> true | Some m -> !conns < m in

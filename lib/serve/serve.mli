@@ -78,7 +78,9 @@ val listen :
   ?config:config -> ?max_conns:int -> path:string -> unit -> unit
 (** Bind a Unix-domain stream socket at [path] (unlinking a stale one)
     and serve connections sequentially, sharing one cache across all of
-    them. A client that hangs up ends only its own connection. Stops
+    them. The socket is bound and listening under a sibling name first
+    and then renamed onto [path], so a client that connects as soon as
+    [path] exists is accepted. A client that hangs up ends only its own connection. Stops
     after [max_conns] connections (default: forever). A socket that
     cannot be bound raises [Unix.Unix_error] naming [path]. *)
 

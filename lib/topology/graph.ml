@@ -109,6 +109,10 @@ let max_degree g =
 
 let neighbours g v = Array.sub g.col g.row.(v) (degree g v)
 
+let first_slot g v = g.row.(v)
+let slot_target g k = g.col.(k)
+let slot_edge g k = g.eid.(k)
+
 let iter_neighbours g v f =
   for i = g.row.(v) to g.row.(v + 1) - 1 do
     f g.col.(i)
@@ -203,7 +207,7 @@ let routes g =
   let table = Atomic.get g.routes in
   if Array.length table = g.n then table
   else begin
-    if max_degree g > no_port then invalid_arg "Graph.next_hop: degree above 65535";
+    if max_degree g > no_port then invalid_arg "Graph.route_slot: degree above 65535";
     let fresh = Array.init g.n (fun _ -> Atomic.make no_row) in
     if Atomic.compare_and_set g.routes table fresh then fresh else Atomic.get g.routes
   end
@@ -240,12 +244,12 @@ let publish g cell dst =
   Atomic.set cell row;
   row
 
-let next_hop g ~current ~dst =
+let route_slot g ~current ~dst =
   let cell = (routes g).(dst) in
   let row = Atomic.get cell in
   let row = if row != no_row then row else publish g cell dst in
   let p = Bytes.get_uint16_ne row (2 * current) in
-  if p = no_port then -1 else g.col.(g.row.(current) + p)
+  if p = no_port then -1 else g.row.(current) + p
 
 let warm_routes g =
   Array.iteri

@@ -28,6 +28,23 @@ val max_degree : t -> int
 val neighbours : t -> int -> int array
 (** Sorted adjacency of a vertex. The returned array must not be mutated. *)
 
+(** {2 Slots}
+
+    The adjacency lists are stored back to back as [2m] {e slots}, one
+    per direction of each edge: vertex [v]'s neighbours, in ascending
+    order, fill slots [first_slot g v] to [first_slot g (v + 1) - 1]. A
+    slot is therefore a directed edge, named by one integer; all three
+    accessors are O(1). *)
+
+val first_slot : t -> int -> int
+(** [first_slot g v] for [v] in [0 .. n]; [first_slot g n = 2m]. *)
+
+val slot_target : t -> int -> int
+(** The neighbour a slot points at. *)
+
+val slot_edge : t -> int -> int
+(** The undirected edge id of a slot, as {!iter_neighbours_e} gives it. *)
+
 val iter_neighbours : t -> int -> (int -> unit) -> unit
 
 val iter_neighbours_e : t -> int -> (int -> int -> unit) -> unit
@@ -55,23 +72,25 @@ val bfs_parents : t -> int -> int array * int array
     [parent.(v) = -1] for unreachable [v]; otherwise [parent.(v)] is the
     predecessor of [v] on some shortest path from [s]. *)
 
-val next_hop : t -> current:int -> dst:int -> int
-(** The neighbour of [current] on its BFS route to [dst]: exactly
-    [(snd (bfs_parents g dst)).(current)] for [current <> dst], or [-1]
-    when [current = dst] or [dst] is unreachable from [current].
+val route_slot : t -> current:int -> dst:int -> int
+(** The slot from [current] to its neighbour on the BFS route to [dst],
+    or [-1] when [current = dst] or [dst] is unreachable from [current].
+    The neighbour, [slot_target g (route_slot g ~current ~dst)], is
+    exactly [(snd (bfs_parents g dst)).(current)].
 
     Routes come from a next-hop table stored on the graph and shared by
     every caller: one row per destination, 2 bytes per vertex (the hop's
-    position in [current]'s sorted adjacency), so 2n{^2} bytes once every
-    row exists, freed with the graph. Nothing is allocated until the
-    first call; the first call for a destination builds its row with one
-    BFS. A row is published only once complete, so any number of domains
-    may call this on one graph at once. Allocation-free once [dst]'s row
+    position in [current]'s sorted adjacency, so the slot is
+    [first_slot g current] plus that port), 2n{^2} bytes once every row
+    exists, freed with the graph. Nothing is allocated until the first
+    call; the first call for a destination builds its row with one BFS.
+    A row is published only once complete, so any number of domains may
+    call this on one graph at once. Allocation-free once [dst]'s row
     exists. Raises [Invalid_argument] if a vertex has more than 65535
     neighbours. *)
 
 val warm_routes : t -> unit
-(** Build every row of the {!next_hop} table not built yet, so that no
+(** Build every row of the {!route_slot} table not built yet, so that no
     later call pays a BFS. *)
 
 val distance : t -> int -> int -> int

@@ -243,10 +243,13 @@ let test_sim_input_checks () =
 (* ---------------- router == the BFS spec ---------------------------- *)
 
 (* Every route must be the one [Graph.bfs_parents] names: for each
-   (current, dst) pair, [next_hop] is current's BFS parent towards dst
-   and [path_length] is the BFS distance; pairs in different components
-   raise "unreachable" and measure -1. Both router modes answer to this
-   spec, and [Sim_ref] shares [Router], so nothing else pins routing. *)
+   (current, dst) pair, [next_hop] is current's BFS parent towards dst,
+   [next_link] is the directed link to it (numbered from
+   [Graph.edge_index], independently of the router's slot pass) and
+   points at it, and [path_length] is the BFS distance; pairs in
+   different components raise "unreachable" from both and measure -1.
+   Both router modes answer to this spec, and [Sim_ref] shares [Router]'s
+   [next_hop], so nothing else pins routing. *)
 let routes_match_bfs ~what g r =
   let n = Graph.n g in
   for dst = 0 to n - 1 do
@@ -254,15 +257,31 @@ let routes_match_bfs ~what g r =
     let dist = Graph.bfs g dst in
     for cur = 0 to n - 1 do
       if cur <> dst then begin
-        match Router.next_hop r ~current:cur ~dst with
+        (match Router.next_hop r ~current:cur ~dst with
         | hop ->
             if hop <> parent.(cur) then
               Alcotest.failf "%s: next_hop %d->%d = %d, BFS parent %d" what cur dst hop
                 parent.(cur)
         | exception Invalid_argument msg ->
             if dist.(cur) >= 0 || msg <> "Router.next_hop: unreachable" then
-              Alcotest.failf "%s: next_hop %d->%d raised %S" what cur dst msg
-      end;
+              Alcotest.failf "%s: next_hop %d->%d raised %S" what cur dst msg);
+        match Router.next_link r ~current:cur ~dst with
+        | link ->
+            let hop = parent.(cur) in
+            let want =
+              if hop < 0 then -1 else (2 * Graph.edge_index g cur hop) + if cur < hop then 0 else 1
+            in
+            if link <> want || Router.link_dst r link <> hop then
+              Alcotest.failf "%s: next_link %d->%d = %d, want %d towards %d" what cur dst link want
+                hop
+        | exception Invalid_argument msg ->
+            if dist.(cur) >= 0 || msg <> "Router.next_hop: unreachable" then
+              Alcotest.failf "%s: next_link %d->%d raised %S" what cur dst msg
+      end
+    done;
+    (* only once every hop towards [dst] is right: a wrong hop can send
+       the walk round a cycle *)
+    for cur = 0 to n - 1 do
       let len = Router.path_length r ~src:cur ~dst in
       if len <> dist.(cur) then
         Alcotest.failf "%s: path_length %d->%d = %d, BFS distance %d" what cur dst len dist.(cur)
@@ -282,7 +301,7 @@ let route_case_gen =
     let* seed = int_bound 1_000_000 in
     return { fname = List.nth route_families fi; size; seed })
 
-(* On a tree the shortest path is unique, so the binary-lifting mode
+(* On a tree the shortest path is unique, so the preorder tree mode
    must name the BFS parent on EVERY (current, dst) pair. *)
 let run_route_case c =
   let rng = Xt_prelude.Rng.make ~seed:c.seed in
@@ -336,6 +355,68 @@ let qcheck_routes_bfs_spec =
       let g = host_of_case c in
       routes_match_bfs ~what:(print_host_case c) g (Router.create g);
       true)
+
+(* High-degree trees, which guests (degree <= 3) never are: stars,
+   spiders (legs from one centre, their lengths within one of each
+   other) and random recursive trees (vertex i joins a uniformly chosen
+   earlier vertex). Labels are shuffled, so a parent edge sits anywhere
+   in its vertex's sorted adjacency and the DFS root (vertex 0) is any
+   vertex. *)
+type wide_case = { shape : string; wsize : int; wseed : int }
+
+let print_wide_case c = Printf.sprintf "%s(%d) seed=%d" c.shape c.wsize c.wseed
+
+let wide_case_gen =
+  QCheck2.Gen.(
+    let* shape = oneofl [ "star"; "spider"; "recursive" ] in
+    let* wsize = map (fun k -> k + 1) (int_bound 79) in
+    let* wseed = int_bound 1_000_000 in
+    return { shape; wsize; wseed })
+
+let wide_tree c =
+  let rng = Xt_prelude.Rng.make ~seed:c.wseed in
+  let n = c.wsize in
+  let joins =
+    match c.shape with
+    | "star" -> fun _ -> 0
+    | "spider" ->
+        let legs = 1 + Xt_prelude.Rng.int rng (max 1 (n / 2)) in
+        fun i -> if i <= legs then 0 else i - legs
+    | _ -> fun i -> Xt_prelude.Rng.int rng i
+  in
+  let label = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Xt_prelude.Rng.int rng (i + 1) in
+    let t = label.(i) in
+    label.(i) <- label.(j);
+    label.(j) <- t
+  done;
+  Graph.of_edges ~n (List.init (n - 1) (fun k -> (label.(k + 1), label.(joins (k + 1)))))
+
+let qcheck_wide_trees =
+  QCheck2.Test.make ~count:120 ~name:"router: high-degree trees route on the BFS spec"
+    ~print:print_wide_case wide_case_gen (fun c ->
+      let g = wide_tree c in
+      routes_match_bfs ~what:(print_wide_case c) g (Router.create g);
+      true)
+
+(* [next_link] on every pair of fixed hosts of both modes: a path, a
+   star centred mid-range, a guest tree, X(3), Q_3, two components and a
+   lone vertex. *)
+let test_router_next_link () =
+  let star = Graph.of_edges ~n:9 (List.map (fun v -> (4, v)) [ 0; 1; 2; 3; 5; 6; 7; 8 ]) in
+  let two = Graph.of_edges ~n:7 [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5); (5, 6) ] in
+  List.iter
+    (fun (what, g) -> routes_match_bfs ~what g (Router.create g))
+    [
+      ("path", path_host 6);
+      ("star", star);
+      ("guest", Workload.guest_graph (Gen.random_bst (Xt_prelude.Rng.make ~seed:3) 40));
+      ("X(3)", Xtree.graph (Xtree.create ~height:3));
+      ("Q_3", Hypercube.graph (Hypercube.create ~dim:3));
+      ("two components", two);
+      ("one vertex", Graph.of_edges ~n:1 []);
+    ]
 
 (* ---------------- one route table, two domains ---------------------- *)
 
@@ -396,4 +477,6 @@ let suite =
       QCheck_alcotest.to_alcotest ~long:false qcheck_router_modes;
       QCheck_alcotest.to_alcotest ~long:false qcheck_routes_bfs_spec;
       ("two domains share route tables", `Quick, test_two_domains_share_routes);
+      QCheck_alcotest.to_alcotest ~long:false qcheck_wide_trees;
+      ("router next link", `Quick, test_router_next_link);
     ]

@@ -232,6 +232,24 @@ let test_degenerate_single_link () =
   compare_direct ~what:"single link" ~link_capacity:1 ~service_rate:1 ~graph
     [ (0, 1, 0); (0, 1, 1); (1, 0, 2); (0, 1, 3); (1, 0, 4); (1, 1, 5); (0, 0, 6) ]
 
+(* A burst far past the arena's initial 64 ids: 5 000 messages queue on
+   the first link of a path while the arena doubles to 8 192, traffic
+   the other way shares the links, and two streams into one vertex at
+   service rate 1 back up its inbox. *)
+let test_arena_growth_burst () =
+  let n = 8 in
+  let graph = Graph.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1))) in
+  let stream k src dst = List.init k (fun i -> (src, dst, i)) in
+  let sends =
+    stream 5000 0 (n - 1) @ stream 700 (n - 1) 0 @ stream 300 1 3 @ stream 300 5 3 @ stream 50 2 2
+  in
+  compare_direct ~what:"arena growth burst" ~service_rate:1 ~graph sends;
+  let sim = Sim.create ~service_rate:1 graph in
+  List.iter (fun (src, dst, tag) -> Sim.send sim ~src ~dst ~tag) sends;
+  ignore (Sim.run sim ~on_deliver:(fun ~tag:_ _ -> ()));
+  checkb "5 000 messages queued on one link" true (Sim.max_link_queue sim >= 5000);
+  checkb "an inbox backed up" true (Sim.max_inbox_queue sim >= 2)
+
 (* ---------------- steady-state loop allocates nothing ---------------- *)
 
 let run_loop_allocation host sends =
@@ -270,6 +288,13 @@ let test_run_allocation_free_xtree () =
   let ends = List.init 12 (fun l -> (Xtree.id ~level:(l + 1) ~index:0, Xtree.id ~level:(l + 1) ~index:((1 lsl (l + 1)) - 1))) in
   let to_root = List.init 24 (fun k -> (n - 1 - (170 * k), 0)) in
   run_loop_allocation (Xtree.graph xt) (ends @ List.map (fun (a, b) -> (b, a)) ends @ to_root)
+
+(* The same on a native guest, whose routes take the tree mode's
+   descent into one of two children. *)
+let test_run_allocation_free_native () =
+  let n = 2000 in
+  let host = Workload.guest_graph (Gen.random_bst (Xt_prelude.Rng.make ~seed:1910) n) in
+  run_loop_allocation host (List.init 40 (fun k -> ((k * 997) mod n, (k * 1409 + 500) mod n)))
 
 let test_fast_forward_allocation_free () =
   (* the idle-skip path: one message at a time over a long path *)
@@ -345,4 +370,6 @@ let suite =
     ("run loop allocation free on X(12)", `Quick, test_run_allocation_free_xtree);
     ("fast forward allocation free", `Quick, test_fast_forward_allocation_free);
     ("shared routes allocation free", `Quick, test_shared_routes_allocation_free);
+    ("arena growth burst", `Quick, test_arena_growth_burst);
+    ("run loop allocation free on a native tree", `Quick, test_run_allocation_free_native);
   ]

@@ -417,6 +417,39 @@ let test_drain_covers_late_domains () =
   let r = row_of "test.late_hist" d.Obs.histograms in
   check "every late-domain sample merged" spawned r.Obs.count
 
+(* ---------------- power-of-two buckets ---------------- *)
+
+(* The default ladder's O(1) bucket must be the binary search's, on
+   every small value, around every power of two an int can hold, and at
+   the extremes; and a default histogram must file samples there. *)
+let test_pow2_bucket_matches_search () =
+  let ladder = Array.init 30 (fun i -> 1 lsl i) in
+  let same v =
+    let want = Obs.bucket_search ladder v and got = Obs.pow2_bucket v in
+    if got <> want then Alcotest.failf "pow2_bucket %d = %d, binary search %d" v got want
+  in
+  for v = -100 to 1_000_000 do
+    same v
+  done;
+  for k = 0 to 62 do
+    List.iter same [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ]
+  done;
+  List.iter same [ min_int; max_int ];
+  quiesce ();
+  Obs.enable_metrics ();
+  let h = Obs.histogram "test.pow2_hist" in
+  let samples = [ min_int; -5; 0; 1; 2; 3; 4; 5; 1000; 1 lsl 29; (1 lsl 29) + 1; max_int ] in
+  List.iter (Obs.observe h) samples;
+  let r = row_of "test.pow2_hist" (Obs.drain ()).Obs.histograms in
+  Obs.disable_metrics ();
+  let want = Array.make 31 0 in
+  List.iter
+    (fun v ->
+      let b = Obs.bucket_search ladder v in
+      want.(b) <- want.(b) + 1)
+    samples;
+  Alcotest.(check (array int)) "default histogram buckets" want r.Obs.counts
+
 let suite =
   [
     ("disabled records nothing", `Quick, test_disabled_records_nothing);
@@ -431,4 +464,5 @@ let suite =
     ("quantile single sample", `Quick, test_quantile_single_sample);
     ("quantile overflow bucket", `Quick, test_quantile_overflow_bucket);
     ("drain covers late domains", `Quick, test_drain_covers_late_domains);
+    ("power-of-two buckets in O(1)", `Quick, test_pow2_bucket_matches_search);
   ]

@@ -529,6 +529,27 @@ let test_listen_survives_hangup () =
   Domain.join server;
   Alcotest.(check bool) "socket removed on return" false (Sys.file_exists path)
 
+(* The socket path appears only once the server listens: a client that
+   connects the moment the path exists is accepted, every time. *)
+let test_listen_publishes_listening_socket () =
+  for i = 1 to 20 do
+    let path = Filename.temp_file "xt_serve" ".sock" in
+    Sys.remove path;
+    let server = Domain.spawn (fun () -> Serve.listen ~max_conns:1 ~path ()) in
+    let deadline = Unix.gettimeofday () +. 10. in
+    while not (Sys.file_exists path) do
+      if Unix.gettimeofday () > deadline then Alcotest.failf "attempt %d: no socket after 10 s" i;
+      Domain.cpu_relax ()
+    done;
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    (match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> ()
+    | exception Unix.Unix_error (err, _, _) ->
+        Alcotest.failf "attempt %d: connect as the path appeared: %s" i (Unix.error_message err));
+    Unix.close fd;
+    Domain.join server
+  done
+
 let suite =
   [
     Alcotest.test_case "wire frames round-trip" `Quick test_wire_frames;
@@ -540,6 +561,8 @@ let suite =
     Alcotest.test_case "snapshot entries are checked" `Quick test_snapshot_entry_checks;
     Alcotest.test_case "serve counts each shape's miss once" `Quick test_serve_counts_misses;
     Alcotest.test_case "listen survives a client hang-up" `Quick test_listen_survives_hangup;
+    Alcotest.test_case "listen publishes a listening socket" `Quick
+      test_listen_publishes_listening_socket;
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)
