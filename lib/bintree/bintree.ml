@@ -179,46 +179,114 @@ let stats t =
   done;
   { size = n t; height = height t; leaves = !leaves; max_degree = !maxd }
 
+(* The number of nodes a walk from the root reaches, in mirror preorder
+   — each node, then its right subtree, then its left subtree — walking
+   with the parent pointers: down to the right child, else the left one,
+   else up until a node is left from its right child and has a left one.
+   The walk checks each edge it descends and returns -1 at a child out
+   of range or naming another parent, or at a node with one child twice;
+   so it enters every node at most once, from its parent, and needs no
+   stack and no visited set. *)
+let reach t =
+  let size = n t in
+  let rec down v count =
+    let r = t.right.(v) and l = t.left.(v) in
+    if r >= 0 && r = l then -1
+    else if r >= 0 then edge v r count
+    else if l >= 0 then edge v l count
+    else climb v count
+  and edge v c count = if c < size && t.parent.(c) = v then down c (count + 1) else -1
+  and climb c count =
+    let p = t.parent.(c) in
+    if p < 0 then count
+    else
+      let l = t.left.(p) in
+      if l >= 0 && l <> c then edge p l count else climb p count
+  in
+  down t.root 1
+
+(* The last defect found in node order, as the message to report. *)
+let local_defect t =
+  let size = n t in
+  let bad = ref None in
+  for v = 0 to size - 1 do
+    let check_child c label =
+      if c >= size then bad := Some (Printf.sprintf "%s child of %d out of range" label v)
+      else if c >= 0 && t.parent.(c) <> v then
+        bad := Some (Printf.sprintf "%s child of %d has wrong parent" label v)
+    in
+    check_child t.left.(v) "left";
+    check_child t.right.(v) "right";
+    if t.left.(v) >= 0 && t.left.(v) = t.right.(v) then
+      bad := Some (Printf.sprintf "left and right child of %d coincide" v);
+    if v <> t.root && t.parent.(v) < 0 then bad := Some (Printf.sprintf "node %d has no parent" v);
+    if v <> t.root && t.parent.(v) >= 0 then begin
+      let p = t.parent.(v) in
+      if p >= size then bad := Some (Printf.sprintf "parent of %d out of range" v)
+      else if t.left.(p) <> v && t.right.(p) <> v then
+        bad := Some (Printf.sprintf "node %d not a child of its parent" v)
+    end
+  done;
+  !bad
+
+(* A walk that reaches every node proves every node-local check too:
+   each node was entered from the parent it names, as one of that
+   parent's children. Only a failed walk pays for the node-by-node scan
+   that names the defect, with the messages' old precedence. *)
 let check t =
   let size = n t in
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
   if size = 0 then fail "empty tree"
   else if t.root < 0 || t.root >= size then fail "root out of range"
   else if t.parent.(t.root) >= 0 then fail "root has a parent"
-  else begin
-    let bad = ref None in
-    for v = 0 to size - 1 do
-      let check_child c label =
-        if c >= size then bad := Some (Printf.sprintf "%s child of %d out of range" label v)
-        else if c >= 0 && t.parent.(c) <> v then
-          bad := Some (Printf.sprintf "%s child of %d has wrong parent" label v)
-      in
-      check_child t.left.(v) "left";
-      check_child t.right.(v) "right";
-      if v <> t.root && t.parent.(v) < 0 then bad := Some (Printf.sprintf "node %d has no parent" v);
-      if v <> t.root && t.parent.(v) >= 0 then begin
-        let p = t.parent.(v) in
-        if p >= size then bad := Some (Printf.sprintf "parent of %d out of range" v)
-        else if t.left.(p) <> v && t.right.(p) <> v then
-          bad := Some (Printf.sprintf "node %d not a child of its parent" v)
+  else
+    let count = reach t in
+    if count = size then Ok ()
+    else
+      match local_defect t with
+      | Some msg -> Error msg
+      | None -> fail "tree not connected (preorder reached %d of %d)" count size
+
+type mirror = { copy : t; to_copy : int array; to_caller : int array; last : int array }
+
+(* [reach]'s walk on a valid tree, carrying each node's copy id [k]: a
+   child gets the next free id, and a climb reads its parent's id back
+   from the copy. Climbing out of a node ends its subtree, whose last id
+   is then the one just given out. *)
+let mirror_copy t =
+  let size = n t in
+  let to_copy = Array.make size 0 and to_caller = Array.make size 0 and last = Array.make size 0 in
+  let parent = Array.make size (-1) and left = Array.make size (-1) and right = Array.make size (-1) in
+  let rec down v k =
+    to_copy.(v) <- k;
+    to_caller.(k) <- v;
+    let r = t.right.(v) and l = t.left.(v) in
+    if r >= 0 then begin
+      right.(k) <- k + 1;
+      parent.(k + 1) <- k;
+      down r (k + 1)
+    end
+    else if l >= 0 then begin
+      left.(k) <- k + 1;
+      parent.(k + 1) <- k;
+      down l (k + 1)
+    end
+    else climb v k (k + 1)
+  and climb c kc next =
+    last.(kc) <- next - 1;
+    let p = t.parent.(c) in
+    if p >= 0 then begin
+      let kp = parent.(kc) and l = t.left.(p) in
+      if l >= 0 && l <> c then begin
+        left.(kp) <- next;
+        parent.(next) <- kp;
+        down l next
       end
-    done;
-    match !bad with
-    | Some msg -> Error msg
-    | None ->
-        (* connectivity: preorder must reach everything *)
-        let seen = Array.make size false in
-        let count = ref 0 in
-        List.iter
-          (fun v ->
-            if not seen.(v) then begin
-              seen.(v) <- true;
-              incr count
-            end)
-          (preorder t);
-        if !count <> size then fail "tree not connected (preorder reached %d of %d)" !count size
-        else Ok ()
-  end
+      else climb p kp next
+    end
+  in
+  down t.root 0;
+  { copy = { root = 0; parent; left; right }; to_copy; to_caller; last }
 
 let of_arrays ~root ~parent ~left ~right =
   let t = { root; parent; left; right } in

@@ -105,7 +105,30 @@ val fold_preorder : t -> init:'a -> f:('a -> node -> 'a) -> 'a
 
 val check : t -> (unit, string) result
 (** Re-validates internal consistency; used by property tests after
-    generation. *)
+    generation, and by {!of_arrays}. A valid tree passes in one walk
+    from the root, with no stack and no list; only an invalid one pays
+    for a node-by-node scan that names its defect. A node whose left
+    and right child coincide is invalid. *)
+
+(** {1 Renumbering} *)
+
+type mirror = private {
+  copy : t;
+      (** The tree renumbered in mirror preorder — each node, then its
+          right subtree, then its left subtree: the root is 0, a right
+          child is its parent + 1, a left child is its parent + 1 + the
+          size of the right subtree. *)
+  to_copy : int array;  (** The copy's id of each of the tree's nodes. *)
+  to_caller : int array;  (** The inverse of [to_copy]. *)
+  last : int array;
+      (** [last.(k)] is the last id of copy node [k]'s subtree, which is
+          the id range [k .. last.(k)]. *)
+}
+
+val mirror_copy : t -> mirror
+(** The tree renumbered in mirror preorder, with both id maps and every
+    subtree's range. One walk over the parent pointers, with no stack
+    and no validation pass. *)
 
 val pp : Format.formatter -> t -> unit
 (** A compact parenthesised rendering, for debugging small trees. *)

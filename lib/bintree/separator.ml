@@ -14,6 +14,7 @@ let side_sizes sp =
    nothing at all, so one workspace serves every call on its tree. *)
 type ws = {
   tree : Bintree.t;
+  caller_id : int array; (* node -> the caller's id *)
   mark : int array;    (* piece membership stamp *)
   par : int array;     (* parent within the rooted piece *)
   size : int array;    (* subtree size within the rooted piece *)
@@ -30,10 +31,14 @@ type ws = {
   mutable visgen : int;        (* current visited generation *)
 }
 
-let make_ws tree =
+let make_ws ?caller_id tree =
   let n = Bintree.n tree in
+  let caller_id = match caller_id with Some ids -> ids | None -> Array.init n Fun.id in
+  if Array.length caller_id <> n then
+    invalid_arg "Separator.make_ws: caller_id size does not match the tree";
   {
     tree;
+    caller_id;
     mark = Array.make n 0;
     par = Array.make n (-1);
     size = Array.make n 0;
@@ -213,7 +218,7 @@ let in_subtree ws ~root v =
   let rec up w = if w = root then true else if ws.par.(w) >= 0 then up ws.par.(w) else false in
   up v
 
-let uniq xs = List.sort_uniq compare xs
+let uniq ws xs = List.sort_uniq (fun a b -> Int.compare ws.caller_id.(a) ws.caller_id.(b)) xs
 
 type cut = { lay1 : int list; lay2 : int list; carved : int list; swapped : bool }
 
@@ -223,7 +228,7 @@ type cut = { lay1 : int list; lay2 : int list; carved : int list; swapped : bool
 let cut ws ~s1 ~s2 ~side2_nodes =
   ws.ancgen <- ws.ancgen + 1;
   stamp ws.anc ws.ancgen side2_nodes;
-  { lay1 = uniq s1; lay2 = uniq s2; carved = side2_nodes; swapped = false }
+  { lay1 = uniq ws s1; lay2 = uniq ws s2; carved = side2_nodes; swapped = false }
 
 let swap c = { c with lay1 = c.lay2; lay2 = c.lay1; swapped = not c.swapped }
 

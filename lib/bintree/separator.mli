@@ -45,7 +45,15 @@ type ws
     across calls — all transient sets are generation-stamped flat arrays,
     so reuse costs nothing and the hot path allocates no scratch at all. *)
 
-val make_ws : Bintree.t -> ws
+val make_ws : ?caller_id:int array -> Bintree.t -> ws
+(** [caller_id.(v)] is the id the caller knows node [v] by, when the
+    tree is a renumbered copy ({!Bintree.mirror_copy}'s [to_caller]);
+    {!uniq}, and so every cut's [lay1] and [lay2], sort by it. Defaults
+    to the identity. Raises [Invalid_argument] if it is given and its
+    length is not the tree's size. *)
+
+val uniq : ws -> int list -> int list
+(** The nodes without repeats, in increasing caller id. *)
 
 val prepare : ws -> ?place:int array -> piece -> int
 (** Load a piece into the workspace (membership, orientation, subtree
@@ -58,8 +66,8 @@ val prepare : ws -> ?place:int array -> piece -> int
     suite pins with a [Gc.minor_words] guard. *)
 
 type cut = private {
-  lay1 : int list;  (** [s1], sorted. *)
-  lay2 : int list;  (** [s2], sorted. *)
+  lay1 : int list;  (** [s1], by {!uniq}. *)
+  lay2 : int list;  (** [s2], by {!uniq}. *)
   carved : int list;
       (** The part the lemma's carve cut off, subtree by subtree: side 2,
           or side 1 when [swapped]. Its membership stays stamped in the

@@ -42,6 +42,6 @@ let apply_split st ~max_level ~floor_level (piece : State.piece) (c : Separator.
   attach_near st ~floor_level ~fallback:dest2 (side2 ())
 
 let move_whole st ~max_level ~floor_level (piece : State.piece) ~dest =
-  let designated = List.sort_uniq compare (List.map (fun b -> b.State.bnode) piece.bounds) in
+  let designated = Separator.uniq st.State.ws (List.map (fun b -> b.State.bnode) piece.bounds) in
   List.iter (fun v -> State.lay st ~max_level ~node:v ~vertex:dest) designated;
   reattach st ~floor_level ~fallback:dest piece.nodes

@@ -50,30 +50,27 @@ let assign_class ~pairing (bag0, acc0) (bag1, acc1) pieces =
 (* covers its part of the subtree below right-first, then climbs to   *)
 (* the parent and covers the sibling's part, up to the top, where it  *)
 (* ends in the other child's part. Below a node the DFS visits the    *)
-(* piece in mirror preorder, so the last node it reaches there is the *)
-(* largest mirror index in the node's range outside every cut subtree *)
-(* — the subtrees of the placed children of the boundary nodes (the   *)
-(* piece is a maximal unplaced set, so nothing else cuts it). All of  *)
-(* it is read before the peeled node is laid.                          *)
+(* piece in mirror preorder, the state's id order, so the last node    *)
+(* it reaches there is the largest id in the node's subtree range      *)
+(* outside every cut subtree — the subtrees of the placed children of  *)
+(* the boundary nodes (the piece is a maximal unplaced set, so nothing *)
+(* else cuts it). All of it is read before the peeled node is laid.    *)
 (* ------------------------------------------------------------------ *)
 
 let free (st : State.t) v = v >= 0 && st.place.(v) < 0
 
 (* [a] is [b] or a guest ancestor of [b]. *)
-let above st a b =
-  let k = State.mpos st b in
-  State.mpos st a <= k && k <= State.mend st a
+let above (st : State.t) a b = a <= b && b <= st.last.(a)
 
 (* The child of [a] that is [b] or above it; [b] lies strictly below [a]. *)
 let toward (st : State.t) a b =
   let l = Bintree.left_id st.tree a in
   if l >= 0 && above st l b then l else Bintree.right_id st.tree a
 
-let cut_at (st : State.t) k c =
-  c >= 0 && st.place.(c) >= 0 && State.mpos st c <= k && k <= State.mend st c
+let cut_at (st : State.t) k c = c >= 0 && st.place.(c) >= 0 && above st c k
 
-(* The cut subtree holding mirror index [k], found among the children of
-   the boundary nodes; -1 when [k] is not cut. *)
+(* The cut subtree holding node [k], found among the children of the
+   boundary nodes; -1 when [k] is not cut. *)
 let rec cut_root (st : State.t) k = function
   | [] -> -1
   | b :: rest ->
@@ -82,10 +79,10 @@ let rec cut_root (st : State.t) k = function
 
 let rec last_index (st : State.t) bnodes k =
   let c = cut_root st k bnodes in
-  if c < 0 then k else last_index st bnodes (State.mpos st c - 1)
+  if c < 0 then k else last_index st bnodes (c - 1)
 
 (* The last node the DFS reaches on entering [w] from its parent. *)
-let last_below st bnodes w = State.mnode st (last_index st bnodes (State.mend st w))
+let last_below (st : State.t) bnodes w = last_index st bnodes st.last.(w)
 
 (* The last node the DFS reaches after climbing to the top [t] through
    its child [pc]: the end of t's other child's part, else [t]. *)
@@ -253,7 +250,7 @@ let run ?(options = Options.default) ?outer_weight st ~round:i ~alpha =
     List.iter
       (fun (p : State.piece) ->
         let to_lay =
-          List.sort_uniq compare
+          Separator.uniq st.State.ws
             (List.filter_map
                (fun b ->
                  if Xtree.level b.State.anchor <= i - 2 then Some b.State.bnode else None)

@@ -42,7 +42,7 @@ type t = {
   occ : int array;
   weight : int array;
   attached : piece list array;
-  mirror : Bytes.t;
+  last : int array;
   ws : Separator.ws;
   held : held;
   search : search;
@@ -51,50 +51,6 @@ type t = {
   mutable fallbacks : int;
   mutable wide_pieces : int;
 }
-
-(* Mirror preorder of the guest — each node, then its right subtree,
-   then its left subtree — packed as three int32 per node (guest ids fit
-   in 31 bits): at [12 v] node v's index, at [12 v + 4] the last index of
-   its subtree, at [12 k + 8] the node with index k. One pass over an
-   explicit stack, kept in the still-unused last-index slots, numbers the
-   nodes; the last index of a subtree is its left child's, else its
-   right child's, else its own, filled by walking the indices backwards. *)
-let get m i = Int32.to_int (Bytes.get_int32_le m i)
-let set m i v = Bytes.set_int32_le m i (Int32.of_int v)
-
-let mirror_preorder tree =
-  let n = Bintree.n tree in
-  let m = Bytes.make (12 * n) '\000' in
-  let stack sp = (12 * sp) + 4 in
-  set m (stack 0) (Bintree.root tree);
-  let sp = ref 1 and k = ref 0 in
-  while !sp > 0 do
-    decr sp;
-    let v = get m (stack !sp) in
-    set m (12 * v) !k;
-    set m ((12 * !k) + 8) v;
-    incr k;
-    let l = Bintree.left_id tree v and r = Bintree.right_id tree v in
-    if l >= 0 then begin
-      set m (stack !sp) l;
-      incr sp
-    end;
-    if r >= 0 then begin
-      set m (stack !sp) r;
-      incr sp
-    end
-  done;
-  for k = n - 1 downto 0 do
-    let v = get m ((12 * k) + 8) in
-    let l = Bintree.left_id tree v and r = Bintree.right_id tree v in
-    set m ((12 * v) + 4)
-      (if l >= 0 then get m ((12 * l) + 4) else if r >= 0 then get m ((12 * r) + 4) else k)
-  done;
-  m
-
-let mpos st v = get st.mirror (12 * v)
-let mend st v = get st.mirror ((12 * v) + 4)
-let mnode st k = get st.mirror ((12 * k) + 8)
 
 (* A fill lays at most [capacity] nodes, and never more than the guest
    has; each peel replaces one held piece by at most three. *)
@@ -108,8 +64,9 @@ let make_held ~laid =
     h_len = 0;
   }
 
-let create ~tree ~height ~capacity =
+let create (m : Bintree.mirror) ~height ~capacity =
   if capacity <= 0 then invalid_arg "State.create: capacity";
+  let tree = m.copy in
   let xt = Xtree.create ~height in
   let order = Xtree.order xt in
   {
@@ -121,8 +78,8 @@ let create ~tree ~height ~capacity =
     occ = Array.make order 0;
     weight = Array.make order 0;
     attached = Array.make order [];
-    mirror = mirror_preorder tree;
-    ws = Separator.make_ws tree;
+    last = m.last;
+    ws = Separator.make_ws ~caller_id:m.to_caller tree;
     held = make_held ~laid:(min capacity (Bintree.n tree));
     search = { seen = Array.make order 0; queue = Array.make order 0; stamp = 0; tail = 0 };
     placed = 0;
@@ -214,8 +171,8 @@ let make_piece st nodes =
   let bounds = !bounds in
   if List.length bounds > 2 then st.wide_pieces <- st.wide_pieces + 1;
   let pid = draw_pid st in
-  (* the top of a connected set comes first in preorder *)
-  let top = List.fold_left (fun t v -> if mpos st v < mpos st t then v else t) (List.hd nodes) nodes in
+  (* the top of a connected set comes first in preorder: the least id *)
+  let top = List.fold_left Int.min (List.hd nodes) nodes in
   { pid; size = List.length nodes; nodes; bounds; start = List.hd (List.rev nodes); top }
 
 let piece_of st (c : Separator.component) =

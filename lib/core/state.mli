@@ -48,7 +48,7 @@ type search = {
     allocates nothing in the major heap. *)
 
 type t = {
-  tree : Xt_bintree.Bintree.t;
+  tree : Xt_bintree.Bintree.t;  (** the guest's mirror copy, whose ids every field uses *)
   xt : Xt_topology.Xtree.t;
   height : int;
   capacity : int;
@@ -56,7 +56,7 @@ type t = {
   occ : int array;              (** per-vertex occupancy *)
   weight : int array;           (** cached X-subtree weights *)
   attached : piece list array;  (** pieces attached per vertex *)
-  mirror : Bytes.t;             (** the guest's mirror preorder; read with {!mpos} *)
+  last : int array;             (** node v's subtree is the id range [v .. last.(v)] *)
   ws : Xt_bintree.Separator.ws;
   held : held;                  (** the fill's scratch *)
   search : search;              (** the fallback's scratch *)
@@ -66,17 +66,11 @@ type t = {
   mutable wide_pieces : int;    (** pieces created with more than two boundaries *)
 }
 
-val create : tree:Xt_bintree.Bintree.t -> height:int -> capacity:int -> t
-
-val mpos : t -> int -> int
-(** A guest node's index in the mirror preorder: node, right subtree,
-    left subtree. Numbered once per state, in O(n). *)
-
-val mend : t -> int -> int
-(** The last mirror index of a guest node's subtree. *)
-
-val mnode : t -> int -> int
-(** The guest node with a given mirror index. *)
+val create : Xt_bintree.Bintree.mirror -> height:int -> capacity:int -> t
+(** A state over a guest's mirror copy ({!Xt_bintree.Bintree.mirror_copy}):
+    nodes are the copy's ids, so every subtree is a contiguous id range,
+    and the workspace ({!Xt_bintree.Separator.make_ws}) sorts lay orders
+    by the guest's own ids. *)
 
 val weight_of : t -> int -> int
 (** Cached weight of a vertex's X-subtree. *)
@@ -92,8 +86,8 @@ val detach : t -> vertex:int -> piece -> unit
 
 val make_piece : t -> int list -> piece
 (** Builds a piece from its node list, scanning for boundaries against the
-    current placement; [start] is the last node, [top] the one first in
-    preorder. *)
+    current placement; [start] is the last node, [top] the least id, the
+    one first in preorder. *)
 
 val reform : t -> ?outside:Xt_bintree.Separator.cut -> int list -> piece list
 (** The unplaced components that the unplaced nodes of the list meet,

@@ -45,6 +45,28 @@ let bfs_prefix tree k =
   done;
   List.rev !taken
 
+(* Round 0 re-forms what D0 leaves along the caller's ids: each piece is
+   discovered, and its DFS starts, at its least caller id. A piece is
+   the subtree of a child of D0 (D0 holds every ancestor of its nodes),
+   so in the copy a contiguous id range, scanned once. These starts in
+   caller-id order re-form to the same pieces, in the same order, as the
+   whole guest in caller-id order would. *)
+let round0_starts st (m : Bintree.mirror) d0 =
+  let caller_id = m.to_caller in
+  let start c =
+    let best = ref c in
+    for k = c + 1 to m.last.(c) do
+      if caller_id.(k) < caller_id.(!best) then best := k
+    done;
+    !best
+  in
+  let hanging c acc = if c >= 0 && st.State.place.(c) < 0 then start c :: acc else acc in
+  List.sort
+    (fun a b -> Int.compare caller_id.(a) caller_id.(b))
+    (List.fold_left
+       (fun acc v -> hanging (Bintree.left_id m.copy v) (hanging (Bintree.right_id m.copy v) acc))
+       [] d0)
+
 let snapshot st ~height =
   let row = Array.make (max height 1) 0 in
   for j = 0 to height - 1 do
@@ -125,18 +147,26 @@ let final_fill st =
     drain ()
   done
 
+(* The construction runs on a copy of the guest numbered in mirror
+   preorder, the order in which every walk of the core pops nodes: each
+   subtree is a contiguous id range, so piece walks, Lemma loads and
+   re-formations read neighbouring cells. Every decision that reads
+   node-id order reads the caller's: round 0 discovers its pieces along
+   the caller's ids ([round0_starts]), and every lay order sorts by them
+   ([Separator.uniq]). So placements are the caller numbering's own. *)
 let embed_uncached ?(capacity = 16) ?height ?(record_trace = false) ?(options = Options.default)
-    tree =
-  let n = Bintree.n tree in
+    guest =
+  let n = Bintree.n guest in
   let height = match height with Some h -> h | None -> height_for ~capacity n in
   if optimal_size ~capacity height < n then
     invalid_arg "Theorem1.embed: X-tree too small for this guest";
   Obs.span ~arg:n "theorem1.embed" @@ fun () ->
-  let st = State.create ~tree ~height ~capacity in
+  let m = Obs.span ~arg:n "theorem1.relabel" (fun () -> Bintree.mirror_copy guest) in
+  let st = State.create m ~height ~capacity in
   (* Round 0: the initial subtree D0 at the root. *)
-  let d0 = bfs_prefix tree (min capacity n) in
+  let d0 = bfs_prefix m.copy (min capacity n) in
   List.iter (fun node -> State.lay st ~max_level:0 ~node ~vertex:Xtree.root) d0;
-  Moves.reattach st ~floor_level:0 ~fallback:Xtree.root (List.init n Fun.id);
+  Moves.reattach st ~floor_level:0 ~fallback:Xtree.root (round0_starts st m d0);
   (* Rounds 1..r. *)
   let rows = ref [] and spread_rows = ref [] in
   for i = 1 to height do
@@ -164,7 +194,12 @@ let embed_uncached ?(capacity = 16) ?height ?(record_trace = false) ?(options = 
     end
   done;
   Obs.span "theorem1.final-fill" (fun () -> final_fill st);
-  let embedding = Embedding.make ~tree ~host:(Xtree.graph st.State.xt) ~place:st.State.place in
+  (* back to the caller's ids, in place over [to_copy] *)
+  let place = m.to_copy in
+  for v = 0 to n - 1 do
+    place.(v) <- st.State.place.(place.(v))
+  done;
+  let embedding = Embedding.make ~tree:guest ~host:(Xtree.graph st.State.xt) ~place in
   {
     embedding;
     xt = st.State.xt;

@@ -12,7 +12,7 @@
      piece after every peel (58.5 per laid node);
    - that embed must allocate at most 106 minor words per guest node:
      its Lemma splits load, carve and re-form each piece without copying
-     its node list (97.5 words per node; 115.9 with the copies).
+     its node list (72.2 words per node; 115.9 with the copies).
 
    Prints one parseable line per check and one verdict per guard for
    check.sh; the richer equivalence suite lives in

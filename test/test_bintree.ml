@@ -48,6 +48,22 @@ let test_of_arrays_rejects () =
        false
      with Invalid_argument _ -> true)
 
+(* Both cells of the cycle 1 <-> 2 name each other as parent and left
+   child, so every node-local check passes; only the walk from the root
+   sees that they hang from nothing. A node whose left and right child
+   are one node is no binary tree either. *)
+let test_check_rejects () =
+  Alcotest.check_raises "detached cycle"
+    (Invalid_argument "Bintree.of_arrays: tree not connected (preorder reached 1 of 3)")
+    (fun () ->
+      ignore
+        (Bintree.of_arrays ~root:0 ~parent:[| -1; 2; 1 |] ~left:[| -1; 2; 1 |]
+           ~right:[| -1; -1; -1 |]));
+  Alcotest.check_raises "one child twice"
+    (Invalid_argument "Bintree.of_arrays: left and right child of 0 coincide")
+    (fun () ->
+      ignore (Bintree.of_arrays ~root:0 ~parent:[| -1; 0 |] ~left:[| 1; -1 |] ~right:[| 1; -1 |]))
+
 let test_traversals () =
   (* tree: 0(1(3,_),2) in heap shape *)
   let t = Gen.complete 4 in
@@ -178,11 +194,206 @@ let qcheck_tests =
         List.for_all (fun (u, v) -> d.(v) = d.(u) + 1) (Bintree.edges t));
   ]
 
+(* The list-based check [Bintree.of_arrays] ran before its walk, on raw
+   arrays, with the one rule the walk added (a node's two children
+   coincide) in its place in the node scan. *)
+let reference_check ~root ~parent ~left ~right =
+  let size = Array.length parent in
+  if size = 0 then Error "empty tree"
+  else if root < 0 || root >= size then Error "root out of range"
+  else if parent.(root) >= 0 then Error "root has a parent"
+  else begin
+    let bad = ref None in
+    for v = 0 to size - 1 do
+      let check_child c label =
+        if c >= size then bad := Some (Printf.sprintf "%s child of %d out of range" label v)
+        else if c >= 0 && parent.(c) <> v then
+          bad := Some (Printf.sprintf "%s child of %d has wrong parent" label v)
+      in
+      check_child left.(v) "left";
+      check_child right.(v) "right";
+      if left.(v) >= 0 && left.(v) = right.(v) then
+        bad := Some (Printf.sprintf "left and right child of %d coincide" v);
+      if v <> root && parent.(v) < 0 then bad := Some (Printf.sprintf "node %d has no parent" v);
+      if v <> root && parent.(v) >= 0 then begin
+        let p = parent.(v) in
+        if p >= size then bad := Some (Printf.sprintf "parent of %d out of range" v)
+        else if left.(p) <> v && right.(p) <> v then
+          bad := Some (Printf.sprintf "node %d not a child of its parent" v)
+      end
+    done;
+    match !bad with
+    | Some msg -> Error msg
+    | None ->
+        let seen = Array.make size false and count = ref 0 in
+        let stack = Stack.create () in
+        Stack.push root stack;
+        while not (Stack.is_empty stack) do
+          let v = Stack.pop stack in
+          if not seen.(v) then begin
+            seen.(v) <- true;
+            incr count
+          end;
+          if right.(v) >= 0 then Stack.push right.(v) stack;
+          if left.(v) >= 0 then Stack.push left.(v) stack
+        done;
+        if !count <> size then
+          Error (Printf.sprintf "tree not connected (preorder reached %d of %d)" !count size)
+        else Ok ()
+  end
+
+(* Valid trees of up to 12 nodes with 0-3 cells (or the root) set to
+   values from -2 to n: [of_arrays] must accept exactly what the
+   reference accepts and name the same defect. *)
+let qcheck_check_reference =
+  let gen =
+    QCheck2.Gen.(
+      let* n = int_range 1 12 in
+      let* seed = int_bound 1_000_000 in
+      let* edits = list_size (int_bound 3) (triple (int_bound 3) (int_bound (n - 1)) (int_range (-2) n)) in
+      return (n, seed, edits))
+  in
+  let print (n, seed, edits) =
+    Printf.sprintf "n=%d seed=%d edits=[%s]" n seed
+      (String.concat "; " (List.map (fun (a, i, x) -> Printf.sprintf "%d.(%d)<-%d" a i x) edits))
+  in
+  QCheck2.Test.make ~count:2000 ~name:"check == list-based reference" ~print gen
+    (fun (n, seed, edits) ->
+      let t = Gen.uniform (Xt_prelude.Rng.make ~seed) n in
+      let parent = Array.init n (Bintree.parent_id t)
+      and left = Array.init n (Bintree.left_id t)
+      and right = Array.init n (Bintree.right_id t) in
+      let root = ref (Bintree.root t) in
+      List.iter
+        (fun (a, i, x) ->
+          match a with 0 -> parent.(i) <- x | 1 -> left.(i) <- x | 2 -> right.(i) <- x | _ -> root := x)
+        edits;
+      let root = !root in
+      let got =
+        match Bintree.of_arrays ~root ~parent ~left ~right with
+        | _ -> Ok ()
+        | exception Invalid_argument m -> Error m
+      in
+      let want =
+        Result.map_error
+          (fun m -> "Bintree.of_arrays: " ^ m)
+          (reference_check ~root ~parent ~left ~right)
+      in
+      if got <> want then
+        QCheck2.Test.fail_reportf "got %s, want %s"
+          (match got with Ok () -> "Ok" | Error m -> m)
+          (match want with Ok () -> "Ok" | Error m -> m);
+      true)
+
+(* ---------------- mirror-preorder copy ---------------- *)
+
+(* [t] with node [v] renamed [perm.(v)]. *)
+let relabel t perm =
+  let n = Bintree.n t in
+  let parent = Array.make n (-1) and left = Array.make n (-1) and right = Array.make n (-1) in
+  let map x = if x < 0 then -1 else perm.(x) in
+  for v = 0 to n - 1 do
+    parent.(perm.(v)) <- map (Bintree.parent_id t v);
+    left.(perm.(v)) <- map (Bintree.left_id t v);
+    right.(perm.(v)) <- map (Bintree.right_id t v)
+  done;
+  Bintree.of_arrays ~root:perm.(Bintree.root t) ~parent ~left ~right
+
+(* [t] with its node ids shuffled by [seed]. *)
+let shuffled t seed =
+  let perm = Array.init (Bintree.n t) Fun.id in
+  Xt_prelude.Rng.shuffle (Xt_prelude.Rng.make ~seed) perm;
+  relabel t perm
+
+(* What is wrong with [Bintree.mirror_copy t], if anything: the copy must
+   be a valid tree isomorphic to [t] under [to_copy], numbered in mirror
+   preorder (root 0, a right child its parent + 1, a left child its
+   parent + 1 + the size of the right subtree), with [to_copy] and
+   [to_caller] inverse bijections and [last.(k)] the id [k] + the size of
+   [k]'s subtree - 1. *)
+let mirror_copy_defect t =
+  let { Bintree.copy; to_copy; to_caller; last } = Bintree.mirror_copy t in
+  let n = Bintree.n t in
+  let mapped x = if x < 0 then -1 else to_copy.(x) in
+  let bad = ref None in
+  let note fmt = Printf.ksprintf (fun s -> bad := Some s) fmt in
+  if
+    Bintree.n copy <> n
+    || Array.length to_copy <> n
+    || Array.length to_caller <> n
+    || Array.length last <> n
+  then note "sizes differ"
+  else if Bintree.check copy <> Ok () then note "the copy is not a valid tree"
+  else if Bintree.root copy <> 0 || to_copy.(Bintree.root t) <> 0 then note "root is not 0"
+  else begin
+    for v = 0 to n - 1 do
+      let k = to_copy.(v) in
+      if k < 0 || k >= n || to_caller.(k) <> v then note "maps not inverse at node %d" v
+      else if
+        Bintree.parent_id copy k <> mapped (Bintree.parent_id t v)
+        || Bintree.left_id copy k <> mapped (Bintree.left_id t v)
+        || Bintree.right_id copy k <> mapped (Bintree.right_id t v)
+      then note "not isomorphic at node %d" v
+    done;
+    let sizes = Bintree.subtree_sizes copy in
+    for k = 0 to n - 1 do
+      let l = Bintree.left_id copy k and r = Bintree.right_id copy k in
+      if r >= 0 && r <> k + 1 then note "right child of %d is %d" k r;
+      if l >= 0 && l <> k + 1 + if r >= 0 then sizes.(r) else 0 then
+        note "left child of %d is %d" k l;
+      if last.(k) <> k + sizes.(k) - 1 then note "subtree of %d ends at %d" k last.(k)
+    done
+  end;
+  !bad
+
+let no_defect what t =
+  match mirror_copy_defect t with
+  | None -> ()
+  | Some msg -> Alcotest.failf "%s: %s" (what ()) msg
+
+let test_mirror_copy_shapes () =
+  for n = 1 to 8 do
+    Seq.iteri
+      (fun i t ->
+        let what () = Format.asprintf "%d-node shape %a" n Bintree.pp t in
+        no_defect what t;
+        no_defect (fun () -> what () ^ ", shuffled") (shuffled t ((100 * n) + i)))
+      (Enum.all_shapes n)
+  done
+
+(* A million-node spine, left or right, climbs a million parents back to
+   the root; both spines are already in mirror preorder. *)
+let test_mirror_copy_spines () =
+  let n = 1_000_000 in
+  let right_spine =
+    let b = Bintree.Builder.create ~capacity:n () in
+    let v = ref (Bintree.Builder.add_root b) in
+    for _ = 2 to n do
+      v := Bintree.Builder.add_right b !v
+    done;
+    Bintree.Builder.finish b
+  in
+  List.iter
+    (fun (what, t) ->
+      let { Bintree.copy; to_copy; to_caller; last } = Bintree.mirror_copy t in
+      check (what ^ ": size") n (Bintree.n copy);
+      let identity = ref true in
+      for v = 0 to n - 1 do
+        if to_copy.(v) <> v || to_caller.(v) <> v || last.(v) <> n - 1 then identity := false
+      done;
+      checkb (what ^ ": identity maps, every subtree to the end") true !identity;
+      checkb (what ^ ": valid") true (Bintree.check copy = Ok ()))
+    [ ("left spine", Gen.path n); ("right spine", right_spine) ]
+
 let suite =
   [
     ("builder", `Quick, test_builder);
     ("builder errors", `Quick, test_builder_errors);
     ("of_arrays rejects", `Quick, test_of_arrays_rejects);
+    ("check rejects a detached cycle or a doubled child", `Quick, test_check_rejects);
+    ("mirror copy: shapes <= 8", `Quick, test_mirror_copy_shapes);
+    ("mirror copy: million-node spines", `Quick, test_mirror_copy_spines);
+    QCheck_alcotest.to_alcotest ~long:false qcheck_check_reference;
     ("traversals", `Quick, test_traversals);
     ("depth and sizes", `Quick, test_depth_sizes);
     ("stats", `Quick, test_stats);
@@ -221,6 +432,12 @@ let family_qcheck =
       (fun (f, n, seed) ->
         let t = f.generate (Xt_prelude.Rng.make ~seed) n in
         Bintree.height t < n);
+    QCheck2.Test.make ~count:200 ~name:"all families: mirror copy" ~print:print_case gen_case
+      (fun (f, n, seed) ->
+        let t = f.generate (Xt_prelude.Rng.make ~seed) n in
+        no_defect (fun () -> "generated") t;
+        no_defect (fun () -> "shuffled") (shuffled t seed);
+        true);
   ]
 
 let suite = suite @ List.map (QCheck_alcotest.to_alcotest ~long:false) family_qcheck

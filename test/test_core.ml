@@ -141,7 +141,7 @@ let test_state_invariants_after_rounds () =
   let res = Theorem1.embed tree in
   (* final state is not exposed; instead re-run on a fresh state manually *)
   ignore res;
-  let st = State.create ~tree ~height:3 ~capacity:16 in
+  let st = State.create (Bintree.mirror_copy tree) ~height:3 ~capacity:16 in
   (match State.check_invariants st with
   | Ok () -> Alcotest.fail "empty state should fail coverage (nothing placed)"
   | Error _ -> ());
@@ -151,7 +151,7 @@ let test_state_invariants_after_rounds () =
 
 let test_state_lay_and_weights () =
   let tree = Gen.complete 31 in
-  let st = State.create ~tree ~height:2 ~capacity:16 in
+  let st = State.create (Bintree.mirror_copy tree) ~height:2 ~capacity:16 in
   State.lay st ~max_level:0 ~node:0 ~vertex:0;
   check "weight at root" 1 (State.weight_of st 0);
   State.lay st ~max_level:2 ~node:1 ~vertex:5;
@@ -162,7 +162,7 @@ let test_state_lay_and_weights () =
 
 let test_state_lay_fallback () =
   let tree = Gen.complete 31 in
-  let st = State.create ~tree ~height:2 ~capacity:1 in
+  let st = State.create (Bintree.mirror_copy tree) ~height:2 ~capacity:1 in
   State.lay st ~max_level:1 ~node:0 ~vertex:0;
   (* vertex 0 is full: next placement diverts to a neighbour *)
   State.lay st ~max_level:1 ~node:1 ~vertex:0;
@@ -179,7 +179,7 @@ let test_state_fallback_order_and_allocation () =
   let xt = Xt_topology.Xtree.create ~height in
   let order = Xt_topology.Xtree.order xt in
   let tree = Gen.complete order in
-  let st = State.create ~tree ~height ~capacity:1 in
+  let st = State.create (Bintree.mirror_copy tree) ~height ~capacity:1 in
   let g = Xt_topology.Xtree.graph xt in
   let bfs = Array.make order 0 and seen = Array.make order false in
   let tail = ref 1 in
@@ -208,10 +208,12 @@ let test_state_fallback_order_and_allocation () =
   check "fallbacks" 201 st.State.fallbacks;
   checkb (Printf.sprintf "200 fallbacks allocated %.0f major words" major) true (major = 0.)
 
+(* A state numbers the guest in mirror preorder: in the complete 31-node
+   guest the root's right child is 1, with children 2 and 9. *)
 let test_state_attach_detach () =
   let tree = Gen.complete 31 in
-  let st = State.create ~tree ~height:2 ~capacity:16 in
-  let piece = State.make_piece st [ 1; 3; 4 ] in
+  let st = State.create (Bintree.mirror_copy tree) ~height:2 ~capacity:16 in
+  let piece = State.make_piece st [ 1; 2; 9 ] in
   State.attach st ~vertex:3 piece;
   check "weight" 3 (State.weight_of st 3);
   check "root sees it" 3 (State.weight_of st 0);
@@ -221,11 +223,13 @@ let test_state_attach_detach () =
   Alcotest.check_raises "double detach" (Invalid_argument "State.detach: piece not attached here")
     (fun () -> State.detach st ~vertex:3 piece)
 
+(* In the mirror-preorder complete 7-node guest the root's right child is
+   1, with children 2 and 3. *)
 let test_make_piece_boundaries () =
   let tree = Gen.complete 7 in
-  let st = State.create ~tree ~height:1 ~capacity:16 in
+  let st = State.create (Bintree.mirror_copy tree) ~height:1 ~capacity:16 in
   State.lay st ~max_level:0 ~node:0 ~vertex:0;
-  let piece = State.make_piece st [ 1; 3; 4 ] in
+  let piece = State.make_piece st [ 1; 2; 3 ] in
   check "one boundary" 1 (List.length piece.State.bounds);
   let b = List.hd piece.State.bounds in
   check "boundary node" 1 b.State.bnode;

@@ -9,10 +9,13 @@ open Xt_core
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
-(* A state over a path guest with the first [k] nodes laid at the root. *)
+(* A state over a path guest with the first [k] nodes laid at the root.
+   A path numbered from its root is already in mirror preorder, so the
+   state's ids are the path's. *)
 let path_state ~n ~height ~capacity ~rooted =
-  let tree = Gen.path n in
-  let st = State.create ~tree ~height ~capacity in
+  let m = Bintree.mirror_copy (Gen.path n) in
+  let tree = m.copy in
+  let st = State.create m ~height ~capacity in
   for v = 0 to rooted - 1 do
     State.lay st ~max_level:0 ~node:v ~vertex:0
   done;
@@ -111,26 +114,26 @@ let test_split_respects_capacity () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "invariants: %s" e
 
-(* The complete 31-node guest with its root at X-tree vertex 1 and the
-   root's grandchildren laid beside it: the root's children, nodes 1 and
-   2, are then two maximal unplaced sets of one node each. *)
+(* The complete 31-node guest, in mirror preorder, with its root at
+   X-tree vertex 1 and the root's grandchildren (2, 9, 17 and 24) laid
+   beside it: the root's children, nodes 1 and 16, are then two maximal
+   unplaced sets of one node each. *)
 let two_singletons () =
-  let tree = Gen.complete 31 in
-  let st = State.create ~tree ~height:2 ~capacity:16 in
-  List.iter (fun v -> State.lay st ~max_level:1 ~node:v ~vertex:1) [ 0; 3; 4; 5; 6 ];
+  let st = State.create (Bintree.mirror_copy (Gen.complete 31)) ~height:2 ~capacity:16 in
+  List.iter (fun v -> State.lay st ~max_level:1 ~node:v ~vertex:1) [ 0; 2; 9; 17; 24 ];
   st
 
 let test_reattach_components_by_anchor () =
   let st = two_singletons () in
-  (* nodes 1,2 are the root's children: two separate components, both
+  (* nodes 1,16 are the root's children: two separate components, both
      anchored at vertex 1 *)
-  Moves.reattach st ~floor_level:1 ~fallback:2 [ 1; 2 ];
+  Moves.reattach st ~floor_level:1 ~fallback:2 [ 1; 16 ];
   check "two pieces at anchor" 2 (List.length (State.pieces_at st 1));
   check "none at fallback" 0 (List.length (State.pieces_at st 2))
 
 let test_reattach_to_explicit_vertex () =
   let st = two_singletons () in
-  Moves.reattach_to st ~vertex:2 [ 1; 2 ];
+  Moves.reattach_to st ~vertex:2 [ 1; 16 ];
   check "both pieces at explicit vertex" 2 (List.length (State.pieces_at st 2));
   check "weight follows" 2 (State.weight_of st 2)
 
@@ -203,11 +206,12 @@ let random_connected_set rng tree ~max_k =
 let reform_scenario c =
   let open Xt_prelude in
   let rng = Rng.make ~seed:c.seed in
-  let tree = (Gen.family c.fam).generate (Rng.split rng) c.n in
+  let m = Bintree.mirror_copy ((Gen.family c.fam).generate (Rng.split rng) c.n) in
+  let tree = m.copy in
   let n = Bintree.n tree in
   let inset, nodes = random_connected_set rng tree ~max_k:n in
   let height = 5 in
-  let st = State.create ~tree ~height ~capacity:16 in
+  let st = State.create m ~height ~capacity:16 in
   let order = Xt_topology.Xtree.order st.State.xt in
   let lay v = State.lay st ~max_level:height ~node:v ~vertex:(Rng.int rng order) in
   let next_to_set v =
@@ -285,10 +289,11 @@ let oracle_fill st ~round:i ~vertex:child =
 let fill_scenario c =
   let open Xt_prelude in
   let rng = Rng.make ~seed:c.fseed in
-  let tree = (Gen.family c.ffam).generate (Rng.split rng) c.fn in
+  let m = Bintree.mirror_copy ((Gen.family c.ffam).generate (Rng.split rng) c.fn) in
+  let tree = m.copy in
   let n = Bintree.n tree in
   let height = Theorem1.height_for ~capacity:c.fcap n + 1 in
-  let st = State.create ~tree ~height ~capacity:c.fcap in
+  let st = State.create m ~height ~capacity:c.fcap in
   let round = Rng.int_in rng 1 height in
   let level = Xt_topology.Xtree.vertices_at_level st.State.xt round in
   let child = List.nth level (Rng.int rng (List.length level)) in
@@ -375,11 +380,12 @@ let split_case_gen =
 let split_scenario c =
   let open Xt_prelude in
   let rng = Rng.make ~seed:c.sseed in
-  let tree = (Gen.family c.sfam).generate (Rng.split rng) c.sn in
+  let m = Bintree.mirror_copy ((Gen.family c.sfam).generate (Rng.split rng) c.sn) in
+  let tree = m.copy in
   let n = Bintree.n tree in
   let inset, nodes = random_connected_set rng tree ~max_k:(n - 1) in
   let height = 5 in
-  let st = State.create ~tree ~height ~capacity:16 in
+  let st = State.create m ~height ~capacity:16 in
   let order = Xt_topology.Xtree.order st.State.xt in
   for v = 0 to n - 1 do
     if not inset.(v) then State.lay st ~max_level:height ~node:v ~vertex:(Rng.int rng order)

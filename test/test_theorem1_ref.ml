@@ -154,6 +154,40 @@ let test_large_trees () =
        reverses the remaining piece's node order *)
     [ ("uniform", 30_000); ("path", 30_000); ("caterpillar", 60_000); ("random-split", 100_000) ]
 
+(* ---------------- numbering-sensitive guests ------------------------- *)
+
+(* The core embeds a copy of the guest renumbered in mirror preorder, and
+   keeps on the caller's ids every decision that reads id order. These
+   guests show it when one of them slips onto the copy's ids: round 0's
+   piece discovery changes the heap-numbered complete and fibonacci
+   trees; the lay order of a cut's laid sets, which decides which node
+   falls back, changes the seed-5 guests at capacities 1 and 2; and
+   every decision, SPLIT's settle and the whole-piece move included,
+   changes some of the guests whose ids are shuffled. *)
+let test_numbering_sensitive () =
+  let guest ?(seed = 5) ?(shuffle = false) ~capacity r fname =
+    let t = (Gen.family fname).generate (Rng.make ~seed) (Theorem1.optimal_size ~capacity r) in
+    ( Printf.sprintf "%s r=%d capacity=%d seed=%d%s" fname r capacity seed
+        (if shuffle then " shuffled" else ""),
+      capacity,
+      if shuffle then Test_bintree.shuffled t 78 else t )
+  in
+  List.iter
+    (fun (what, capacity, tree) -> ignore (same_result ~capacity ~what:(fun () -> what) tree))
+    (List.concat_map
+       (fun r -> [ guest ~capacity:16 r "complete"; guest ~capacity:16 r "fibonacci" ])
+       [ 4; 6; 8 ]
+    @ List.map (guest ~capacity:1 7)
+        [ "broom"; "fibonacci"; "random-bst"; "uniform"; "random-grow"; "skewed"; "random-split" ]
+    @ List.map (guest ~capacity:2 7)
+        [ "broom"; "random-bst"; "uniform"; "random-grow"; "skewed"; "random-split" ]
+    @ [
+        guest ~seed:1 ~shuffle:true ~capacity:2 7 "caterpillar";
+        guest ~seed:1 ~shuffle:true ~capacity:2 7 "uniform";
+        guest ~seed:1 ~shuffle:true ~capacity:1 6 "path";
+        guest ~seed:1 ~shuffle:true ~capacity:1 7 "random-bst";
+      ])
+
 (* ---------------- separator hot path allocates nothing --------------- *)
 
 let test_prepare_allocation_free () =
@@ -204,6 +238,7 @@ let suite =
     ("exhaustive shapes 12-14", `Slow, exhaustive 12 14);
     QCheck_alcotest.to_alcotest ~long:false qcheck_equivalence;
     ("large trees == reference", `Slow, test_large_trees);
+    ("numbering-sensitive guests == reference", `Quick, test_numbering_sensitive);
     ("separator prepare allocation free", `Quick, test_prepare_allocation_free);
     ("separator components allocates only its output", `Quick, test_components_allocation);
   ]
