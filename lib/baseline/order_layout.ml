@@ -11,7 +11,7 @@ type cache_meta = { m_xt : Xtree.t; m_height : int }
 
 type cache = cache_meta Shape_memo.t
 
-let make_cache ?shards ?capacity ?max_bytes () = Shape_memo.create ?shards ?capacity ?max_bytes ()
+let make_cache ?capacity ?max_bytes () = Shape_memo.create ?capacity ?max_bytes ()
 
 let bfs_order tree =
   let queue = Queue.create () in

@@ -18,6 +18,6 @@ type cache
 (** Canonical-shape memo shared by both orders (the order is part of the
     key); see {!Xt_embedding.Shape_memo}. *)
 
-val make_cache : ?shards:int -> ?capacity:int -> ?max_bytes:int -> unit -> cache
+val make_cache : ?capacity:int -> ?max_bytes:int -> unit -> cache
 
 val embed : ?capacity:int -> ?cache:cache -> order:order -> Xt_bintree.Bintree.t -> result

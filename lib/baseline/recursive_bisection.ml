@@ -9,7 +9,7 @@ type cache_meta = { m_xt : Xtree.t; m_height : int }
 
 type cache = cache_meta Shape_memo.t
 
-let make_cache ?shards ?capacity ?max_bytes () = Shape_memo.create ?shards ?capacity ?max_bytes ()
+let make_cache ?capacity ?max_bytes () = Shape_memo.create ?capacity ?max_bytes ()
 
 (* A piece here is just a component node list; boundaries are recomputed
    against [place] on demand. *)

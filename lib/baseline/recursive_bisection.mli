@@ -19,7 +19,7 @@ type result = {
 type cache
 (** Canonical-shape memo; see {!Xt_embedding.Shape_memo}. *)
 
-val make_cache : ?shards:int -> ?capacity:int -> ?max_bytes:int -> unit -> cache
+val make_cache : ?capacity:int -> ?max_bytes:int -> unit -> cache
 
 val embed : ?capacity:int -> ?cache:cache -> Xt_bintree.Bintree.t -> result
 (** Same host size as {!Xt_core.Theorem1.embed}, but per-vertex occupancy

@@ -233,7 +233,7 @@ type cache_meta = {
 
 type cache = cache_meta Shape_memo.t
 
-let make_cache ?shards ?capacity ?max_bytes () = Shape_memo.create ?shards ?capacity ?max_bytes ()
+let make_cache ?capacity ?max_bytes () = Shape_memo.create ?capacity ?max_bytes ()
 
 let cache_length = Shape_memo.length
 let cache_stats = Shape_memo.stats

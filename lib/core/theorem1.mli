@@ -44,7 +44,7 @@ type cache
     {!Xt_bintree.Codec} parses) a hit is bit-identical to the uncached
     run. *)
 
-val make_cache : ?shards:int -> ?capacity:int -> ?max_bytes:int -> unit -> cache
+val make_cache : ?capacity:int -> ?max_bytes:int -> unit -> cache
 (** Parameters as in {!Xt_prelude.Cache.create}; [capacity] counts cached
     results, not guest nodes. *)
 

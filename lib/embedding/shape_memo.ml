@@ -8,7 +8,7 @@ type 'meta entry = {
 
 type 'meta t = 'meta entry Cache.t
 
-let create ?shards ?capacity ?max_bytes () = Cache.create ?shards ?capacity ?max_bytes ()
+let create ?capacity ?max_bytes () = Cache.create ?capacity ?max_bytes ()
 
 let blit_packed place b off =
   Array.iteri (fun i p -> Bytes.set_int32_be b (off + (4 * i)) (Int32.of_int p)) place
@@ -106,8 +106,8 @@ let save t ~encode_meta ~file =
   Buffer.add_string buf magic;
   Buffer.add_int32_le buf (Int32.of_int version);
   let entries =
-    (* Least recent first per shard (Cache.fold order): re-adding in file
-       order on load reproduces the recency order. *)
+    (* Least recent first (Cache.fold order): re-adding in file order on
+       load reproduces the recency order. *)
     Cache.fold t ~init:[] ~f:(fun acc ~key ~bytes:_ e -> (key, e) :: acc)
   in
   let entries = List.rev entries in

@@ -31,7 +31,7 @@ type 'meta t
 (** A memo table whose entries carry a placement plus embedder-specific
     ['meta] (host topology, height, diagnostic counts …). *)
 
-val create : ?shards:int -> ?capacity:int -> ?max_bytes:int -> unit -> 'meta t
+val create : ?capacity:int -> ?max_bytes:int -> unit -> 'meta t
 (** Parameters as in {!Xt_prelude.Cache.create}; the byte estimate
     charged per entry is the key (which holds the canonical string) plus
     the packed placement. *)
@@ -86,9 +86,9 @@ val save : 'meta t -> encode_meta:('meta -> string) -> file:string -> int
     64-bit FNV-1a checksum per entry, and is written to a temporary file
     in the same directory then renamed into place, so readers never
     observe a half-written file. Entries are emitted least recently used
-    first within each shard; loading in file order reproduces the
-    recency order. [encode_meta] must round-trip with the [decode_meta]
-    passed to {!load}. *)
+    first; loading in file order reproduces the recency order.
+    [encode_meta] must round-trip with the [decode_meta] passed to
+    {!load}. *)
 
 val load :
   'meta t ->

@@ -5,8 +5,8 @@
     the router reads the host graph's shared next-hop table
     ({!Xt_topology.Graph.route_slot}): each destination's row is built
     once per host, 2 bytes per vertex (2n{^2} bytes for the whole table,
-    freed with the graph), and every router on that graph reuses it, from
-    any domain. On tree hosts (where the shortest path is unique, so the
+    freed with the graph), and every router on that graph reuses it.
+    On tree hosts (where the shortest path is unique, so the
     next hop is forced) one preorder DFS replaces the per-destination
     rows: each vertex keeps its preorder number, the last number in its
     subtree and its parent edge, O(n) memory instead of O(n{^2}) for

@@ -1,37 +1,34 @@
-(** Domain-safe sharded LRU cache.
+(** LRU cache.
 
-    Keys are strings; values are arbitrary. The key space is split over a
-    power-of-two number of shards (by key hash), each shard guarded by its
-    own mutex and keeping its entries on an intrusive doubly-linked
-    recency list — domains touching different keys at once (a server
-    domain and its caller sharing one cache) almost never contend, and
-    every operation is O(1) inside its shard.
+    Keys are strings; values are arbitrary. One hash table holds the
+    entries and one intrusive doubly-linked list keeps them in recency
+    order, so every operation is O(1).
 
-    Capacity is bounded both in entries and (approximately) in bytes;
-    least-recently-used entries are evicted when either bound is
-    exceeded. Global {!Xt_obs.Obs} counters [cache.hits], [cache.misses]
-    and [cache.evictions] aggregate over all cache instances in the
-    process.
+    Both bounds are exact: a cache never holds more than [capacity]
+    entries, nor more than [max_bytes] in the per-entry byte estimates
+    supplied at insertion, and while either bound is exceeded the least
+    recently used entry is evicted. Global {!Xt_obs.Obs} counters
+    [cache.hits], [cache.misses] and [cache.evictions] aggregate over all
+    cache instances in the process.
 
-    {!with_memo} is the intended entry point: concurrent misses on the
-    same key compute the value once (per-key in-flight latch) while
-    misses on different keys proceed in parallel. *)
+    A cache has no locks. One domain uses it at a time; it passes to
+    another domain only through [Domain.spawn] or [Domain.join], as
+    [Xt_serve.Serve.in_process] passes its shape cache to the server
+    domain and back. *)
 
 type 'a t
 
-val create : ?shards:int -> ?capacity:int -> ?max_bytes:int -> unit -> 'a t
-(** [shards] (default 8) is rounded up to a power of two. [capacity]
-    (default 256) bounds the total entry count; [max_bytes] (default
-    unlimited) bounds the sum of the per-entry byte estimates supplied at
-    insertion. Both bounds are split evenly across shards. *)
+val create : ?capacity:int -> ?max_bytes:int -> unit -> 'a t
+(** [capacity] (default 256) bounds the entry count; [max_bytes]
+    (default unlimited) bounds the sum of the byte estimates supplied at
+    insertion. An entry whose estimate alone exceeds [max_bytes] is
+    evicted as soon as it is added. Raises [Invalid_argument] if either
+    is below 1. *)
 
 val with_memo : 'a t -> ?bytes:('a -> int) -> string -> (unit -> 'a) -> 'a
-(** [with_memo t key f] returns the cached value for [key], or computes
-    [f ()], stores it and returns it. If another domain is already
-    computing [key], the call waits on the in-flight latch instead of
-    duplicating the work; [f] runs outside all locks. [bytes] estimates
-    the stored size for the byte bound. Exceptions from [f] propagate
-    (after waking any waiters) and cache nothing. *)
+(** [with_memo t key f] is {!find}, and on a miss computes [f ()], {!add}s
+    it and returns it. [bytes] estimates the stored size for the byte
+    bound. An exception from [f] propagates and caches nothing. *)
 
 val find : 'a t -> string -> 'a option
 (** Counts a hit or a miss, and promotes the entry on hit. *)
@@ -46,9 +43,7 @@ val mem : 'a t -> string -> bool
 val add : 'a t -> ?bytes:int -> string -> 'a -> unit
 (** Insert or replace (replacement promotes), then evict as needed. *)
 
-val remove : 'a t -> string -> unit
 val length : 'a t -> int
-val bytes : 'a t -> int
 
 type stats = {
   hits : int;
@@ -64,12 +59,10 @@ type stats = {
 val stats : 'a t -> stats
 
 val fold : 'a t -> init:'b -> f:('b -> key:string -> bytes:int -> 'a -> 'b) -> 'b
-(** Fold over a point-in-time snapshot of the entries, shard by shard,
-    least recently used first within each shard — replaying the fold
-    through {!add} therefore reproduces each shard's recency order
-    (same keys hash to the same shards, so cross-shard interleaving is
-    immaterial). [bytes] is the size estimate given at insertion. [f]
-    runs outside all shard locks and may use the cache. *)
+(** Fold over a snapshot of the entries, least recently used first, so
+    replaying the fold through {!add} into an empty cache reproduces the
+    recency order. [bytes] is the size estimate given at insertion. [f]
+    runs after the snapshot is taken and may use the cache. *)
 
 val clear : 'a t -> unit
 (** Drop all entries (not counted as evictions). *)

@@ -59,9 +59,8 @@ val make_state : config -> Xt_core.Theorem1.cache * int
 (** Build the shape cache for [config], restoring the snapshot (if any;
     a missing or corrupt file logs to stderr and starts cold). Returns
     the cache and the number of entries restored. Use this to share one
-    cache across {!run} calls — successive connections of a socket
-    server, or a benchmark that wants to sample
-    {!Xt_core.Theorem1.cache_stats} mid-run. *)
+    cache across {!run} calls: successive connections of a socket
+    server, or successive {!in_process} sessions. *)
 
 val run :
   ?config:config ->
@@ -92,4 +91,9 @@ val in_process :
 (** Run a server over a pair of pipes in a spawned domain, call the
     client function with the client-side channels (read responses from
     the first, write requests to the second), close the request channel
-    when it returns, and join the server. For tests and benchmarks. *)
+    when it returns, and join the server. For tests and benchmarks.
+
+    The server domain owns the cache of [state] until [in_process]
+    returns: the cache has no locks ({!Xt_prelude.Cache}), so the client
+    function must not touch it. Read its counters from the returned
+    summary's [stats]. *)

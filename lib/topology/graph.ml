@@ -6,10 +6,10 @@ type t = {
   row : int array; (* length n+1, CSR row offsets *)
   col : int array; (* length 2*m, sorted within each row *)
   eid : int array; (* length 2*m, edge id of (u, col.(k)); both directions share one id *)
-  routes : Bytes.t Atomic.t array Atomic.t;
+  mutable routes : Bytes.t array;
       (* next-hop table: [||] until the first route is asked for, then one
-         slot per destination, [no_row] until that row is complete *)
-  queue : int array Atomic.t; (* spare BFS queue for row builds *)
+         row per destination, [no_row] until that row is built *)
+  mutable queue : int array; (* BFS queue for row builds, allocated with [routes] *)
 }
 
 (* [slot g u v] is the CSR position of [v] in [u]'s sorted adjacency, or
@@ -94,7 +94,7 @@ let of_edges ~n edges =
       end
     done
   done;
-  { n; m = !next; row; col; eid; routes = Atomic.make [||]; queue = Atomic.make [||] }
+  { n; m = !next; row; col; eid; routes = [||]; queue = [||] }
 
 let n g = g.n
 let m g = g.m
@@ -190,11 +190,7 @@ let bfs_parents g s =
    native-endian uint16 ([no_port] when [v = dst] or [dst] is
    unreachable). A row costs 2n bytes, a full table 2n^2, and the table
    lives on the graph value, so every router and simulator on this graph
-   shares it and it is freed with the graph. Each row is built whole
-   into a fresh buffer and only then published through its [Atomic]
-   slot, so two domains may route on one graph at once: a reader sees
-   either [no_row] (and builds the row itself; both builds are
-   identical) or a complete row. *)
+   shares it and it is freed with the graph. *)
 
 let no_port = 0xFFFF
 let no_row = Bytes.empty
@@ -204,18 +200,19 @@ let no_row = Bytes.empty
 let c_route_rows = Obs.counter "netsim.route_rows"
 
 let routes g =
-  let table = Atomic.get g.routes in
-  if Array.length table = g.n then table
-  else begin
+  if Array.length g.routes <> g.n then begin
     if max_degree g > no_port then invalid_arg "Graph.route_slot: degree above 65535";
-    let fresh = Array.init g.n (fun _ -> Atomic.make no_row) in
-    if Atomic.compare_and_set g.routes table fresh then fresh else Atomic.get g.routes
-  end
+    g.routes <- Array.make g.n no_row;
+    g.queue <- Array.make g.n 0
+  end;
+  g.routes
 
 (* The FIFO BFS of [bfs_parents] from [dst], over the same sorted
-   adjacency, so every port names the [bfs_parents] parent. *)
-let build_row g queue dst =
+   adjacency, so every port names the [bfs_parents] parent. Stores the
+   row in the table and returns it. *)
+let build_row g dst =
   let row = Bytes.make (2 * g.n) '\xff' in
+  let queue = g.queue in
   queue.(0) <- dst;
   let head = ref 0 and tail = ref 1 in
   while !head < !tail do
@@ -231,30 +228,17 @@ let build_row g queue dst =
     done
   done;
   Obs.incr c_route_rows;
-  row
-
-(* Build row [dst] and publish it in [cell]. The spare queue is taken
-   rather than shared: a domain that finds it taken builds with a fresh
-   one. *)
-let publish g cell dst =
-  let queue = Atomic.exchange g.queue [||] in
-  let queue = if Array.length queue = g.n then queue else Array.make g.n 0 in
-  let row = build_row g queue dst in
-  Atomic.set g.queue queue;
-  Atomic.set cell row;
+  g.routes.(dst) <- row;
   row
 
 let route_slot g ~current ~dst =
-  let cell = (routes g).(dst) in
-  let row = Atomic.get cell in
-  let row = if row != no_row then row else publish g cell dst in
+  let row = (routes g).(dst) in
+  let row = if row != no_row then row else build_row g dst in
   let p = Bytes.get_uint16_ne row (2 * current) in
   if p = no_port then -1 else g.row.(current) + p
 
 let warm_routes g =
-  Array.iteri
-    (fun dst cell -> if Atomic.get cell == no_row then ignore (publish g cell dst : Bytes.t))
-    (routes g)
+  Array.iteri (fun dst row -> if row == no_row then ignore (build_row g dst : Bytes.t)) (routes g)
 
 let distance g u v = (bfs g u).(v)
 

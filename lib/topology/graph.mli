@@ -3,7 +3,12 @@
     All host networks (X-trees, hypercubes, butterflies, …) and the
     universal graph of Theorem 4 are values of this type. Vertices are the
     integers [0 .. n-1]. Parallel edges and self-loops given to the
-    constructor are removed. *)
+    constructor are removed.
+
+    The one mutable part of a graph is the next-hop table behind
+    {!route_slot}, filled on demand without locks. One domain routes on
+    a graph at a time; a graph passes to another domain only through
+    [Domain.spawn] or [Domain.join]. *)
 
 type t
 
@@ -83,10 +88,9 @@ val route_slot : t -> current:int -> dst:int -> int
     position in [current]'s sorted adjacency, so the slot is
     [first_slot g current] plus that port), 2n{^2} bytes once every row
     exists, freed with the graph. Nothing is allocated until the first
-    call; the first call for a destination builds its row with one BFS.
-    A row is published only once complete, so any number of domains may
-    call this on one graph at once. Allocation-free once [dst]'s row
-    exists. Raises [Invalid_argument] if a vertex has more than 65535
+    call; the first call for a destination builds its row with one BFS
+    and stores it in the table. Allocation-free once [dst]'s row exists.
+    Raises [Invalid_argument] if a vertex has more than 65535
     neighbours. *)
 
 val warm_routes : t -> unit

@@ -1,5 +1,6 @@
-(* The canonical-shape cache (ISSUE 4): structural fingerprints, the
-   sharded LRU, and the bit-identity guarantee of cached embeddings. *)
+(* The canonical-shape cache: structural fingerprints, the LRU with its
+   exact entry and byte bounds, and the bit-identity guarantee of cached
+   embeddings. *)
 
 open Xt_obs
 open Xt_prelude
@@ -90,10 +91,10 @@ let test_subtrees_and_ranks () =
     (Array.init (Bintree.n canon) Fun.id)
     (Fingerprint.preorder_ranks canon)
 
-(* ---------------- sharded LRU ---------------- *)
+(* ---------------- LRU ---------------- *)
 
 let test_lru_eviction_order () =
-  let c : int Cache.t = Cache.create ~shards:1 ~capacity:3 () in
+  let c : int Cache.t = Cache.create ~capacity:3 () in
   Cache.add c "a" 1;
   Cache.add c "b" 2;
   Cache.add c "c" 3;
@@ -106,19 +107,48 @@ let test_lru_eviction_order () =
   Alcotest.(check bool) "d kept" true (Cache.mem c "d");
   Alcotest.(check int) "capacity respected" 3 (Cache.length c);
   Cache.add c "e" 5;
-  Alcotest.(check bool) "then c evicted" false (Cache.mem c "c")
+  Alcotest.(check bool) "then c evicted" false (Cache.mem c "c");
+  (* The entry bound is exact: [capacity] distinct keys fit with no
+     eviction, and each key past it evicts one. *)
+  let key i = Printf.sprintf "k%d" i in
+  List.iter
+    (fun (capacity, adds) ->
+      let c : int Cache.t = Cache.create ~capacity () in
+      for i = 0 to adds - 1 do
+        Cache.add c (key i) i
+      done;
+      let s = Cache.stats c in
+      let what = Printf.sprintf "capacity %d after %d adds" capacity adds in
+      Alcotest.(check int) (what ^ ": entries") (min capacity adds) s.Cache.entries;
+      Alcotest.(check int) (what ^ ": evictions") (max 0 (adds - capacity)) s.Cache.evictions)
+    [ (4, 100); (256, 256) ];
+  (* Recency is global: in a full cache, the key touched last is kept
+     and the least recent of all the others goes. *)
+  let c : int Cache.t = Cache.create ~capacity:16 () in
+  for i = 0 to 15 do
+    Cache.add c (key i) i
+  done;
+  ignore (Cache.find c "k0");
+  Cache.add c "k16" 16;
+  Alcotest.(check bool) "touched k0 kept" true (Cache.mem c "k0");
+  Alcotest.(check bool) "k1, the lru, evicted" false (Cache.mem c "k1")
 
 let test_byte_bound () =
-  let c : string Cache.t = Cache.create ~shards:1 ~capacity:100 ~max_bytes:100 () in
+  let c : string Cache.t = Cache.create ~capacity:100 ~max_bytes:100 () in
   Cache.add c ~bytes:40 "a" "x";
   Cache.add c ~bytes:40 "b" "y";
   Cache.add c ~bytes:40 "c" "z";
   Alcotest.(check bool) "oldest evicted by byte bound" false (Cache.mem c "a");
-  Alcotest.(check int) "bytes within bound" 80 (Cache.bytes c);
-  Alcotest.(check int) "two entries left" 2 (Cache.length c)
+  Alcotest.(check int) "bytes within bound" 80 (Cache.stats c).Cache.resident_bytes;
+  Alcotest.(check int) "two entries left" 2 (Cache.length c);
+  (* The byte bound is exact too: an entry within it stays. *)
+  let c : string Cache.t = Cache.create ~max_bytes:1000 () in
+  Cache.add c ~bytes:200 "a" "x";
+  Alcotest.(check bool) "200 bytes kept under a 1000-byte bound" true (Cache.mem c "a");
+  Alcotest.(check int) "no eviction" 0 (Cache.stats c).Cache.evictions
 
 let test_with_memo_and_verify () =
-  let c : int Cache.t = Cache.create ~shards:1 ~capacity:8 () in
+  let c : int Cache.t = Cache.create ~capacity:8 () in
   let computes = ref 0 in
   let get key =
     Cache.with_memo c key (fun () ->
@@ -144,21 +174,6 @@ let test_with_memo_and_verify () =
     (List.mem_assoc "cache.verify_rejects" d.Obs.counters);
   Alcotest.(check int) "hits counted" 3 (counter "cache.hits");
   Alcotest.(check int) "misses counted" 2 (counter "cache.misses")
-
-let test_concurrent_misses_compute_once () =
-  let c : int Cache.t = Cache.create ~shards:1 ~capacity:8 () in
-  let computes = Atomic.make 0 in
-  let compute () =
-    Atomic.incr computes;
-    Unix.sleepf 0.05;
-    42
-  in
-  let doms =
-    Array.init 4 (fun _ -> Domain.spawn (fun () -> Cache.with_memo c "shared" compute))
-  in
-  let values = Array.map Domain.join doms in
-  Array.iter (fun v -> Alcotest.(check int) "every waiter gets the value" 42 v) values;
-  Alcotest.(check int) "the in-flight latch deduplicates the compute" 1 (Atomic.get computes)
 
 (* ---------------- cached embeds: bit-identity ---------------- *)
 
@@ -191,7 +206,7 @@ let cache_props =
       ~print:print_case case_gen (fun c ->
         let t1 = tree_of_case c in
         let t2 = (Gen.family c.fname).generate (Rng.make ~seed:(c.seed + 1)) (c.size + 1) in
-        let cache = Theorem1.make_cache ~shards:1 ~capacity:1 () in
+        let cache = Theorem1.make_cache ~capacity:1 () in
         (* capacity 1: every alternation evicts the other shape *)
         let ok tree = place (Theorem1.embed ~capacity:c.capacity ~cache tree)
                       = place (Theorem1.embed ~capacity:c.capacity tree) in
@@ -254,7 +269,7 @@ let test_shape_dedup_counts () =
   Alcotest.(check int) "one entry per shape" (List.length shapes) (Theorem1.cache_length cache)
 
 let test_stats () =
-  let c : int Cache.t = Cache.create ~shards:1 ~capacity:2 () in
+  let c : int Cache.t = Cache.create ~capacity:2 () in
   let z = Cache.stats c in
   Alcotest.(check (list int)) "fresh cache all zero"
     [ 0; 0; 0; 0; 0 ]
@@ -273,7 +288,7 @@ let test_stats () =
     [ s.Cache.hits; s.Cache.misses; s.Cache.evictions; s.Cache.entries; s.Cache.resident_bytes ]
 
 let test_fold_order () =
-  let c : int Cache.t = Cache.create ~shards:1 ~capacity:8 () in
+  let c : int Cache.t = Cache.create ~capacity:8 () in
   List.iter (fun (k, v) -> Cache.add c ~bytes:v k v) [ ("a", 1); ("b", 2); ("c", 3) ];
   ignore (Cache.find c "a") (* recency now a > c > b *);
   let got =
@@ -293,7 +308,6 @@ let suite =
     Alcotest.test_case "lru eviction order" `Quick test_lru_eviction_order;
     Alcotest.test_case "byte bound evicts" `Quick test_byte_bound;
     Alcotest.test_case "with_memo hit, verify-reject counters" `Quick test_with_memo_and_verify;
-    Alcotest.test_case "concurrent misses compute once" `Quick test_concurrent_misses_compute_once;
     Alcotest.test_case "cross-label hit shares entry, metrics" `Quick test_cross_label_hit;
     Alcotest.test_case "shape dedup counts entries" `Quick test_shape_dedup_counts;
   ]

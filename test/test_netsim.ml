@@ -418,53 +418,6 @@ let test_router_next_link () =
       ("one vertex", Graph.of_edges ~n:1 []);
     ]
 
-(* ---------------- one route table, two domains ---------------------- *)
-
-(* The 10 embedded cases of one guest (the five workloads on its Theorem 1
-   X-tree and Theorem 3 hypercube embeddings), replayed on two spawned
-   domains from cold tables: one takes the even cases, the other the odd
-   ones, and they start together, so both domains build and read rows of
-   the same two host graphs at once. Every observable must match a
-   sequential replay on separately built (equally cold) hosts. *)
-let test_two_domains_share_routes () =
-  let tree = Gen.uniform (Xt_prelude.Rng.make ~seed:5) (Theorem1.optimal_size 4) in
-  let cases () =
-    let hosts =
-      [
-        (Theorem1.embed tree).Theorem1.embedding;
-        (Hypercube_transfer.embed tree).Hypercube_transfer.embedding;
-      ]
-    in
-    List.concat_map (fun e -> List.map (fun w -> (w, e)) Workload.workloads) hosts
-  in
-  let replay (w, e) =
-    let sim, cycles = Workload.run_on w e in
-    (cycles, Sim.link_loads sim, Sim.latencies sim)
-  in
-  let seq = List.map replay (cases ()) in
-  let cold = Array.of_list (cases ()) in
-  let out = Array.make (Array.length cold) None in
-  let started = Atomic.make 0 in
-  let lane parity () =
-    Atomic.incr started;
-    while Atomic.get started < 2 do
-      Domain.cpu_relax ()
-    done;
-    Array.iteri (fun i c -> if i mod 2 = parity then out.(i) <- Some (replay c)) cold;
-    (Domain.self () :> int)
-  in
-  let even = Domain.spawn (lane 0) and odd = Domain.spawn (lane 1) in
-  let even_id = Domain.join even and odd_id = Domain.join odd in
-  checkb "replayed on two domains" true (even_id <> odd_id);
-  let par = Array.to_list (Array.map Option.get out) in
-  List.iteri
-    (fun i ((cycles, loads, lats), (cycles', loads', lats')) ->
-      let what = Printf.sprintf "case %d" i in
-      check (what ^ ": cycles") cycles cycles';
-      Alcotest.(check (array int)) (what ^ ": link loads") loads loads';
-      Alcotest.(check (array int)) (what ^ ": latencies") lats lats')
-    (List.combine seq par)
-
 let suite =
   suite
   @ [
@@ -476,7 +429,6 @@ let suite =
       ("sim input checks", `Quick, test_sim_input_checks);
       QCheck_alcotest.to_alcotest ~long:false qcheck_router_modes;
       QCheck_alcotest.to_alcotest ~long:false qcheck_routes_bfs_spec;
-      ("two domains share route tables", `Quick, test_two_domains_share_routes);
       QCheck_alcotest.to_alcotest ~long:false qcheck_wide_trees;
       ("router next link", `Quick, test_router_next_link);
     ]

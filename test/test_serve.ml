@@ -123,6 +123,31 @@ let snapshot_roundtrip_prop =
         QCheck2.Test.fail_reportf "%d misses after a full reload" st.Cache.misses;
       List.for_all2 (fun a b -> a = b) direct again)
 
+(* A snapshot keeps the recency order: touch a full cache's entries in a
+   known order, save it, load it into a fresh cache of the same capacity
+   and add one new shape. The entry evicted is the one that was least
+   recently used before the save. *)
+let test_snapshot_keeps_recency () =
+  let shapes = Loadgen.make_shapes ~seed:41 ~count:5 ~size:50 in
+  let embed cache i =
+    match Codec.of_string shapes.(i) with
+    | Ok t -> ignore (Theorem1.embed ~cache t)
+    | Error msg -> Alcotest.failf "pool shape %d: %s" i msg
+  in
+  let c1 = Theorem1.make_cache ~capacity:4 () in
+  List.iter (embed c1) [ 0; 1; 2; 3; 2; 0; 3; 1 ];
+  (* most recent first: 1, 3, 0, 2 *)
+  let file = tmp_snapshot () in
+  Alcotest.(check int) "every entry saved" 4 (Theorem1.cache_save c1 ~file);
+  let c2 = Theorem1.make_cache ~capacity:4 () in
+  let loaded = Theorem1.cache_load c2 ~file in
+  Sys.remove file;
+  Alcotest.(check (result int string)) "every entry loaded" (Ok 4) loaded;
+  embed c2 4;
+  let cached i = Option.is_some (Theorem1.find_packed c2 ~capacity:16 shapes.(i)) in
+  Alcotest.(check (list bool)) "only shape 2, the lru, evicted"
+    [ true; true; false; true; true ] (List.init 5 cached)
+
 (* Corrupt a saved snapshot every way the codec guards against; each
    attempt must reject atomically, leaving the target cache empty. *)
 let test_snapshot_rejection () =
@@ -555,6 +580,7 @@ let suite =
     Alcotest.test_case "wire frames round-trip" `Quick test_wire_frames;
     Alcotest.test_case "wire error response" `Quick test_wire_error_response;
     Alcotest.test_case "snapshot rejection is atomic" `Quick test_snapshot_rejection;
+    Alcotest.test_case "snapshot keeps recency order" `Quick test_snapshot_keeps_recency;
     Alcotest.test_case "serve responses = direct embeds" `Quick test_serve_equivalence;
     Alcotest.test_case "serve reports request errors" `Quick test_serve_error_reply;
     Alcotest.test_case "snapshot-warm restart" `Quick test_serve_snapshot_warm_restart;
