@@ -132,12 +132,14 @@ let tests =
             let ws = Separator.make_ws tree in
             let piece = { Separator.nodes = List.init n_bench Fun.id; r1 = 0; r2 = None } in
             fun () -> ignore (Separator.lemma2 ws piece ~target:(n_bench / 2))));
-      (* The price of leaving the flight recorder armed: one span with
-         tracing and metrics off is two clock reads plus a handful of
-         ring stores. This is the default-on overhead every span-wrapped
-         call site pays. *)
+      (* The price of arming the flight recorder (--flight, XT_FLIGHT):
+         one span with tracing and metrics off is two clock reads plus a
+         handful of ring stores, paid by every span-wrapped call site. *)
       Test.make ~name:"B13 flight-recorder span (no-op body)"
-        (Staged.stage (fun () -> Xt_obs.Obs.span "bench.noop" (fun () -> ())));
+        (Staged.stage (fun () ->
+             Xt_obs.Obs.enable_recorder ();
+             Xt_obs.Obs.span "bench.noop" (fun () -> ());
+             Xt_obs.Obs.disable_recorder ()));
     ]
 
 let run () =

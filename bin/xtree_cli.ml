@@ -82,7 +82,7 @@ let input_arg =
    individual flags. *)
 type telemetry = {
   tm_trace : string option; (* --trace FILE: Chrome trace JSON *)
-  tm_metrics : bool; (* --metrics: counters/gauges/histograms on exit *)
+  tm_metrics : bool; (* --metrics: counters/histograms on exit *)
   tm_flight : string option; (* --flight FILE: flight-recorder dump on exit *)
   tm_report : bool; (* --trace-report: analytics tables on exit *)
   tm_gc : bool; (* --gc-spans: GC deltas on every span *)
@@ -97,14 +97,14 @@ let telemetry_term =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
   let metrics =
-    let doc = "Record work metrics and print the merged counters/gauges/histograms on exit." in
+    let doc = "Record work metrics and print the merged counters/histograms on exit." in
     Arg.(value & flag & info [ "metrics" ] ~doc)
   in
   let flight =
     let doc =
-      "Dump the flight recorder (the fixed-size ring of recent span/counter \
-       events, on by default) to $(docv) on exit. Set XT_FLIGHT=FILE to get \
-       the same dump even when the process dies on a fatal error."
+      "Arm the flight recorder (a fixed ring of the last 256 span/counter \
+       events per domain) and dump it to $(docv) on exit. Set XT_FLIGHT=FILE \
+       to get the same dump even when the process dies on a fatal error."
     in
     Arg.(value & opt (some string) None & info [ "flight" ] ~docv:"FILE" ~doc)
   in
@@ -125,6 +125,7 @@ let telemetry_term =
     $ trace $ metrics $ flight $ report $ gc)
 
 let obs_begin tm =
+  if tm.tm_flight <> None then Obs.enable_recorder ();
   if tm.tm_metrics then Obs.enable_metrics ();
   if tm.tm_gc then Obs.enable_gc_sampling ();
   if tm.tm_trace <> None || tm.tm_report then Obs.enable_tracing ()
@@ -370,15 +371,15 @@ let embed_batch_run file capacity algorithm tm =
           let r = Order_layout.embed ~capacity ~cache ~order t in
           (r.Order_layout.embedding, r.Order_layout.xt, r.Order_layout.height)
   in
-  (* Dedupe by canonical shape, embed each unique shape once (the cache
-     misses), then serve every input line from the cache in input order.
-     Codec numbers nodes in preorder, so every served embedding is
-     bit-identical to an uncached run on that line. *)
+  (* Dedupe on the Codec string the cache keys on, embed each unique
+     shape once (the cache misses), then serve every input line from the
+     cache in input order. Codec numbers nodes in preorder, so every
+     served embedding is bit-identical to an uncached run on that line. *)
   let seen = Hashtbl.create 64 in
   let unique =
     List.filter
       (fun t ->
-        let key = Fingerprint.canonical_key t in
+        let key = Codec.to_string t in
         if Hashtbl.mem seen key then false
         else begin
           Hashtbl.add seen key ();
@@ -973,7 +974,7 @@ let loadgen_run requests shapes size skew seed window out codec_out replay_file 
           (fun p ->
             match Codec.of_string p with
             | Ok t ->
-                let key = Fingerprint.canonical_key t in
+                let key = Codec.to_string t in
                 if not (Hashtbl.mem seen key) then Hashtbl.add seen key ()
             | Error _ -> ())
           stream;
@@ -1053,11 +1054,14 @@ let loadgen_cmd =
 (* ---------------- main ---------------- *)
 
 let () =
-  (* XT_FLIGHT=FILE arms an at_exit flight-recorder dump: it fires on
-     normal exit, on [exit 2] error paths, and after uncaught exceptions
-     reach cmdliner — the post-mortem channel for wedged or dying runs. *)
+  (* XT_FLIGHT=FILE arms the flight recorder and an at_exit dump: it
+     fires on normal exit, on [exit 2] error paths, and after uncaught
+     exceptions reach cmdliner — the post-mortem channel for wedged or
+     dying runs. *)
   (match Sys.getenv_opt "XT_FLIGHT" with
-  | Some file when file <> "" -> at_exit (fun () -> Obs.write_flight file)
+  | Some file when file <> "" ->
+      Obs.enable_recorder ();
+      at_exit (fun () -> Obs.write_flight file)
   | _ -> ());
   let doc = "Simulating binary trees on X-trees (Monien, SPAA 1991)" in
   let info = Cmd.info "xtree" ~version:"1.0.0" ~doc in

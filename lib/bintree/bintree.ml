@@ -113,7 +113,8 @@ let neighbours t v =
   iter_neighbours t v (fun w -> acc := w :: !acc);
   List.rev !acc
 
-let degree t v = List.length (neighbours t v)
+let degree t v =
+  Bool.to_int (t.parent.(v) >= 0) + Bool.to_int (t.left.(v) >= 0) + Bool.to_int (t.right.(v) >= 0)
 
 let edges t =
   let acc = ref [] in
@@ -154,19 +155,54 @@ let postorder t =
 
 let fold_preorder t ~init ~f = List.fold_left f init (preorder t)
 
+(* In node order, each node whose depth is unknown climbs to its nearest
+   ancestor of known depth, then climbs again writing the depths on the
+   way: no stack, and no node is climbed through more than twice. Where
+   parents precede their children, as in insertion-ordered trees, a
+   node reads only its parent's depth. *)
 let depth t =
-  let d = Array.make (n t) 0 in
-  List.iter (fun v -> if v <> t.root then d.(v) <- d.(t.parent.(v)) + 1) (preorder t);
+  let d = Array.make (n t) (-1) in
+  d.(t.root) <- 0;
+  let rec known a k = if d.(a) >= 0 then d.(a) + k else known t.parent.(a) (k + 1) in
+  let rec fill a da =
+    if d.(a) < 0 then begin
+      d.(a) <- da;
+      fill t.parent.(a) (da - 1)
+    end
+  in
+  for v = 0 to n t - 1 do
+    if d.(v) < 0 then fill v (known t.parent.(v) 1)
+  done;
   d
 
-let subtree_sizes t =
-  let s = Array.make (n t) 1 in
-  List.iter (fun v -> if v <> t.root then s.(t.parent.(v)) <- s.(t.parent.(v)) + s.(v)) (postorder t);
-  s
+let height t = Array.fold_left max 0 (depth t)
 
-let height t =
+(* Children before parents: the nodes in decreasing depth, by a counting
+   sort on [depth], each adding its size to its parent's. *)
+let subtree_sizes t =
+  let size = n t in
   let d = depth t in
-  Array.fold_left max 0 d
+  let h = Array.fold_left max 0 d in
+  (* [next.(h - k)]: the next slot of depth [k] in [order] *)
+  let next = Array.make (h + 2) 0 in
+  Array.iter (fun k -> next.(h - k + 1) <- next.(h - k + 1) + 1) d;
+  for i = 1 to h + 1 do
+    next.(i) <- next.(i) + next.(i - 1)
+  done;
+  let order = Array.make size 0 in
+  Array.iteri
+    (fun v k ->
+      order.(next.(h - k)) <- v;
+      next.(h - k) <- next.(h - k) + 1)
+    d;
+  let s = Array.make size 1 in
+  (* the root, alone at depth 0, comes last *)
+  for i = 0 to size - 2 do
+    let v = order.(i) in
+    let p = t.parent.(v) in
+    s.(p) <- s.(p) + s.(v)
+  done;
+  s
 
 type stats = { size : int; height : int; leaves : int; max_degree : int }
 

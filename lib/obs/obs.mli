@@ -1,15 +1,16 @@
-(** Telemetry: domain-sharded metrics and Chrome-trace span tracing.
+(** Telemetry: domain-sharded metrics and one event log for tracing and
+    the flight recorder.
 
     This module sits below every other library of the repo (it depends
     only on [unix]) so that the embedding pipeline, the service and
     the network simulator can all record into it.
 
-    {b Cost model.} Everything is gated on two process-wide flags.
-    With metrics and tracing disabled (the default), every recording
-    entry point reduces to one mutable-flag load and a conditional
-    branch — no allocation, no clock read, no atomic operation. The
-    instruments themselves ([counter], [histogram], …) are created once
-    at module-initialisation time and registered in a global registry.
+    {b Cost model.} Everything is gated on process-wide flags. With
+    metrics, tracing and the recorder off (the default), every recording
+    entry point reduces to one or two mutable-flag loads and a branch —
+    no allocation, no clock read, no atomic operation. The instruments
+    themselves ([counter], [histogram]) are created once at
+    module-initialisation time and registered in a global registry.
 
     {b Sharding.} Each instrument keeps one cell (or bucket array) per
     {e shard}; the recording domain writes the shard indexed by its
@@ -20,18 +21,15 @@
     recorded totals are (work counters of a deterministic algorithm
     merge to identical dumps whatever the domain count).
 
-    {b Tracing.} {!span} brackets a computation with begin/end events
-    stamped by an injectable monotonic clock ({!set_clock}); the event
-    log is exported as Chrome trace-event JSON ({!trace_json}), loadable
-    in Perfetto / [chrome://tracing], with one track (tid) per domain
-    shard.
-
-    {b Flight recorder.} Independently of tracing, every span/instant
-    entry point also appends to a fixed-size per-shard ring of recent
-    events. The rings are preallocated (appending is a handful of array
-    stores), so the recorder is on by default and costs nothing at
-    steady state; {!pp_flight} dumps the retained tail on demand, on
-    fatal error, or at exit. *)
+    {b Event log.} {!span}, {!instant} and {!counter_event} append to one
+    log per shard, stamped by an injectable monotonic clock
+    ({!set_clock}). While tracing, the log keeps every event, exported as
+    Chrome trace-event JSON ({!trace_json}, loadable in Perfetto /
+    [chrome://tracing], one track per shard) or as {!events}. With only
+    the flight recorder armed, it is a fixed ring of the last 256 events
+    per shard, allocated at the shard's first event; {!pp_flight} dumps
+    each shard's last 256 events in either mode. The recorder starts off; the CLI arms it when
+    [--flight] or [XT_FLIGHT] is given. *)
 
 (** {1 Flags and clock} *)
 
@@ -42,16 +40,17 @@ val enable_metrics : unit -> unit
 val disable_metrics : unit -> unit
 
 val enable_tracing : unit -> unit
-(** Also resets the trace clock origin to "now", so exported timestamps
-    start near zero. *)
+(** Also empties the event log, so a trace never starts from a wrapped
+    recorder ring, and resets the trace clock origin to "now", so
+    exported timestamps start near zero. *)
 
 val disable_tracing : unit -> unit
 
-val recorder_enabled : unit -> bool
 val enable_recorder : unit -> unit
 val disable_recorder : unit -> unit
-(** The flight recorder starts enabled; disabling it reduces spans and
-    instants back to a flag check when tracing is also off. *)
+(** The flight recorder starts off. Armed with tracing off, it keeps
+    the last 256 events per shard; disarmed, spans and instants are
+    back to a flag check when tracing is also off. *)
 
 val gc_sampling_enabled : unit -> bool
 val enable_gc_sampling : unit -> unit
@@ -83,47 +82,27 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 (** No-ops (single flag check) while metrics are disabled. *)
 
-type gauge
-
-val gauge : string -> gauge
-
-val set_gauge : gauge -> int -> unit
-(** Record the current value of the gauge on this domain's shard.
-    {!drain} merges shards by taking the maximum recorded value. *)
-
 type histogram
 
-val histogram : ?buckets:int array -> string -> histogram
-(** Fixed-bucket histogram of integer samples. [buckets] is the sorted
-    array of inclusive upper bounds; samples above the last bound fall
-    into an implicit overflow bucket. The default is a power-of-two
-    exponential ladder [1, 2, 4, …, 2{^29}] suitable for nanosecond
-    latencies and size distributions alike. Re-registering a name
-    returns the existing histogram (the buckets of the first
-    registration win). *)
+val histogram : string -> histogram
+(** Create-or-find the histogram of integer samples registered under
+    this name. Its buckets are the power-of-two ladder
+    [1, 2, 4, …, 2{^29}] of inclusive upper bounds, suitable for
+    nanosecond latencies and size distributions alike; samples above
+    the last bound fall into an overflow bucket. *)
 
 val observe : histogram -> int -> unit
-(** Count a sample in its bucket. A histogram on the default ladder
-    finds the bucket in O(1) ({!pow2_bucket}); any other ladder by
-    binary search ({!bucket_search}). *)
-
-val bucket_search : int array -> int -> int
-(** [bucket_search bounds v]: the first bucket whose bound is [>= v], or
-    [Array.length bounds] (the overflow bucket). O(log buckets). *)
+(** Count a sample in its bucket, found in O(1) ({!pow2_bucket}). *)
 
 val pow2_bucket : int -> int
-(** [bucket_search] on the default ladder, by bit arithmetic: for every
-    [v], [pow2_bucket v = bucket_search [|1; 2; …; 2{^29}|] v]. *)
-
-val time_ns : histogram -> (unit -> 'a) -> 'a
-(** Run the thunk and observe its duration in nanoseconds. When metrics
-    are disabled this is a flag check followed by a direct call. *)
+(** The first bucket whose bound is [>= v], or 30 (the overflow bucket),
+    by bit arithmetic. *)
 
 (** {1 Drain} *)
 
 type histogram_row = {
   h_name : string;
-  bounds : int array;      (** inclusive upper bounds, as registered *)
+  bounds : int array;      (** inclusive upper bounds: the ladder *)
   counts : int array;      (** length [Array.length bounds + 1]; last = overflow *)
   count : int;
   sum : int;
@@ -133,7 +112,6 @@ type histogram_row = {
 
 type dump = {
   counters : (string * int) list;   (** sorted by name *)
-  gauges : (string * int) list;     (** sorted by name; shard-max merge *)
   histograms : histogram_row list;  (** sorted by name *)
 }
 
@@ -148,13 +126,8 @@ val reset_metrics : unit -> unit
 val drain : unit -> dump
 (** [snapshot] followed by [reset_metrics]. *)
 
-val dump_json : dump -> string
-(** The dump as a stable JSON object:
-    [{"counters":{…},"gauges":{…},"histograms":{…}}], keys in sorted
-    order, histogram rows carrying bounds/counts/count/sum/min/max. *)
-
 val pp_dump : Buffer.t -> dump -> unit
-(** Human-readable [name = value] lines (counters and gauges), then one
+(** Human-readable [name = value] lines (counters), then one
     line per histogram with count/sum/min/max/p50/p90/p99 — the
     [--metrics] output of the CLI. *)
 
@@ -170,9 +143,9 @@ val quantile : histogram_row -> float -> int
 val span : ?arg:int -> string -> (unit -> 'a) -> 'a
 (** [span name f] records a begin event, runs [f], and records the
     matching end event even when [f] raises. [?arg] is attached to the
-    begin event as [args.v]. The events go to the trace log when tracing
-    is on and to the flight-recorder ring when the recorder is on; with
-    both off, [f] is called directly after the flag check. *)
+    begin event as [args.v]. The events go to the event log when
+    tracing or the recorder is on; with both off, [f] is called
+    directly after the flag check. *)
 
 val instant : ?arg:int -> string -> unit
 (** A zero-duration instant event. *)
@@ -184,7 +157,7 @@ val counter_event : ?ts:int -> string -> int -> unit
     share one clock read. *)
 
 val reset_trace : unit -> unit
-(** Discard all recorded events. *)
+(** Empty the event log. *)
 
 val trace_json : unit -> string
 (** The event log as a Chrome trace-event JSON document
@@ -212,34 +185,16 @@ type event = {
 }
 
 val events : unit -> event list
-(** Every recorded trace event, shards in index order, each shard's
+(** Every event the log holds, shards in index order, each shard's
     events in recording order. *)
 
 (** {1 Flight recorder} *)
 
-val recorder_capacity : unit -> int
-(** Ring capacity per shard (a power of two; default 256). *)
-
-val set_recorder_capacity : int -> unit
-(** Resize every ring to the next power of two >= the argument (floor
-    16), discarding current contents. *)
-
-val reset_recorder : unit -> unit
-(** Forget all retained events (capacity is kept). *)
-
-val flight_events : unit -> event list
-(** The retained ring contents, shards in index order, each shard
-    oldest first. [ev_ts] here is the raw clock reading (the recorder
-    runs even when tracing never set an origin). *)
-
-val flight_dropped : unit -> int
-(** Total events overwritten before they could be dumped, across all
-    shards. *)
-
 val pp_flight : Buffer.t -> unit
-(** Render the retained events as a human-readable dump: a header with
-    capacity/recorded/dropped, then per-shard blocks with timestamps
-    relative to the earliest retained event. *)
+(** Render each shard's last 256 events as a human-readable dump: a
+    header with capacity/recorded/dropped (dropped counts the events
+    before them), then per-shard blocks with timestamps relative to the
+    earliest dumped event. *)
 
 val write_flight : string -> unit
 (** Write {!pp_flight} to a file (the [--flight FILE] / [XT_FLIGHT]

@@ -23,10 +23,10 @@ let make_shapes ~seed ~count ~size =
     let rng = Rng.make ~seed:(seed + (7919 * !attempt)) in
     let t = f.Gen.generate rng sz in
     incr attempt;
-    let key = Fingerprint.canonical_key t in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      out.(!filled) <- Codec.to_string t;
+    let s = Codec.to_string t in
+    if not (Hashtbl.mem seen s) then begin
+      Hashtbl.add seen s ();
+      out.(!filled) <- s;
       incr filled
     end
   done;

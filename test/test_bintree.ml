@@ -361,18 +361,18 @@ let test_mirror_copy_shapes () =
       (Enum.all_shapes n)
   done
 
+let right_spine n =
+  let b = Bintree.Builder.create ~capacity:n () in
+  let v = ref (Bintree.Builder.add_root b) in
+  for _ = 2 to n do
+    v := Bintree.Builder.add_right b !v
+  done;
+  Bintree.Builder.finish b
+
 (* A million-node spine, left or right, climbs a million parents back to
    the root; both spines are already in mirror preorder. *)
 let test_mirror_copy_spines () =
   let n = 1_000_000 in
-  let right_spine =
-    let b = Bintree.Builder.create ~capacity:n () in
-    let v = ref (Bintree.Builder.add_root b) in
-    for _ = 2 to n do
-      v := Bintree.Builder.add_right b !v
-    done;
-    Bintree.Builder.finish b
-  in
   List.iter
     (fun (what, t) ->
       let { Bintree.copy; to_copy; to_caller; last } = Bintree.mirror_copy t in
@@ -383,7 +383,83 @@ let test_mirror_copy_spines () =
       done;
       checkb (what ^ ": identity maps, every subtree to the end") true !identity;
       checkb (what ^ ": valid") true (Bintree.check copy = Ok ()))
-    [ ("left spine", Gen.path n); ("right spine", right_spine) ]
+    [ ("left spine", Gen.path n); ("right spine", right_spine n) ]
+
+(* ---------------- measures ---------------- *)
+
+(* The list-based measures the array passes replaced, kept as their
+   reference: depths in preorder, sizes in postorder, and a neighbour
+   list per node for its degree. *)
+let reference_depth t =
+  let d = Array.make (Bintree.n t) 0 in
+  List.iter
+    (fun v -> if v <> Bintree.root t then d.(v) <- d.(Bintree.parent_id t v) + 1)
+    (Bintree.preorder t);
+  d
+
+let reference_sizes t =
+  let s = Array.make (Bintree.n t) 1 in
+  List.iter
+    (fun v ->
+      if v <> Bintree.root t then begin
+        let p = Bintree.parent_id t v in
+        s.(p) <- s.(p) + s.(v)
+      end)
+    (Bintree.postorder t);
+  s
+
+let reference_stats t =
+  let n = Bintree.n t in
+  let leaves = ref 0 and maxd = ref 0 in
+  for v = 0 to n - 1 do
+    if Bintree.is_leaf t v then incr leaves;
+    maxd := max !maxd (List.length (Bintree.neighbours t v))
+  done;
+  {
+    Bintree.size = n;
+    height = Array.fold_left max 0 (reference_depth t);
+    leaves = !leaves;
+    max_degree = !maxd;
+  }
+
+(* What differs between the measures of [t] and their references. *)
+let measures_defect t =
+  if Bintree.depth t <> reference_depth t then Some "depth"
+  else if Bintree.subtree_sizes t <> reference_sizes t then Some "subtree_sizes"
+  else if Bintree.height t <> (reference_stats t).Bintree.height then Some "height"
+  else if Bintree.stats t <> reference_stats t then Some "stats"
+  else if List.exists (fun v -> Bintree.degree t v <> List.length (Bintree.neighbours t v))
+            (List.init (Bintree.n t) Fun.id)
+  then Some "degree"
+  else None
+
+(* Million-node spines: numbered from the root down, where each parent
+   precedes its child, and from the leaf up, where the first node's
+   depth climbs every parent to the root. *)
+let test_measures_spines () =
+  let n = 1_000_000 in
+  let leaf_first =
+    let parent = Array.init n (fun v -> if v = n - 1 then -1 else v + 1) in
+    let left = Array.init n (fun v -> v - 1) and right = Array.make n (-1) in
+    Bintree.of_arrays ~root:(n - 1) ~parent ~left ~right
+  in
+  List.iter
+    (fun (what, t, depth_of) ->
+      let s = Bintree.stats t in
+      check (what ^ ": height") (n - 1) s.Bintree.height;
+      check (what ^ ": leaves") 1 s.Bintree.leaves;
+      check (what ^ ": max degree") 2 s.Bintree.max_degree;
+      let d = Bintree.depth t and sizes = Bintree.subtree_sizes t in
+      let ok = ref true in
+      for v = 0 to n - 1 do
+        if d.(v) <> depth_of v || sizes.(v) <> n - depth_of v then ok := false
+      done;
+      checkb (what ^ ": depths and sizes") true !ok)
+    [
+      ("left spine", Gen.path n, Fun.id);
+      ("right spine", right_spine n, Fun.id);
+      ("leaf-first spine", leaf_first, fun v -> n - 1 - v);
+    ]
 
 let suite =
   [
@@ -393,6 +469,7 @@ let suite =
     ("check rejects a detached cycle or a doubled child", `Quick, test_check_rejects);
     ("mirror copy: shapes <= 8", `Quick, test_mirror_copy_shapes);
     ("mirror copy: million-node spines", `Quick, test_mirror_copy_spines);
+    ("measures: million-node spines", `Quick, test_measures_spines);
     QCheck_alcotest.to_alcotest ~long:false qcheck_check_reference;
     ("traversals", `Quick, test_traversals);
     ("depth and sizes", `Quick, test_depth_sizes);
@@ -438,6 +515,15 @@ let family_qcheck =
         no_defect (fun () -> "generated") t;
         no_defect (fun () -> "shuffled") (shuffled t seed);
         true);
+    QCheck2.Test.make ~count:200 ~name:"all families: measures == list-based" ~print:print_case
+      gen_case (fun (f, n, seed) ->
+        let t = f.generate (Xt_prelude.Rng.make ~seed) n in
+        List.for_all
+          (fun (what, t) ->
+            match measures_defect t with
+            | None -> true
+            | Some m -> QCheck2.Test.fail_reportf "%s: %s differs" what m)
+          [ ("generated", t); ("shuffled", shuffled t seed) ]);
   ]
 
 let suite = suite @ List.map (QCheck_alcotest.to_alcotest ~long:false) family_qcheck

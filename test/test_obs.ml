@@ -10,8 +10,24 @@ let quiesce () =
   Obs.disable_tracing ();
   Obs.disable_gc_sampling ();
   Obs.reset_metrics ();
-  Obs.reset_trace ();
-  Obs.reset_recorder ()
+  Obs.reset_trace ()
+
+let real_clock () = int_of_float (Unix.gettimeofday () *. 1e9)
+
+(* Run [f] under a fake clock that counts its readings, 1000 ns apart. *)
+let with_counted_clock f =
+  let reads = ref 0 in
+  Obs.set_clock (fun () ->
+      incr reads;
+      !reads * 1000);
+  Fun.protect ~finally:(fun () -> Obs.set_clock real_clock) (fun () -> f reads)
+
+let with_fake_clock f = with_counted_clock (fun _ -> f ())
+
+let flight_dump () =
+  let b = Buffer.create 256 in
+  Obs.pp_flight b;
+  String.split_on_char '\n' (Buffer.contents b)
 
 (* ---------------- minimal JSON reader ----------------
 
@@ -149,25 +165,36 @@ let trace_events doc =
 
 let test_disabled_records_nothing () =
   let c = Obs.counter "test.off_counter" in
-  let g = Obs.gauge "test.off_gauge" in
   let h = Obs.histogram "test.off_hist" in
   quiesce ();
   Obs.incr c;
   Obs.add c 41;
-  Obs.set_gauge g 7;
   Obs.observe h 3;
-  ignore (Obs.time_ns h (fun () -> 5));
   ignore (Obs.span "test.off_span" (fun () -> 1));
   Obs.instant "test.off_instant";
   Obs.counter_event "test.off_series" 9;
   let d = Obs.snapshot () in
   check "counter untouched" 0 (List.assoc "test.off_counter" d.Obs.counters);
-  check "gauge untouched" 0 (List.assoc "test.off_gauge" d.Obs.gauges);
   let row = List.find (fun r -> r.Obs.h_name = "test.off_hist") d.Obs.histograms in
   check "hist untouched" 0 row.Obs.count;
   let evs = trace_events (parse_json (Obs.trace_json ())) in
   checkb "no span events recorded" true
     (List.for_all (fun e -> str_field "ph" e = "M") evs)
+
+(* The recorder starts off (every test that arms it disarms it again),
+   so with tracing off the event entry points are a flag check: they
+   neither read the clock nor record. *)
+let test_disabled_reads_no_clock () =
+  quiesce ();
+  with_counted_clock (fun reads ->
+      ignore (Obs.span "test.unclocked" (fun () -> 0));
+      Obs.instant "test.unclocked";
+      Obs.counter_event "test.unclocked" 1;
+      check "clock reads" 0 !reads);
+  check "no events" 0 (List.length (Obs.events ()));
+  Alcotest.(check string)
+    "empty flight dump" "capacity=256/shard recorded=0 dropped=0"
+    (List.nth (flight_dump ()) 1)
 
 let test_disabled_allocates_nothing () =
   let c = Obs.counter "test.off_alloc_counter" in
@@ -192,19 +219,16 @@ let test_enabled_merge_and_drain () =
   let c = Obs.counter "test.on_counter" in
   Obs.incr c;
   Obs.add c 41;
-  let g = Obs.gauge "test.on_gauge" in
-  (* within one shard a gauge is last-write-wins; the max-merge applies
-     across shards *)
-  Obs.set_gauge g 3;
-  Obs.set_gauge g 9;
-  let h = Obs.histogram ~buckets:[| 1; 10; 100 |] "test.on_hist" in
+  let h = Obs.histogram "test.on_hist" in
   List.iter (Obs.observe h) [ 0; 5; 50; 5000 ];
   let d = Obs.drain () in
   Obs.disable_metrics ();
   check "counter total" 42 (List.assoc "test.on_counter" d.Obs.counters);
-  check "gauge max-merge" 9 (List.assoc "test.on_gauge" d.Obs.gauges);
   let row = List.find (fun r -> r.Obs.h_name = "test.on_hist") d.Obs.histograms in
-  Alcotest.(check (array int)) "bucketed" [| 1; 1; 1; 1 |] row.Obs.counts;
+  let want = Array.make 31 0 in
+  (* 0 in (-inf, 1], 5 in (4, 8], 50 in (32, 64], 5000 in (4096, 8192] *)
+  List.iter (fun b -> want.(b) <- 1) [ 0; 3; 6; 13 ];
+  Alcotest.(check (array int)) "bucketed" want row.Obs.counts;
   check "count" 4 row.Obs.count;
   check "sum" 5055 row.Obs.sum;
   check "min" 0 row.Obs.vmin;
@@ -271,49 +295,32 @@ let test_trace_disabled_passthrough () =
 
 (* ---------------- flight recorder ---------------- *)
 
-let with_fake_clock f =
-  let tick = ref 0 in
-  Obs.set_clock (fun () ->
-      incr tick;
-      !tick * 1000);
-  Fun.protect
-    ~finally:(fun () -> Obs.set_clock (fun () -> int_of_float (Unix.gettimeofday () *. 1e9)))
-    f
-
 let test_recorder_ring_wraps () =
   quiesce ();
   with_fake_clock @@ fun () ->
-  Obs.set_recorder_capacity 16;
-  Fun.protect
-    ~finally:(fun () -> Obs.set_recorder_capacity 256)
-    (fun () ->
-      checkb "recorder on by default" true (Obs.recorder_enabled ());
-      check "capacity rounded" 16 (Obs.recorder_capacity ());
-      for i = 1 to 40 do
+  Obs.enable_recorder ();
+  Fun.protect ~finally:Obs.disable_recorder (fun () ->
+      for i = 1 to 280 do
         Obs.instant ~arg:i "test.flight"
       done;
-      let evs = Obs.flight_events () in
-      check "ring keeps the newest capacity events" 16 (List.length evs);
-      check "dropped counts the overwritten prefix" 24 (Obs.flight_dropped ());
-      let args = List.map (fun e -> e.Obs.ev_arg) evs in
-      Alcotest.(check (list int)) "oldest-to-newest tail" (List.init 16 (fun i -> 25 + i)) args;
-      let b = Buffer.create 256 in
-      Obs.pp_flight b;
-      let dump = Buffer.contents b in
-      checkb "dump has header" true
-        (String.length dump > 0
-        && String.sub dump 0 (String.length "== flight recorder ==") = "== flight recorder ==");
-      checkb "dump names events" true
-        (let re = "test.flight" in
-         let rec find i =
-           i + String.length re <= String.length dump
-           && (String.sub dump i (String.length re) = re || find (i + 1))
-         in
-         find 0))
+      match flight_dump () with
+      | title :: header :: shard :: evs ->
+          Alcotest.(check string) "title" "== flight recorder ==" title;
+          Alcotest.(check string)
+            "ring keeps the newest 256 events" "capacity=256/shard recorded=256 dropped=24" header;
+          Alcotest.(check string) "one shard" "-- shard 0 --" shard;
+          (* 256 event lines, then the empty string after the last newline *)
+          check "dumped lines" 257 (List.length evs);
+          Alcotest.(check string) "oldest shown" "+0.000ms i test.flight v=25" (List.hd evs);
+          Alcotest.(check string)
+            "newest shown" "+0.255ms i test.flight v=280" (List.nth evs 255)
+      | _ -> Alcotest.fail "short flight dump")
 
 let test_recorder_ring_allocation_free () =
   quiesce ();
   with_fake_clock @@ fun () ->
+  Obs.enable_recorder ();
+  Fun.protect ~finally:Obs.disable_recorder @@ fun () ->
   (* warm: make sure the instant's path has run once *)
   Obs.instant "test.flight_alloc";
   let before = Gc.minor_words () in
@@ -328,13 +335,20 @@ let test_recorder_ring_allocation_free () =
 
 let test_recorder_off_means_silent () =
   quiesce ();
+  Obs.enable_recorder ();
+  Obs.instant "test.flight_on";
   Obs.disable_recorder ();
-  Fun.protect
-    ~finally:(fun () -> Obs.enable_recorder ())
-    (fun () ->
-      ignore (Obs.span "test.flight_off" (fun () -> 0));
-      Obs.instant "test.flight_off";
-      check "nothing retained" 0 (List.length (Obs.flight_events ())))
+  ignore (Obs.span "test.flight_off" (fun () -> 0));
+  Obs.instant "test.flight_off";
+  (match flight_dump () with
+  | _ :: header :: _ :: ev :: _ ->
+      Alcotest.(check string) "one event kept" "capacity=256/shard recorded=1 dropped=0" header;
+      Alcotest.(check string) "only the armed one" "+0.000ms i test.flight_on" ev
+  | _ -> Alcotest.fail "short flight dump");
+  (* tracing starts from an empty log, not from the recorder's ring *)
+  Obs.enable_tracing ();
+  Obs.disable_tracing ();
+  check "tracing empties the log" 0 (List.length (Obs.events ()))
 
 (* ---------------- histogram quantiles ---------------- *)
 
@@ -358,13 +372,13 @@ let row_of name = List.find (fun r -> r.Obs.h_name = name)
 let test_quantile_single_sample () =
   quiesce ();
   Obs.enable_metrics ();
-  let h = Obs.histogram ~buckets:[| 1; 10; 100 |] "test.q_single" in
+  let h = Obs.histogram "test.q_single" in
   Obs.observe h 7;
   let d = Obs.drain () in
   Obs.disable_metrics ();
   let r = row_of "test.q_single" d.Obs.histograms in
   (* one sample: every quantile is that sample, exactly (vmin/vmax
-     clamping, not the bucket bound 10) *)
+     clamping, not the bucket bound 8) *)
   check "p50" 7 (Obs.quantile r 0.50);
   check "p90" 7 (Obs.quantile r 0.90);
   check "p99" 7 (Obs.quantile r 0.99)
@@ -372,21 +386,22 @@ let test_quantile_single_sample () =
 let test_quantile_overflow_bucket () =
   quiesce ();
   Obs.enable_metrics ();
-  let h = Obs.histogram ~buckets:[| 1; 10; 100 |] "test.q_over" in
-  List.iter (Obs.observe h) [ 50; 5000 ];
+  let h = Obs.histogram "test.q_over" in
+  let big = (1 lsl 30) + 7 in
+  List.iter (Obs.observe h) [ 50; big ];
   let d = Obs.drain () in
   Obs.disable_metrics ();
   let r = row_of "test.q_over" d.Obs.histograms in
-  (* rank 1 falls in the (10,100] bucket and reports its upper bound;
+  (* rank 1 falls in the (32,64] bucket and reports its upper bound;
      rank 2 in the unbounded overflow bucket, which must clamp to the
      observed max *)
-  check "p50 bucket upper bound" 100 (Obs.quantile r 0.50);
-  check "p99 overflow clamps to vmax" 5000 (Obs.quantile r 0.99);
+  check "p50 bucket upper bound" 64 (Obs.quantile r 0.50);
+  check "p99 overflow clamps to vmax" big (Obs.quantile r 0.99);
   let b = Buffer.create 128 in
   Obs.pp_dump b d;
   let line = Buffer.contents b in
   checkb "pp_dump carries quantiles" true
-    (let re = "p99=5000" in
+    (let re = Printf.sprintf "p99=%d" big in
      let rec find i =
        i + String.length re <= String.length line
        && (String.sub line i (String.length re) = re || find (i + 1))
@@ -403,7 +418,7 @@ let test_drain_covers_late_domains () =
   quiesce ();
   Obs.enable_metrics ();
   let c = Obs.counter "test.late_domains" in
-  let h = Obs.histogram ~buckets:[| 1; 10; 100 |] "test.late_hist" in
+  let h = Obs.histogram "test.late_hist" in
   let spawned = 80 in
   for i = 1 to spawned do
     Domain.join
@@ -419,13 +434,27 @@ let test_drain_covers_late_domains () =
 
 (* ---------------- power-of-two buckets ---------------- *)
 
-(* The default ladder's O(1) bucket must be the binary search's, on
-   every small value, around every power of two an int can hold, and at
-   the extremes; and a default histogram must file samples there. *)
+(* The first bucket of [bounds] whose bound is >= v, else the overflow
+   bucket, by binary search: the reference for the O(1) bucket. *)
+let bucket_search bounds v =
+  let nb = Array.length bounds in
+  if v > bounds.(nb - 1) then nb
+  else begin
+    let lo = ref 0 and hi = ref (nb - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if bounds.(mid) >= v then hi := mid else lo := mid + 1
+    done;
+    !lo
+  end
+
+(* The ladder's O(1) bucket must be the binary search's, on every small
+   value, around every power of two an int can hold, and at the
+   extremes; and a histogram must file samples there. *)
 let test_pow2_bucket_matches_search () =
   let ladder = Array.init 30 (fun i -> 1 lsl i) in
   let same v =
-    let want = Obs.bucket_search ladder v and got = Obs.pow2_bucket v in
+    let want = bucket_search ladder v and got = Obs.pow2_bucket v in
     if got <> want then Alcotest.failf "pow2_bucket %d = %d, binary search %d" v got want
   in
   for v = -100 to 1_000_000 do
@@ -445,7 +474,7 @@ let test_pow2_bucket_matches_search () =
   let want = Array.make 31 0 in
   List.iter
     (fun v ->
-      let b = Obs.bucket_search ladder v in
+      let b = bucket_search ladder v in
       want.(b) <- want.(b) + 1)
     samples;
   Alcotest.(check (array int)) "default histogram buckets" want r.Obs.counts
@@ -453,6 +482,7 @@ let test_pow2_bucket_matches_search () =
 let suite =
   [
     ("disabled records nothing", `Quick, test_disabled_records_nothing);
+    ("disabled reads no clock", `Quick, test_disabled_reads_no_clock);
     ("disabled allocates nothing", `Quick, test_disabled_allocates_nothing);
     ("merge and drain", `Quick, test_enabled_merge_and_drain);
     ("trace shape under fake clock", `Quick, test_trace_shape_fake_clock);

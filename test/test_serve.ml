@@ -69,6 +69,17 @@ let test_wire_frames () =
         (fun () -> ignore (Wire.read_frame ic)));
   Sys.remove file
 
+(* A length word cut short at the end of the stream cannot be told from
+   a clean EOF: [read_frame] returns [None] for it, as wire.ml says. *)
+let test_wire_torn_length_word () =
+  let stream = written (fun oc -> Wire.write_frame oc "abc") ^ "\000\000" in
+  let file = Filename.temp_file "wire_test" ".bin" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc stream);
+  In_channel.with_open_bin file (fun ic ->
+      Alcotest.(check (option string)) "whole frame" (Some "abc") (Wire.read_frame ic);
+      Alcotest.(check (option string)) "torn length word" None (Wire.read_frame ic));
+  Sys.remove file
+
 let wire_response_prop =
   QCheck2.Test.make ~count:200 ~name:"wire: response payload round-trips"
     QCheck2.Gen.(
@@ -319,6 +330,83 @@ let snapshot_fuzz_prop =
       | Error exn -> QCheck2.Test.fail_reportf "load raised %s" (Printexc.to_string exn)
       | Ok (Ok n) -> Theorem1.cache_length fresh <= n
       | Ok (Error _) -> Theorem1.cache_length fresh = 0)
+
+(* Mutations of a valid framed stream (flush markers, Codec strings and
+   a long payload): a byte flip, a truncation, or a lying length word,
+   mostly a small lie, sometimes one byte past [Wire.max_frame]. Read to
+   the end, every mutant gives frames then [None], or [Wire.Protocol];
+   no other exception. A truncated stream reads as a prefix of the
+   original frames. *)
+let wire_fuzz_prop =
+  let payloads =
+    [ Codec.to_string (Gen.uniform (Rng.make ~seed:5) 30); ""; String.make 1000 'x'; "(()())"; "" ]
+  in
+  let valid = written (fun oc -> List.iter (Wire.write_frame oc) payloads) in
+  let len = String.length valid in
+  (* Offsets of every length word. *)
+  let words =
+    let pos = ref 0 in
+    Array.of_list
+      (List.map
+         (fun p ->
+           let w = !pos in
+           pos := w + 4 + String.length p;
+           w)
+         payloads)
+  in
+  let gen =
+    QCheck2.Gen.(
+      oneof
+        [
+          map2 (fun i m -> Flip (i, m)) (int_bound (len - 1)) (int_range 1 255);
+          map (fun n -> Truncate n) (int_bound (len - 1));
+          map2
+            (fun k v -> Lie (words.(k), v))
+            (int_bound (Array.length words - 1))
+            (frequency
+               [
+                 (8, map Int32.of_int (int_bound 64));
+                 (4, map Int32.of_int (int_bound (2 * len)));
+                 (1, pure (Int32.of_int (Wire.max_frame + 1)));
+               ]);
+        ])
+  in
+  let print = function
+    | Flip (i, x) -> Printf.sprintf "flip byte %d by 0x%02x" i x
+    | Truncate n -> Printf.sprintf "truncate to %d bytes" n
+    | Lie (p, v) -> Printf.sprintf "length word at %d := %ld" p v
+  in
+  QCheck2.Test.make ~count:300 ~print ~name:"wire: mutated streams read or fail with Protocol" gen
+    (fun m ->
+      let b = Bytes.of_string valid in
+      let b =
+        match m with
+        | Flip (i, x) ->
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
+            b
+        | Truncate n -> Bytes.sub b 0 n
+        | Lie (p, v) ->
+            Bytes.set_int32_be b p v;
+            b
+      in
+      let file = Filename.temp_file "wire_fuzz" ".bin" in
+      Out_channel.with_open_bin file (fun oc -> Out_channel.output_bytes oc b);
+      let result =
+        In_channel.with_open_bin file (fun ic ->
+            let rec go acc =
+              match Wire.read_frame ic with
+              | None -> Ok (List.rev acc)
+              | Some p -> go (p :: acc)
+              | exception Wire.Protocol _ -> Error ()
+            in
+            try go [] with exn -> QCheck2.Test.fail_reportf "read raised %s" (Printexc.to_string exn))
+      in
+      Sys.remove file;
+      match (m, result) with
+      | Truncate _, Ok frames ->
+          List.length frames <= List.length payloads
+          && List.for_all2 String.equal frames (List.filteri (fun i _ -> i < List.length frames) payloads)
+      | _ -> true)
 
 (* ---------------- the serve loop ---------------- *)
 
@@ -579,6 +667,7 @@ let suite =
   [
     Alcotest.test_case "wire frames round-trip" `Quick test_wire_frames;
     Alcotest.test_case "wire error response" `Quick test_wire_error_response;
+    Alcotest.test_case "wire torn length word is a clean EOF" `Quick test_wire_torn_length_word;
     Alcotest.test_case "snapshot rejection is atomic" `Quick test_snapshot_rejection;
     Alcotest.test_case "snapshot keeps recency order" `Quick test_snapshot_keeps_recency;
     Alcotest.test_case "serve responses = direct embeds" `Quick test_serve_equivalence;
@@ -592,4 +681,4 @@ let suite =
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)
-      [ wire_response_prop; snapshot_roundtrip_prop; snapshot_fuzz_prop; byte_path_prop ]
+      [ wire_response_prop; wire_fuzz_prop; snapshot_roundtrip_prop; snapshot_fuzz_prop; byte_path_prop ]
