@@ -1,4 +1,4 @@
-(* Bechamel micro-benchmarks B1..B6: wall-clock cost of each pipeline
+(* Bechamel micro-benchmarks B1..B14: wall-clock cost of each pipeline
    stage, one Test.make per stage. *)
 
 open Bechamel
@@ -55,6 +55,45 @@ let pingpong_host =
      Xt_netsim.Sim.send sim ~src:511 ~dst:1022 ~tag:0;
      ignore (Xt_netsim.Sim.run sim ~on_deliver:(fun ~tag:_ _ -> ()));
      sim)
+
+(* B14 times one Lemma 2 carve of a maximal unplaced piece through the
+   separator's view, the split ADJUST's case A and SPLIT's balance make
+   on every call: its cost per call, next to B12's list lemma. Two
+   4 093-node pieces on mirror copies, each carved to a third: a 4 096-
+   node uniform tree with three leaves placed (three cut roots), rooted
+   at its first boundary node; and the middle of a 4 095-node path,
+   whose top hangs from a placed node and whose bottom has a placed
+   child (one cut root), rooted at that bottom, so the view flips the
+   whole path. [roots] picks the placed nodes on the copy. *)
+let carve_piece tree ~roots ~top ~r1 =
+  let m = Bintree.mirror_copy tree in
+  let place = Array.make (Bintree.n tree) (-1) in
+  List.iter (fun v -> place.(v) <- 0) (roots m);
+  let bounds = ref [] in
+  Array.iteri
+    (fun v p ->
+      if p < 0 then
+        Bintree.iter_neighbours m.copy v (fun w ->
+            if place.(w) >= 0 then bounds := { Separator.bnode = v; anchor = 0 } :: !bounds))
+    place;
+  let size = Array.fold_left (fun acc p -> if p < 0 then acc + 1 else acc) 0 place in
+  assert (size = 4093);
+  let r1 = match r1 with Some r -> r | None -> (List.hd (List.rev !bounds)).Separator.bnode in
+  let region = { Separator.top; bounds = !bounds; r1; r2 = None } in
+  let ws = Separator.mirror_ws m in
+  fun () -> ignore (Separator.cut2 ws ~place region ~target:(size / 3))
+
+(* the first leaf at or after each of three ids *)
+let three_leaves (m : Bintree.mirror) =
+  let rec leaf k = if m.last.(k) = k then k else leaf (k + 1) in
+  [ leaf 1000; leaf 2000; leaf 3000 ]
+
+let carve_uniform =
+  lazy (carve_piece (Gen.uniform (Rng.make ~seed:14) 4096) ~roots:three_leaves ~top:0 ~r1:None)
+
+(* in the copy a path is numbered from its root *)
+let carve_path =
+  lazy (carve_piece (Gen.path 4095) ~roots:(fun _ -> [ 0; 4094 ]) ~top:1 ~r1:(Some 4093))
 
 let tests =
   Test.make_grouped ~name:"xtree"
@@ -132,6 +171,10 @@ let tests =
             let ws = Separator.make_ws tree in
             let piece = { Separator.nodes = List.init n_bench Fun.id; r1 = 0; r2 = None } in
             fun () -> ignore (Separator.lemma2 ws piece ~target:(n_bench / 2))));
+      Test.make ~name:"B14 lemma2 carve uniform piece n=4093"
+        (Staged.stage (fun () -> (Lazy.force carve_uniform) ()));
+      Test.make ~name:"B14 lemma2 carve path piece n=4093"
+        (Staged.stage (fun () -> (Lazy.force carve_path) ()));
       (* The price of arming the flight recorder (--flight, XT_FLIGHT):
          one span with tracing and metrics off is two clock reads plus a
          handful of ring stores, paid by every span-wrapped call site. *)

@@ -1,3 +1,7 @@
+type boundary = { bnode : int; anchor : int }
+
+type region = { top : int; bounds : boundary list; r1 : int; r2 : int option }
+
 type piece = { nodes : int list; r1 : int; r2 : int option }
 
 type split = { s1 : int list; t1 : int list; s2 : int list; t2 : int list }
@@ -5,57 +9,72 @@ type split = { s1 : int list; t1 : int list; s2 : int list; t2 : int list }
 let side_sizes sp =
   (List.length sp.s1 + List.length sp.t1, List.length sp.s2 + List.length sp.t2)
 
-(* Workspace: generation-stamped scratch arrays over the host tree, so that
-   no per-call allocation proportional to the whole tree is needed. Every
-   transient set (piece membership, DFS visited, exclusion prefix sums,
-   ancestor marks) is an int-stamp array compared against its generation
-   counter, the DFS stack and the preorder are preallocated int arrays —
-   [prepare] (piece loading, the O(n) hot path of both lemmas) allocates
-   nothing at all, so one workspace serves every call on its tree. *)
+(* Workspace: generation-stamped scratch arrays over the host tree, and
+   the view of the piece under the current lemma call. Every transient
+   set (component membership, DFS visited, the carved part) is an
+   int-stamp array compared against its generation counter, and the DFS
+   stack is a preallocated int array, so one workspace serves every call
+   on its tree.
+
+   The view needs no scratch at all. The tree is a mirror copy: node v's
+   subtree is the id range [v, last v]. A maximal unplaced piece is its
+   top's range minus the ranges of its cut roots, the placed children of
+   its boundary nodes, and every quantity a carve reads — rooted sizes
+   and parents, membership, effective sizes — is arithmetic on those
+   ranges (see [below], [rpar], [rsize], [eff]). *)
 type ws = {
   tree : Bintree.t;
+  last : int array;     (* node v's subtree is [v .. last.(v)]; [||] off a mirror copy *)
   caller_id : int array; (* node -> the caller's id *)
-  mark : int array;    (* piece membership stamp *)
-  par : int array;     (* parent within the rooted piece *)
-  size : int array;    (* subtree size within the rooted piece *)
-  exq : int array;     (* stamp for exclusion prefix sums *)
-  exval : int array;   (* total excluded size inside T(v) *)
-  anc : int array;     (* stamp for ancestor marking / misc sets *)
-  vis : int array;     (* DFS visited stamp *)
-  ord : int array;     (* preorder of the loaded piece *)
-  stack : int array;   (* explicit DFS stack *)
-  mutable ordn : int;          (* number of loaded nodes *)
-  mutable gen : int;           (* current piece generation *)
-  mutable exgen : int;         (* current exclusion generation *)
-  mutable ancgen : int;        (* current ancestor-set generation *)
-  mutable visgen : int;        (* current visited generation *)
+  mark : int array;     (* set membership stamp *)
+  carve : int array;    (* stamp of the last cut's carved part *)
+  vis : int array;      (* DFS visited stamp *)
+  stack : int array;    (* explicit DFS stack *)
+  mutable gen : int;    (* current set generation *)
+  mutable carvegen : int; (* current carved-part generation *)
+  mutable visgen : int; (* current visited generation *)
+  (* the view of the current lemma call's piece *)
+  mutable place : int array; (* members are unplaced: [place.(v) < 0] *)
+  mutable vtop : int;   (* the member whose parent is outside *)
+  mutable vsize : int;  (* number of members *)
+  mutable root : int;   (* r1, where the view is rooted *)
+  mutable other : int;  (* r2 when it is given and not r1, else -1 *)
+  mutable cuts : int array; (* cut roots in increasing id: cuts.(0 .. ncuts-1) *)
+  mutable ncuts : int;
+  mutable ex1 : int;    (* excluded roots (at most two), -1 when unused, *)
+  mutable ex1_size : int; (* and their rooted sizes *)
+  mutable ex2 : int;
+  mutable ex2_size : int;
 }
 
-let make_ws ?caller_id tree =
+let create ~tree ~last ~caller_id =
   let n = Bintree.n tree in
-  let caller_id = match caller_id with Some ids -> ids | None -> Array.init n Fun.id in
-  if Array.length caller_id <> n then
-    invalid_arg "Separator.make_ws: caller_id size does not match the tree";
   {
     tree;
+    last;
     caller_id;
     mark = Array.make n 0;
-    par = Array.make n (-1);
-    size = Array.make n 0;
-    exq = Array.make n 0;
-    exval = Array.make n 0;
-    anc = Array.make n 0;
+    carve = Array.make n 0;
     vis = Array.make n 0;
-    ord = Array.make n 0;
     stack = Array.make n 0;
-    ordn = 0;
     gen = 0;
-    exgen = 0;
-    ancgen = 0;
+    carvegen = 0;
     visgen = 0;
+    place = [||];
+    vtop = -1;
+    vsize = 0;
+    root = -1;
+    other = -1;
+    cuts = Array.make 8 0;
+    ncuts = 0;
+    ex1 = -1;
+    ex1_size = 0;
+    ex2 = -1;
+    ex2_size = 0;
   }
 
-let member ws v = ws.mark.(v) = ws.gen
+let make_ws tree = create ~tree ~last:[||] ~caller_id:(Array.init (Bintree.n tree) Fun.id)
+let mirror_ws (m : Bintree.mirror) = create ~tree:m.copy ~last:m.last ~caller_id:m.to_caller
 
 let rec stamp a g = function
   | [] -> ()
@@ -63,184 +82,236 @@ let rec stamp a g = function
       a.(v) <- g;
       stamp a g rest
 
-(* Push [w], a tree neighbour of [v], when it is in the loaded set —
-   the nodes [set] maps to [key] — and not yet visited: stamp it a
-   member, orient it below [v], give it size 1; returns the new stack
-   height. Top-level, so the walk allocates nothing. *)
-let load_visit ws (set : int array) key v w sp =
-  if w >= 0 && set.(w) = key && ws.vis.(w) <> ws.visgen then begin
-    ws.vis.(w) <- ws.visgen;
-    ws.mark.(w) <- ws.gen;
-    ws.par.(w) <- v;
-    ws.size.(w) <- 1;
-    ws.stack.(sp) <- w;
-    sp + 1
+(* ------------------------------------------------------------------ *)
+(* The piece view                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [a] is [b] or a tree ancestor of [b]. *)
+let above ws a b = a <= b && b <= ws.last.(a)
+
+(* The child of [a] whose range holds [b], for [b] strictly below [a]. *)
+let toward ws a b =
+  let l = Bintree.left_id ws.tree a in
+  if l >= 0 && above ws l b then l else Bintree.right_id ws.tree a
+
+(* g(x): the members in member [x]'s tree subtree — its range minus the
+   cut ranges inside it (cut ranges are disjoint, and a member's range
+   holds a cut range whole or misses it). *)
+let below ws x =
+  let hi = ws.last.(x) in
+  let s = ref (hi - x + 1) in
+  for i = 0 to ws.ncuts - 1 do
+    let c = ws.cuts.(i) in
+    if x < c && c <= hi then s := !s - (ws.last.(c) - c + 1)
+  done;
+  !s
+
+(* Rooted at r1, a member off the r1–top path keeps its tree parent and
+   its subtree's members; a member on it — r1 or a tree ancestor of r1 —
+   hangs from its child towards r1, and its rooted subtree is the piece
+   minus that child's tree subtree. *)
+let rpar ws v =
+  if v = ws.root then -1
+  else if above ws v ws.root then toward ws v ws.root
+  else Bintree.parent_id ws.tree v
+
+let rsize ws v =
+  if v = ws.root then ws.vsize
+  else if above ws v ws.root then ws.vsize - below ws (toward ws v ws.root)
+  else below ws v
+
+(* Member [v] lies in member [u]'s rooted subtree. *)
+let in_subtree ws ~root:u v =
+  u = ws.root
+  || if above ws u ws.root then not (above ws (toward ws u ws.root) v) else above ws u v
+
+let rec in_cut ws v i =
+  i < ws.ncuts
+  &&
+  let c = ws.cuts.(i) in
+  (c <= v && v <= ws.last.(c)) || in_cut ws v (i + 1)
+
+let member ws v =
+  v >= 0
+  && v < Array.length ws.place
+  && ws.place.(v) < 0
+  && above ws ws.vtop v
+  && not (in_cut ws v 0)
+
+(* Insert a placed child [c] of a boundary node into the sorted cut
+   roots; a node with two placed neighbours is listed twice. *)
+let add_cut ws c =
+  if c >= 0 && ws.place.(c) >= 0 then begin
+    let k = ref ws.ncuts in
+    while !k > 0 && ws.cuts.(!k - 1) > c do
+      decr k
+    done;
+    if !k = 0 || ws.cuts.(!k - 1) <> c then begin
+      if ws.ncuts = Array.length ws.cuts then begin
+        let bigger = Array.make (2 * ws.ncuts) 0 in
+        Array.blit ws.cuts 0 bigger 0 ws.ncuts;
+        ws.cuts <- bigger
+      end;
+      Array.blit ws.cuts !k ws.cuts (!k + 1) (ws.ncuts - !k);
+      ws.cuts.(!k) <- c;
+      ws.ncuts <- ws.ncuts + 1
+    end
   end
-  else sp
 
-(* Root the piece at [r1]: one DFS from [r1] over the nodes [set] maps
-   to [key], which stamps membership and sets the [par] orientation,
-   then subtree [size]s. Iterative on the preallocated stack — pieces
-   can be path-shaped. Allocation-free. *)
-let load ws ~set ~key r1 =
-  ws.visgen <- ws.visgen + 1;
-  ws.vis.(r1) <- ws.visgen;
-  ws.mark.(r1) <- ws.gen;
-  ws.par.(r1) <- -1;
-  ws.size.(r1) <- 1;
-  ws.stack.(0) <- r1;
-  let t = ws.tree in
-  let sp = ref 1 and n = ref 0 in
-  while !sp > 0 do
-    decr sp;
-    let v = ws.stack.(!sp) in
-    ws.ord.(!n) <- v;
-    incr n;
-    (* same neighbour order as [Bintree.iter_neighbours]: parent, left,
-       right — the preorder, and so every placement, depends on it *)
-    sp :=
-      load_visit ws set key v (Bintree.right_id t v)
-        (load_visit ws set key v (Bintree.left_id t v)
-           (load_visit ws set key v (Bintree.parent_id t v) !sp))
-  done;
-  ws.ordn <- !n;
-  (* sizes bottom-up: walk the preorder backwards down to r1's children *)
-  for k = !n - 1 downto 1 do
-    let v = ws.ord.(k) in
-    let p = ws.par.(v) in
-    ws.size.(p) <- ws.size.(p) + ws.size.(v)
-  done;
-  !n
+let rec add_cuts ws = function
+  | [] -> ()
+  | b :: rest ->
+      add_cut ws (Bintree.left_id ws.tree b.bnode);
+      add_cut ws (Bintree.right_id ws.tree b.bnode);
+      add_cuts ws rest
 
-(* The piece's members are its listed nodes, or — given [place] — the
-   unplaced component of [r1], which the piece's nodes are when it is a
-   maximal unplaced set: the load then never reads the list. *)
-let prepare ws ?place piece =
-  ws.gen <- ws.gen + 1;
-  match place with
-  | Some place ->
-      if place.(piece.r1) >= 0 then invalid_arg "Separator: designated node not in piece";
-      load ws ~set:place ~key:(-1) piece.r1
-  | None ->
-      stamp ws.mark ws.gen piece.nodes;
-      if not (member ws piece.r1) then invalid_arg "Separator: designated node not in piece";
-      load ws ~set:ws.mark ~key:ws.gen piece.r1
+(* Point the view at a maximal unplaced piece, rooted at [r1]; no
+   exclusions, and a fresh carved-part generation. *)
+let set_view ws ~name ~place ~top ~bounds r1 r2 =
+  if Array.length ws.last = 0 then invalid_arg (name ^ ": workspace is not over a mirror copy");
+  ws.place <- place;
+  ws.vtop <- top;
+  ws.ncuts <- 0;
+  add_cuts ws bounds;
+  ws.ex1 <- -1;
+  ws.ex2 <- -1;
+  ws.carvegen <- ws.carvegen + 1;
+  if not (member ws r1) then invalid_arg "Separator: designated node not in piece";
+  (match r2 with
+  | Some r2 when not (member ws r2) -> invalid_arg (name ^ ": r2 not in piece")
+  | _ -> ());
+  ws.vsize <- below ws top;
+  ws.root <- r1;
+  ws.other <- (match r2 with Some r2 when r2 <> r1 -> r2 | _ -> -1)
 
-(* Exclusion bookkeeping: effective size of T(v) once some subtrees have
-   been carved out. [exclude] walks the root path adding the carved size. *)
-let reset_exclusions ws = ws.exgen <- ws.exgen + 1
-
+(* Exclusions: rooted subtrees carved out of the effective sizes. A
+   carve excludes at most two, and each records its rooted size. *)
 let exclude ws u =
-  let s = ws.size.(u) in
-  let rec up v =
-    if ws.exq.(v) = ws.exgen then ws.exval.(v) <- ws.exval.(v) + s
-    else begin
-      ws.exq.(v) <- ws.exgen;
-      ws.exval.(v) <- s
-    end;
-    if ws.par.(v) >= 0 then up ws.par.(v)
-  in
-  up u
+  let s = rsize ws u in
+  if ws.ex1 < 0 then begin
+    ws.ex1 <- u;
+    ws.ex1_size <- s
+  end
+  else begin
+    assert (ws.ex2 < 0);
+    ws.ex2 <- u;
+    ws.ex2_size <- s
+  end
 
-let eff ws v = ws.size.(v) - if ws.exq.(v) = ws.exgen then ws.exval.(v) else 0
+let eff ws v =
+  let s = rsize ws v in
+  if ws.ex1 < 0 then s
+  else
+    let s = if in_subtree ws ~root:v ws.ex1 then s - ws.ex1_size else s in
+    if ws.ex2 >= 0 && in_subtree ws ~root:v ws.ex2 then s - ws.ex2_size else s
 
-(* [c] is a child of [v] in the rooted piece. Callers pass [v]'s tree
-   neighbours inline in parent, left, right order (the order of
-   [Bintree.iter_neighbours]): a closure per step would put minor words
-   on every node of every descent. *)
-let is_child ws v c = c >= 0 && member ws c && ws.par.(c) = v
-
-(* [c] when it is a child of [v] strictly heavier than [best] (effective
-   sizes; [best = -1] weighs 0), else [best]: the first heaviest child
-   wins ties. *)
-let heavier ws v c best =
-  if is_child ws v c && eff ws c > (if best < 0 then 0 else eff ws best) then c else best
+(* The effective size of [c], a tree neighbour of a member whose rooted
+   parent is [pv], when [c] is a rooted child of it, else -1. A maximal
+   piece's unplaced neighbours are its own, so membership is [place]. *)
+let child_eff ws pv c = if c >= 0 && c <> pv && ws.place.(c) < 0 then eff ws c else -1
 
 (* Procedure find1 of the paper: starting at [v], descend into the child
    of maximal (effective) cardinality while the current subtree is
-   bigger than 4A/3. Integer form of |T(u)| > 4A/3 is 3|T(u)| > 4A. *)
-let rec find1 ws v ~target =
-  if 3 * eff ws v <= 4 * target then v
+   bigger than 4A/3; the first heaviest child in parent, left, right
+   order wins ties. Integer form of |T(u)| > 4A/3 is 3|T(u)| > 4A.
+   [ev] is [eff v]. *)
+let rec descend ws v ev ~target =
+  if 3 * ev <= 4 * target then v
   else begin
-    let t = ws.tree in
-    let best =
-      heavier ws v (Bintree.right_id t v)
-        (heavier ws v (Bintree.left_id t v) (heavier ws v (Bintree.parent_id t v) (-1)))
-    in
-    if best < 0 then v else find1 ws best ~target
+    let t = ws.tree and pv = rpar ws v in
+    let p = Bintree.parent_id t v and l = Bintree.left_id t v and r = Bintree.right_id t v in
+    let ep = child_eff ws pv p and el = child_eff ws pv l and er = child_eff ws pv r in
+    let e = Int.max ep (Int.max el er) in
+    if e <= 0 then v
+    else
+      let c = if el > ep then if er > el then r else l else if er > ep then r else p in
+      descend ws c e ~target
   end
 
-(* Push child [c] of [v] when it is non-empty; returns the stack height. *)
-let push_child ws v c sp =
-  if is_child ws v c && eff ws c > 0 then begin
-    ws.stack.(sp) <- c;
-    sp + 1
-  end
-  else sp
+let find1 ws v ~target = descend ws v (eff ws v) ~target
 
-(* Collect the nodes of T(u) minus currently excluded subtrees. The
-   excluded subtree roots have effective size 0 and are skipped whole. *)
-let subtree_nodes ws u =
-  let acc = ref [] in
-  let sp = ref 0 in
-  if eff ws u > 0 then begin
-    ws.stack.(0) <- u;
-    sp := 1
-  end;
+(* ------------------------------------------------------------------ *)
+(* The carved part                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The first cut root index from [i] on whose id is at least [k]. *)
+let rec cut_from ws k i = if i < ws.ncuts && ws.cuts.(i) < k then cut_from ws k (i + 1) else i
+
+(* Where the scan of [k .. hi] next skips a range: the cut root at index
+   [i], or an excluded root other than [keep], whichever comes first at
+   or after [k]; [hi + 1] when neither is in range. *)
+let skip_start ws ~keep k hi i =
+  let s = if i < ws.ncuts then Int.min ws.cuts.(i) (hi + 1) else hi + 1 in
+  let s = if ws.ex1 >= k && ws.ex1 < s && ws.ex1 <> keep then ws.ex1 else s in
+  if ws.ex2 >= k && ws.ex2 < s && ws.ex2 <> keep then ws.ex2 else s
+
+(* Cons onto [acc], in increasing id, the members of [k .. hi], a range
+   inside a tree subtree off the r1–top path — where the rooted DFS pops
+   in mirror preorder — skipping cut ranges and excluded ranges other
+   than [keep]'s, and stamp each carved. *)
+let rec scan_range ws ~keep k hi i acc =
+  if k > hi then acc
+  else begin
+    let s = skip_start ws ~keep k hi i in
+    let acc = ref acc in
+    for v = k to s - 1 do
+      ws.carve.(v) <- ws.carvegen;
+      acc := v :: !acc
+    done;
+    if s > hi then !acc
+    else
+      let k = ws.last.(s) + 1 in
+      scan_range ws ~keep k hi (cut_from ws k i) !acc
+  end
+
+(* The same for the rooted subtree of [a], a member on the r1–top path
+   entered from its child [from]: the DFS pops [a], then its other
+   child's subtree, then does the same from [a]'s parent, up to the top
+   or to an excluded ancestor. *)
+let rec scan_up ws ~keep a from acc =
+  ws.carve.(a) <- ws.carvegen;
+  let acc = a :: acc in
   let t = ws.tree in
-  while !sp > 0 do
-    decr sp;
-    let v = ws.stack.(!sp) in
-    acc := v :: !acc;
-    sp :=
-      push_child ws v (Bintree.right_id t v)
-        (push_child ws v (Bintree.left_id t v) (push_child ws v (Bintree.parent_id t v) !sp))
-  done;
-  !acc
-
-(* Mark the ancestors (inclusive) of u; returns the marking generation so
-   lca can test membership. *)
-let mark_root_path ws u =
-  ws.ancgen <- ws.ancgen + 1;
-  let rec up v =
-    ws.anc.(v) <- ws.ancgen;
-    if ws.par.(v) >= 0 then up ws.par.(v)
+  let l = Bintree.left_id t a in
+  let o = if l = from then Bintree.right_id t a else l in
+  let acc =
+    if o >= 0 && ws.place.(o) < 0 then scan_range ws ~keep o ws.last.(o) (cut_from ws o 0) acc
+    else acc
   in
-  up u
+  let p = Bintree.parent_id t a in
+  if a = ws.vtop || p = ws.ex1 || p = ws.ex2 then acc else scan_up ws ~keep p a acc
 
-let lca ws u v =
-  mark_root_path ws u;
-  let rec up w = if ws.anc.(w) = ws.ancgen then w else up ws.par.(w) in
-  up v
+(* Cons the rooted subtree of [u] (not r1) onto [acc] in the reverse of
+   the rooted DFS's popped order, minus the excluded subtrees inside it
+   (not [u]'s own: a carve may exclude [u] before it lists it), and
+   stamp it carved. *)
+let subtree_nodes ws u acc =
+  if above ws u ws.root then scan_up ws ~keep:u u (toward ws u ws.root) acc
+  else scan_range ws ~keep:u u ws.last.(u) (cut_from ws u 0) acc
 
-let in_subtree ws ~root v =
-  (* v ∈ T(root) iff root lies on v's root path *)
-  let rec up w = if w = root then true else if ws.par.(w) >= 0 then up ws.par.(w) else false in
-  up v
+(* The lowest rooted ancestor of [u] whose rooted subtree holds [v]. *)
+let rec lca ws u v = if in_subtree ws ~root:u v then u else lca ws (rpar ws u) v
 
 let uniq ws xs = List.sort_uniq (fun a b -> Int.compare ws.caller_id.(a) ws.caller_id.(b)) xs
 
 type cut = { lay1 : int list; lay2 : int list; carved : int list; swapped : bool }
 
 (* A carve's result: the laid-out sets, and the carved part — side 2 —
-   stamped in [anc] so that the rest of the piece, side 1, is the piece
-   minus one array read per node, never a filtered copy. *)
-let cut ws ~s1 ~s2 ~side2_nodes =
-  ws.ancgen <- ws.ancgen + 1;
-  stamp ws.anc ws.ancgen side2_nodes;
-  { lay1 = uniq ws s1; lay2 = uniq ws s2; carved = side2_nodes; swapped = false }
+   stamped as it was listed, so that the rest of the piece, side 1, is
+   the piece minus one array read per node, never a filtered copy. *)
+let cut ws ~s1 ~s2 ~carved = { lay1 = uniq ws s1; lay2 = uniq ws s2; carved; swapped = false }
 
 let swap c = { c with lay1 = c.lay2; lay2 = c.lay1; swapped = not c.swapped }
 
 (* Carving nothing keeps the piece on side 1; moving it all is the swap. *)
-let move_all ws piece =
-  swap (cut ws ~s1:(piece.r1 :: Option.to_list piece.r2) ~s2:[] ~side2_nodes:[])
+let move_all ws =
+  swap (cut ws ~s1:(if ws.other >= 0 then [ ws.root; ws.other ] else [ ws.root ]) ~s2:[] ~carved:[])
 
-let in_carved ws v = ws.anc.(v) = ws.ancgen
+let in_carved ws v = ws.carve.(v) = ws.carvegen
 
 (* The lists of the split a cut describes: the carved part in its own
    order, the rest in the piece's. *)
-let split_of ws piece c =
+let split_of ws (piece : piece) c =
   let carved s = List.filter (fun v -> not (List.mem v s)) c.carved in
   let rest s = List.filter (fun v -> not (in_carved ws v || List.mem v s)) piece.nodes in
   if c.swapped then { s1 = c.lay1; t1 = carved c.lay1; s2 = c.lay2; t2 = rest c.lay2 }
@@ -250,26 +321,19 @@ let split_of ws piece c =
 (* Lemma 1                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Core carve for Lemma 1, assuming the piece is loaded, n > 4A/3. *)
-let carve1 ws piece ~target =
-  let r1 = piece.r1 in
-  let r2 = match piece.r2 with Some r2 when r2 <> r1 -> Some r2 | _ -> None in
-  reset_exclusions ws;
+(* Core carve for Lemma 1, under n > 4A/3. *)
+let carve1 ws ~target =
+  let r1 = ws.root and r2 = ws.other in
   let u = find1 ws r1 ~target in
   if u = r1 then
     (* No descent possible: piece is a single node or all children empty;
        degenerate, move everything. *)
-    move_all ws piece
+    move_all ws
   else begin
-    let z = ws.par.(u) in
-    let side2 = subtree_nodes ws u in
-    match r2 with
-    | Some r2 when in_subtree ws ~root:u r2 ->
-        cut ws ~s1:[ r1; z ] ~s2:[ u; r2 ] ~side2_nodes:side2
-    | Some r2 ->
-        let y = lca ws u r2 in
-        cut ws ~s1:[ r1; r2; z; y ] ~s2:[ u ] ~side2_nodes:side2
-    | None -> cut ws ~s1:[ r1; z ] ~s2:[ u ] ~side2_nodes:side2
+    let z = rpar ws u and side2 = subtree_nodes ws u [] in
+    if r2 < 0 then cut ws ~s1:[ r1; z ] ~s2:[ u ] ~carved:side2
+    else if in_subtree ws ~root:u r2 then cut ws ~s1:[ r1; z ] ~s2:[ u; r2 ] ~carved:side2
+    else cut ws ~s1:[ r1; r2; z; lca ws u r2 ] ~s2:[ u ] ~carved:side2
   end
 
 (* ------------------------------------------------------------------ *)
@@ -279,26 +343,23 @@ let carve1 ws piece ~target =
 (* Two-stage carve: take T(u1) aiming at [target], then correct the error
    with a second find1 — either carving the overshoot back out of T(u1),
    or carving a second subtree next to it. [from_] is the descent start
-   (r2 in case 1, x in case 2); [keep] are nodes that must not be swallowed
-   (the carve is abandoned rather than including them).
-   Returns (s1_extra, s2, side2_nodes). *)
+   (r2 in case 1, x in case 2). Returns (s1_extra, s2, side2_nodes). *)
 let two_stage_carve ws ~from_ ~target =
   let u1 = find1 ws from_ ~target in
   if u1 = from_ then None
   else begin
-    let z1 = ws.par.(u1) in
+    let z1 = rpar ws u1 in
     let e = eff ws u1 - target in
     if e > 0 then begin
       (* carve the overshoot back out of T(u1) *)
       let u2 = find1 ws u1 ~target:e in
       if u2 = u1 then
         (* cannot correct; accept the coarse carve *)
-        Some ([ z1 ], [ u1 ], subtree_nodes ws u1)
+        Some ([ z1 ], [ u1 ], subtree_nodes ws u1 [])
       else begin
-        let p2 = ws.par.(u2) in
+        let p2 = rpar ws u2 in
         exclude ws u2;
-        let side2 = subtree_nodes ws u1 in
-        Some ([ z1; u2 ], [ u1; p2 ], side2)
+        Some ([ z1; u2 ], [ u1; p2 ], subtree_nodes ws u1 [])
       end
     end
     else if e < 0 then begin
@@ -306,85 +367,70 @@ let two_stage_carve ws ~from_ ~target =
          z1 (not at [from_]): this keeps z2 strictly below z1, so every
          component of side 1 touches at most two separator nodes. The
          descent always makes progress: eff(z1) > 4(-e)/3 follows from the
-         first descent's invariant |T(z1)| > 4A/3. *)
-      let side2a = subtree_nodes ws u1 in
+         first descent's invariant |T(z1)| > 4A/3. A node find1 returns
+         other than its start has a positive effective size. *)
       exclude ws u1;
       let u2 = find1 ws z1 ~target:(-e) in
-      if u2 = z1 || eff ws u2 <= 0 then Some ([ z1 ], [ u1 ], side2a)
-      else begin
-        let z2 = ws.par.(u2) in
-        let side2b = subtree_nodes ws u2 in
-        Some ([ z1; z2 ], [ u1; u2 ], side2a @ side2b)
-      end
+      if u2 = z1 then Some ([ z1 ], [ u1 ], subtree_nodes ws u1 [])
+      else
+        Some
+          ([ z1; rpar ws u2 ], [ u1; u2 ], subtree_nodes ws u1 (subtree_nodes ws u2 []))
     end
-    else Some ([ z1 ], [ u1 ], subtree_nodes ws u1)
+    else Some ([ z1 ], [ u1 ], subtree_nodes ws u1 [])
   end
 
-let carve2 ws piece ~target =
-  let r1 = piece.r1 in
-  let r2 = match piece.r2 with Some r2 when r2 <> r1 -> r2 | _ -> r1 in
-  reset_exclusions ws;
-  (* procedure find2: walk from r1 towards r2 while |T(v)| > 4A/3. Sizes
-     fall strictly along that path, so the walk stops at its highest node
-     with |T(v)| <= 4A/3, or at r2 when there is none: climb to that node
-     from r2 instead. *)
-  let rec climb v =
-    if v <> r1 && 3 * ws.size.(ws.par.(v)) <= 4 * target then climb ws.par.(v) else v
-  in
-  let v = climb r2 in
-  if v = r2 && 3 * ws.size.(v) > 4 * target then begin
+(* procedure find2: walk from r1 towards r2 while |T(v)| > 4A/3. Sizes
+   fall strictly along that path, so the walk stops at its highest node
+   with |T(v)| <= 4A/3, or at r2 when there is none: climb to that node
+   from r2 instead. *)
+let rec climb ws v ~target =
+  if v = ws.root then v
+  else
+    let p = rpar ws v in
+    if 3 * rsize ws p <= 4 * target then climb ws p ~target else v
+
+let carve2 ws ~target =
+  let r1 = ws.root in
+  let r2 = if ws.other >= 0 then ws.other else r1 in
+  let v = climb ws r2 ~target in
+  let sv = rsize ws v in
+  if v = r2 && 3 * sv > 4 * target then begin
     (* Case 1: both designated nodes stay in S1; carve inside T(r2). *)
     match two_stage_carve ws ~from_:r2 ~target with
-    | Some (s1x, s2, side2) ->
-        cut ws ~s1:(r1 :: r2 :: s1x) ~s2 ~side2_nodes:side2
-    | None -> move_all ws piece
+    | Some (s1x, s2, side2) -> cut ws ~s1:(r1 :: r2 :: s1x) ~s2 ~carved:side2
+    | None -> move_all ws
   end
-  else if ws.size.(v) < target then begin
+  else if sv < target then begin
     (* Case 2: T(v) (containing r2) moves entirely; top up from T(x,v). *)
-    let x = ws.par.(v) in
-    if x < 0 then move_all ws piece
+    let x = rpar ws v in
+    if x < 0 then move_all ws
     else begin
-      let a2 = target - ws.size.(v) in
-      let side2v = subtree_nodes ws v in
       exclude ws v;
-      match two_stage_carve ws ~from_:x ~target:a2 with
+      match two_stage_carve ws ~from_:x ~target:(target - sv) with
       | Some (s1x, s2x, side2c) ->
-          cut ws ~s1:(r1 :: x :: s1x) ~s2:(r2 :: v :: s2x)
-            ~side2_nodes:(side2v @ side2c)
-      | None ->
-          cut ws ~s1:[ r1; x ] ~s2:[ r2; v ] ~side2_nodes:side2v
+          cut ws ~s1:(r1 :: x :: s1x) ~s2:(r2 :: v :: s2x) ~carved:(subtree_nodes ws v side2c)
+      | None -> cut ws ~s1:[ r1; x ] ~s2:[ r2; v ] ~carved:(subtree_nodes ws v [])
     end
   end
   else begin
     (* Case 3: A <= |T(v)| <= 4A/3. Carve |T(v)| - A nodes out of T(v)
        with Lemma 1 (designated v and r2); the carved part stays on
        side 1, the rest of T(v) moves. *)
-    let x = ws.par.(v) in
-    if x < 0 then move_all ws piece
+    let x = rpar ws v in
+    if x < 0 then move_all ws
     else begin
-      let a' = ws.size.(v) - target in
-      if a' = 0 then
-        cut ws ~s1:[ r1; x ] ~s2:[ r2; v ] ~side2_nodes:(subtree_nodes ws v)
+      let a' = sv - target in
+      let u' = if a' = 0 then v else find1 ws v ~target:a' in
+      if u' = v then cut ws ~s1:[ r1; x ] ~s2:[ r2; v ] ~carved:(subtree_nodes ws v [])
       else begin
-        let u' = find1 ws v ~target:a' in
-        if u' = v then
-          cut ws ~s1:[ r1; x ] ~s2:[ r2; v ]
-            ~side2_nodes:(subtree_nodes ws v)
-        else begin
-          let z' = ws.par.(u') in
-          (* side 2 = T(v) minus T(u') *)
-          exclude ws u';
-          let side2 = subtree_nodes ws v in
-          if in_subtree ws ~root:u' r2 then
-            (* r2 is inside the carved part: it stays on side 1 *)
-            cut ws ~s1:(r1 :: x :: [ u'; r2 ]) ~s2:[ v; z' ]
-              ~side2_nodes:side2
-          else begin
-            let y' = lca ws u' r2 in
-            cut ws ~s1:[ r1; x; u' ] ~s2:[ v; z'; r2; y' ]
-              ~side2_nodes:side2
-          end
-        end
+        let z' = rpar ws u' in
+        (* side 2 = T(v) minus T(u') *)
+        exclude ws u';
+        let side2 = subtree_nodes ws v [] in
+        if in_subtree ws ~root:u' r2 then
+          (* r2 is inside the carved part: it stays on side 1 *)
+          cut ws ~s1:(r1 :: x :: [ u'; r2 ]) ~s2:[ v; z' ] ~carved:side2
+        else cut ws ~s1:[ r1; x; u' ] ~s2:[ v; z'; r2; lca ws u' r2 ] ~carved:side2
       end
     end
   end
@@ -392,30 +438,104 @@ let carve2 ws piece ~target =
 (* Both lemmas: side 2 aims at [target]. Under the carves'
    precondition ([3n > 4 target]) carve directly; past it, carve the
    complement and swap sides; from [target >= n] on, move the piece. *)
-let lemma ~name carve ws ?place piece ~target =
+let lemma carve ws ~target =
+  let n = ws.vsize in
+  if target >= n then move_all ws
+  else if 3 * n > 4 * target then carve ws ~target
+  else swap (carve ws ~target:(n - target))
+
+let cut_of ~name carve ws ~place (r : region) ~target =
   if target <= 0 then invalid_arg (name ^ ": target must be positive");
-  let n = prepare ws ?place piece in
-  (match piece.r2 with
-  | Some r2 when not (member ws r2) -> invalid_arg (name ^ ": r2 not in piece")
-  | _ -> ());
-  if target >= n then move_all ws piece
-  else if 3 * n > 4 * target then carve ws piece ~target
-  else swap (carve ws piece ~target:(n - target))
+  set_view ws ~name ~place ~top:r.top ~bounds:r.bounds r.r1 r.r2;
+  lemma carve ws ~target
 
-let cut1 ws ~place piece ~target = lemma ~name:"Separator.lemma1" carve1 ws ~place piece ~target
-let cut2 ws ~place piece ~target = lemma ~name:"Separator.lemma2" carve2 ws ~place piece ~target
+let cut1 ws ~place r ~target = cut_of ~name:"Separator.lemma1" carve1 ws ~place r ~target
+let cut2 ws ~place r ~target = cut_of ~name:"Separator.lemma2" carve2 ws ~place r ~target
 
-let lemma1 ws piece ~target =
-  split_of ws piece (lemma ~name:"Separator.lemma1" carve1 ws piece ~target)
+(* A listed piece, relabelled in mirror preorder: a workspace over r1's
+   component of the listed nodes alone, viewed whole and rooted at r1,
+   and the original id of each of its nodes. The relabelling keeps every
+   parent, left and right link, and the workspace's caller ids are the
+   originals', so the carve makes the same choices and lists the same
+   nodes in the same order as on the piece itself. *)
+let relabel ws ~name piece =
+  ws.gen <- ws.gen + 1;
+  stamp ws.mark ws.gen piece.nodes;
+  let inside v = v >= 0 && ws.mark.(v) = ws.gen in
+  if not (inside piece.r1) then invalid_arg "Separator: designated node not in piece";
+  let t = ws.tree in
+  let rec up v = if inside (Bintree.parent_id t v) then up (Bintree.parent_id t v) else v in
+  let cap = List.length piece.nodes in
+  let orig = Array.make cap 0 and from = Array.make cap (-1) in
+  let parent = Array.make cap (-1) and left = Array.make cap (-1) and right = Array.make cap (-1) in
+  let r2 = Option.value piece.r2 ~default:(-1) in
+  let r1' = ref (-1) and r2' = ref (-1) and sp = ref 1 and k = ref 0 in
+  ws.stack.(0) <- up piece.r1;
+  (* [from] is the pushing node's new id, doubled, plus 1 for a left child *)
+  let push c tag i =
+    if inside c then begin
+      ws.stack.(!sp) <- c;
+      from.(!sp) <- (2 * i) + tag;
+      incr sp
+    end
+  in
+  while !sp > 0 do
+    decr sp;
+    let v = ws.stack.(!sp) and f = from.(!sp) and i = !k in
+    incr k;
+    orig.(i) <- v;
+    if v = piece.r1 then r1' := i;
+    if v = r2 then r2' := i;
+    if f >= 0 then begin
+      parent.(i) <- f lsr 1;
+      if f land 1 = 1 then left.(f lsr 1) <- i else right.(f lsr 1) <- i
+    end;
+    (* the right child pops first: node, right subtree, left subtree *)
+    push (Bintree.left_id t v) 1 i;
+    push (Bintree.right_id t v) 0 i
+  done;
+  let k = !k in
+  if r2 >= 0 && !r2' < 0 then invalid_arg (name ^ ": r2 not in piece");
+  let left = Array.sub left 0 k and right = Array.sub right 0 k in
+  let last = Array.make k 0 in
+  for i = k - 1 downto 0 do
+    last.(i) <-
+      (if left.(i) >= 0 then last.(left.(i)) else if right.(i) >= 0 then last.(right.(i)) else i)
+  done;
+  let tree = Bintree.of_arrays ~root:0 ~parent:(Array.sub parent 0 k) ~left ~right in
+  let sub = create ~tree ~last ~caller_id:(Array.init k (fun i -> ws.caller_id.(orig.(i)))) in
+  set_view sub ~name ~place:(Array.make k (-1)) ~top:0 ~bounds:[] !r1'
+    (if !r2' >= 0 then Some !r2' else None);
+  (sub, orig)
 
-let lemma2 ws piece ~target =
-  split_of ws piece (lemma ~name:"Separator.lemma2" carve2 ws piece ~target)
+let lemma_of ~name carve ws piece ~target =
+  if target <= 0 then invalid_arg (name ^ ": target must be positive");
+  let sub, orig = relabel ws ~name piece in
+  let c = lemma carve sub ~target in
+  let back = List.map (fun i -> orig.(i)) in
+  let carved = back c.carved in
+  ws.carvegen <- ws.carvegen + 1;
+  stamp ws.carve ws.carvegen carved;
+  split_of ws piece { lay1 = back c.lay1; lay2 = back c.lay2; carved; swapped = c.swapped }
+
+let lemma1 ws piece ~target = lemma_of ~name:"Separator.lemma1" carve1 ws piece ~target
+let lemma2 ws piece ~target = lemma_of ~name:"Separator.lemma2" carve2 ws piece ~target
+
+module View = struct
+  let set ws ~place (r : region) =
+    set_view ws ~name:"Separator.View.set" ~place ~top:r.top ~bounds:r.bounds r.r1 r.r2
+
+  let size ws = ws.vsize
+  let mem = member
+  let rooted_parent = rpar
+  let rooted_size = rsize
+  let exclude = exclude
+  let effective_size = eff
+end
 
 (* ------------------------------------------------------------------ *)
 (* Components and verification                                         *)
 (* ------------------------------------------------------------------ *)
-
-type boundary = { bnode : int; anchor : int }
 
 type component = {
   members : int list;
@@ -467,14 +587,14 @@ let grow ws ~(set : int array) ~key ~place ~bounds v =
 
 (* Components of the walked set in reverse order of discovery; a
    component is discovered at the first occurrence of one of its nodes
-   in [nodes], unless that node's anc stamp is [skip] (every stamp is a
+   in [nodes], unless that node's carve stamp is [skip] (every stamp is a
    positive generation, so -1 skips nothing). *)
 let walk ws ~set ~key ~skip ~place ~bounds nodes =
   ws.visgen <- ws.visgen + 1;
   let rec scan acc = function
     | [] -> acc
     | v :: rest ->
-        if set.(v) = key && ws.vis.(v) <> ws.visgen && ws.anc.(v) <> skip then
+        if set.(v) = key && ws.vis.(v) <> ws.visgen && ws.carve.(v) <> skip then
           scan (grow ws ~set ~key ~place ~bounds v :: acc) rest
         else scan acc rest
   in
@@ -491,7 +611,7 @@ let components ws ~nodes ~removed =
     (walk ws ~set:ws.mark ~key:ws.gen ~skip:(-1) ~place:[||] ~bounds:false nodes)
 
 let unplaced_components ws ~place ?outside nodes =
-  let skip = match outside with Some _ -> ws.ancgen | None -> -1 in
+  let skip = match outside with Some _ -> ws.carvegen | None -> -1 in
   walk ws ~set:place ~key:(-1) ~skip ~place ~bounds:true nodes
 
 (* The unplaced nodes are the ones [place] maps to -1. *)
@@ -499,43 +619,29 @@ let component_at ws ~place v =
   ws.visgen <- ws.visgen + 1;
   grow ws ~set:place ~key:(-1) ~place ~bounds:true v
 
-let placed place w = w >= 0 && place.(w) >= 0
-
-let first_bound ws ~place v =
-  let t = ws.tree in
-  ws.visgen <- ws.visgen + 1;
-  ws.vis.(v) <- ws.visgen;
-  ws.stack.(0) <- v;
-  let sp = ref 1 and found = ref (-1) and walked = ref 0 in
-  while !found < 0 && !sp > 0 do
-    decr sp;
-    let u = ws.stack.(!sp) in
-    incr walked;
-    let p = Bintree.parent_id t u and l = Bintree.left_id t u and r = Bintree.right_id t u in
-    if placed place p || placed place l || placed place r then found := u
-    else sp := visit ws place (-1) r (visit ws place (-1) l (visit ws place (-1) p !sp))
-  done;
-  (!found, !walked)
-
 let verify_split ws piece sp =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
-  (* partition: every split node is a distinct piece node, and the counts
-     match — multiset equality without sorting *)
-  ws.exgen <- ws.exgen + 1;
+  let n = Bintree.n ws.tree in
+  (* code.(v): 0 outside the piece, 1 in it, 2 once a split list names
+     it; after the partition check, 3-6 encode (side, laid) as t1 s1 t2
+     s2 *)
+  let code = Array.make n 0 in
   let piece_n = ref 0 in
   List.iter
     (fun v ->
-      ws.exq.(v) <- ws.exgen;
-      ws.exval.(v) <- 0;
+      code.(v) <- 1;
       incr piece_n)
     piece.nodes;
+  (* partition: every split node is a distinct piece node, and the counts
+     match — multiset equality without sorting *)
   let seen_n = ref 0 and dup = ref false in
-  let scan = List.iter (fun v ->
-      if v >= 0 && v < Array.length ws.exq && ws.exq.(v) = ws.exgen && ws.exval.(v) = 0 then begin
-        ws.exval.(v) <- 1;
-        incr seen_n
-      end
-      else dup := true)
+  let scan =
+    List.iter (fun v ->
+        if v >= 0 && v < n && code.(v) = 1 then begin
+          code.(v) <- 2;
+          incr seen_n
+        end
+        else dup := true)
   in
   scan sp.s1;
   scan sp.t1;
@@ -548,25 +654,19 @@ let verify_split ws piece sp =
     if not (List.for_all (fun r -> List.mem r laid) designated) then
       fail "designated node not laid out"
     else begin
-      (* side and laid-set lookup, stamped into exq/exval: 1-4 encode
-         (side, laid) as t1 s1 t2 s2 *)
-      ws.exgen <- ws.exgen + 1;
-      let put code = List.iter (fun v ->
-          ws.exq.(v) <- ws.exgen;
-          ws.exval.(v) <- code)
-      in
-      put 1 sp.t1;
-      put 2 sp.s1;
-      put 3 sp.t2;
-      put 4 sp.s2;
-      let side_of v = if ws.exval.(v) <= 2 then 1 else 2 in
-      let laid_of v = ws.exval.(v) land 1 = 0 in
+      let put c = List.iter (fun v -> code.(v) <- c) in
+      put 3 sp.t1;
+      put 4 sp.s1;
+      put 5 sp.t2;
+      put 6 sp.s2;
+      let side_of v = if code.(v) <= 4 then 1 else 2 in
+      let laid_of v = code.(v) land 1 = 0 in
       let bad = ref None in
       List.iter
         (fun v ->
           let sv = side_of v and lv = laid_of v in
           Bintree.iter_neighbours ws.tree v (fun w ->
-              if ws.exq.(w) = ws.exgen then begin
+              if code.(w) >= 3 then begin
                 let sw = side_of w and lw = laid_of w in
                 if sv <> sw && not (lv && lw) then
                   bad := Some (Printf.sprintf "cut edge %d-%d not between s1 and s2" v w)
@@ -575,8 +675,7 @@ let verify_split ws piece sp =
       match !bad with
       | Some msg -> Error msg
       | None ->
-          (* collinearity of each side; [components] only touches the
-             mark/vis stamps, so the side encoding above survives it *)
+          (* collinearity of each side *)
           let collinear t_side s_side =
             let comps = components ws ~nodes:(t_side @ s_side) ~removed:s_side in
             List.for_all

@@ -23,11 +23,28 @@
     Out-of-precondition calls degrade gracefully (larger error, never an
     exception) — see the per-function notes. *)
 
+type boundary = { bnode : int; anchor : int }
+(** A piece node [bnode] next to a placed node, and that node's host
+    vertex [anchor]. *)
+
 type piece = {
   nodes : int list;      (** Nodes of the piece; must be connected in the tree. *)
   r1 : int;              (** First designated node; must occur in [nodes]. *)
   r2 : int option;       (** Optional second designated node. *)
 }
+
+type region = {
+  top : int;  (** The member whose tree parent is placed or absent. *)
+  bounds : boundary list;
+      (** Every member next to a placed node (one entry per placed
+          neighbour, as {!component} lists them). *)
+  r1 : int;  (** First designated node; a member. *)
+  r2 : int option;  (** Optional second designated node. *)
+}
+(** A maximal unplaced piece of a mirror copy ({!Bintree.mirror_copy}),
+    as {!cut1} and {!cut2} read it: its members are [top]'s subtree id
+    range minus the ranges of its {e cut roots}, the placed children of
+    its boundary nodes. *)
 
 type split = {
   s1 : int list;  (** Laid out on side 1; at most 4 nodes. *)
@@ -45,25 +62,20 @@ type ws
     across calls — all transient sets are generation-stamped flat arrays,
     so reuse costs nothing and the hot path allocates no scratch at all. *)
 
-val make_ws : ?caller_id:int array -> Bintree.t -> ws
-(** [caller_id.(v)] is the id the caller knows node [v] by, when the
-    tree is a renumbered copy ({!Bintree.mirror_copy}'s [to_caller]);
-    {!uniq}, and so every cut's [lay1] and [lay2], sort by it. Defaults
-    to the identity. Raises [Invalid_argument] if it is given and its
-    length is not the tree's size. *)
+val make_ws : Bintree.t -> ws
+(** A workspace over any tree, for the list lemmas {!lemma1} and
+    {!lemma2}, {!components} and {!verify_split}; {!uniq} sorts by node
+    id. *)
+
+val mirror_ws : Bintree.mirror -> ws
+(** A workspace over a mirror copy, whose node ids are the copy's:
+    besides all that {!make_ws}'s does, it carves maximal unplaced pieces
+    ({!cut1}, {!cut2}) from the copy's subtree ranges, and {!uniq}, and
+    so every cut's [lay1] and [lay2], sorts by the guest's own ids
+    ([to_caller]). *)
 
 val uniq : ws -> int list -> int list
 (** The nodes without repeats, in increasing caller id. *)
-
-val prepare : ws -> ?place:int array -> piece -> int
-(** Load a piece into the workspace (membership, orientation, subtree
-    sizes) and return its node count: one DFS from [r1] over [nodes], or,
-    given [place] (guest node -> host vertex, negative when unplaced),
-    over the unplaced nodes — the piece must then be the unplaced
-    component of [r1] (a maximal unplaced set), and its [nodes] are not
-    read. Called internally by both lemmas; exposed because it is their
-    O(n) hot path and is guaranteed allocation-free, which the test
-    suite pins with a [Gc.minor_words] guard. *)
 
 type cut = private {
   lay1 : int list;  (** [s1], by {!uniq}. *)
@@ -80,15 +92,24 @@ type cut = private {
 }
 (** A split without its node lists: side [i] is [lay_i] plus [t_i]. *)
 
-val cut1 : ws -> place:int array -> piece -> target:int -> cut
-(** {!lemma1} of a maximal unplaced piece, as a cut: the piece is loaded
-    from [place] ({!prepare}), and its [nodes] are not read. *)
+val cut1 : ws -> place:int array -> region -> target:int -> cut
+(** {!lemma1} of a maximal unplaced piece of a {!mirror_ws} workspace's
+    copy, as a cut; [place] maps each node to its host vertex, negative
+    when unplaced. The carve reads the piece from the view its region
+    gives — a member's rooted size, rooted parent and effective size are
+    O(cut roots) arithmetic on subtree ranges — so it walks only the
+    nodes it descends through and lists side 2 range by range; it reads
+    no node list and loads nothing. Raises [Invalid_argument] if
+    [target <= 0], if a designated node is not a member or if the
+    workspace is not over a mirror copy. *)
 
-val cut2 : ws -> place:int array -> piece -> target:int -> cut
+val cut2 : ws -> place:int array -> region -> target:int -> cut
 (** {!lemma2} of a maximal unplaced piece, as a cut. *)
 
 val lemma1 : ws -> piece -> target:int -> split
-(** Lemma 1 split with side 2 aiming at [target] nodes. Raises
+(** Lemma 1 split with side 2 aiming at [target] nodes: the piece (the
+    component of [r1] among [nodes]) is relabelled in mirror preorder
+    and carved as {!cut1} carves it. Raises
     [Invalid_argument] if [target <= 0] or a designated node is missing
     from [nodes]. If [target >= |piece|] the whole piece becomes side 2.
     The carved side's [t] list keeps the order of the cut's [carved], the
@@ -98,16 +119,47 @@ val lemma2 : ws -> piece -> target:int -> split
 (** Lemma 2 split: same contract, tighter size error, both laid-out sets
     bounded by 4. *)
 
+(** The view {!cut1} and {!cut2} read a maximal piece through, exposed
+    for the test suite's comparison with an explicit load. Every answer
+    is O(cut roots) arithmetic on the copy's subtree ranges: a member's
+    tree subtree holds [g x = |\[x, last x\]|] minus the cut ranges
+    inside it; rooted at [r1], a member off the [r1]–top path keeps its
+    tree parent and [g]; a member [a] on it hangs from its child [c]
+    towards [r1] and holds [size - g c]; [r1] holds [size]. *)
+module View : sig
+  val set : ws -> place:int array -> region -> unit
+  (** Point a {!mirror_ws} workspace's view at a region, rooted at its
+      [r1], with no exclusions. Raises [Invalid_argument] as {!cut1}
+      does. *)
+
+  val size : ws -> int
+  (** The number of members. *)
+
+  val mem : ws -> int -> bool
+  (** Membership by ranges: unplaced, in [top]'s range and in no cut
+      root's. *)
+
+  val rooted_parent : ws -> int -> int
+  (** A member's parent with the piece rooted at [r1]; [-1] for [r1]. *)
+
+  val rooted_size : ws -> int -> int
+  (** The number of members in a member's rooted subtree. *)
+
+  val exclude : ws -> int -> unit
+  (** Carve a member's rooted subtree out of the effective sizes, with
+      its rooted size; at most two per view. *)
+
+  val effective_size : ws -> int -> int
+  (** A member's rooted size minus that of each excluded member in its
+      rooted subtree. *)
+end
+
 val components : ws -> nodes:int list -> removed:int list -> int list list
 (** Connected components (in the underlying tree) of [nodes] minus
     [removed], in reverse order of discovery along [nodes]; each lists its
     nodes in reverse DFS order (neighbours visited parent, left, right).
     Passing [removed] is the same as filtering it out of [nodes] first,
     without the copy. The walk allocates only its output lists. *)
-
-type boundary = { bnode : int; anchor : int }
-(** A component node [bnode] next to a placed node, and that node's host
-    vertex [anchor]. *)
 
 type component = {
   members : int list;      (** As in {!components}. *)
@@ -133,12 +185,6 @@ val component_at : ws -> place:int array -> int -> component
 (** [component_at ws ~place v] is the connected set of unplaced nodes
     (those [place] maps to [-1]) that contains [v], walked by the same
     DFS from [v]. Allocates only its output. *)
-
-val first_bound : ws -> place:int array -> int -> int * int
-(** [first_bound ws ~place v] runs that DFS from [v] only until it pops
-    a node with a placed neighbour: the [bnode] of the first boundary of
-    [component_at ws ~place v]. Returns that node ([-1] if there is none)
-    and the number of nodes popped. Allocates only the pair. *)
 
 val verify_split : ws -> piece -> split -> (unit, string) result
 (** Structural check used by the test suite: partition, designated-node

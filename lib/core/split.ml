@@ -168,6 +168,21 @@ let peel st ~round:i ~vertex ~s ~t bnodes x =
 
 let rec one_node (v : int) = function [] -> true | b :: rest -> b = v && one_node v rest
 
+(* The least of [bnodes] in [a]'s subtree range, else -1. *)
+let rec least_below (st : State.t) a best = function
+  | [] -> best
+  | b :: rest ->
+      least_below st a (if above st a b && (best < 0 || b < best) then b else best) rest
+
+(* The first of a held piece's boundary nodes that the DFS from its
+   start [s] pops: the DFS walks [s]'s subtree, then each ancestor
+   followed by that ancestor's other child's subtree, each in increasing
+   ids; so it is the least boundary node in the subtree range of the
+   lowest ancestor of [s] (or [s]) that holds one. *)
+let rec first_bnode (st : State.t) a bnodes =
+  let b = least_below st a (-1) bnodes in
+  if b >= 0 then b else first_bnode st (Bintree.parent_id st.tree a) bnodes
+
 let fill st ~round ~vertex =
   let h = st.State.held in
   let stop = ref false in
@@ -177,7 +192,7 @@ let fill st ~round ~vertex =
       h.h_len <- k;
       let s = h.h_start.(k) and bnodes = h.h_bnodes.(k) in
       h.h_bnodes.(k) <- [];
-      let x = match bnodes with b :: rest when one_node b rest -> b | _ -> State.first_bound st s in
+      let x = match bnodes with b :: rest when one_node b rest -> b | _ -> first_bnode st s bnodes in
       peel st ~round ~vertex ~s ~t:h.h_top.(k) bnodes x
     end
     else

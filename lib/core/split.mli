@@ -37,3 +37,11 @@ val fill : State.t -> round:int -> vertex:int -> unit
     after every peel with {!State.reform} would leave them, but each
     surviving piece is re-formed once, at the end. Counts each laid node
     in [split.fill_laid]. *)
+
+val first_bnode : State.t -> int -> int list -> int
+(** [first_bnode st s bnodes] is the first of a maximal unplaced piece's
+    boundary nodes [bnodes] (repeats allowed, any order) that the DFS
+    from its member [s] pops: the least boundary node in the subtree
+    range of the lowest ancestor of [s] (or [s]) whose range holds one.
+    It climbs from [s] and reads no other node. {!fill} peels it from a
+    held piece with more than one boundary node. *)

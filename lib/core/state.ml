@@ -3,8 +3,7 @@ open Xt_topology
 open Xt_bintree
 
 (* Guest nodes walked while re-forming pieces after a placement: the
-   work of [reform], of [regrow] and of the fill's [first_bound]
-   searches. *)
+   work of [reform] and of [regrow]. *)
 let c_reform_nodes = Obs.counter "state.reform_nodes"
 
 type boundary = Separator.boundary = { bnode : int; anchor : int }
@@ -79,7 +78,7 @@ let create (m : Bintree.mirror) ~height ~capacity =
     weight = Array.make order 0;
     attached = Array.make order [];
     last = m.last;
-    ws = Separator.make_ws ~caller_id:m.to_caller tree;
+    ws = Separator.mirror_ws m;
     held = make_held ~laid:(min capacity (Bintree.n tree));
     search = { seen = Array.make order 0; queue = Array.make order 0; stamp = 0; tail = 0 };
     placed = 0;
@@ -186,11 +185,6 @@ let regrow st ~pid v =
   Obs.add c_reform_nodes c.count;
   { pid; size = c.count; nodes = c.members; bounds = c.bounds; start = c.start; top = c.top }
 
-let first_bound st v =
-  let x, walked = Separator.first_bound st.ws ~place:st.place v in
-  Obs.add c_reform_nodes walked;
-  x
-
 (* Ids are drawn in list order, as [make_piece] over each component
    would draw them. *)
 let reform st ?outside nodes =
@@ -213,7 +207,7 @@ let separator_piece p =
           (fun acc b' -> match acc with Some _ -> acc | None -> if b'.bnode <> b.bnode then Some b'.bnode else None)
           None rest
       in
-      { Separator.nodes = p.nodes; r1 = b.bnode; r2 }
+      { Separator.top = p.top; bounds = p.bounds; r1 = b.bnode; r2 }
 
 (* An attached piece that is not the whole unplaced component of its
    start as re-grown from there — other nodes, size, bounds or top —

@@ -69,7 +69,7 @@ type t = {
 val create : Xt_bintree.Bintree.mirror -> height:int -> capacity:int -> t
 (** A state over a guest's mirror copy ({!Xt_bintree.Bintree.mirror_copy}):
     nodes are the copy's ids, so every subtree is a contiguous id range,
-    and the workspace ({!Xt_bintree.Separator.make_ws}) sorts lay orders
+    and the workspace ({!Xt_bintree.Separator.mirror_ws}) sorts lay orders
     by the guest's own ids. *)
 
 val weight_of : t -> int -> int
@@ -114,16 +114,12 @@ val regrow : t -> pid:int -> int -> piece
     Draws no id and counts no wide piece; counts the nodes walked in
     [state.reform_nodes]. *)
 
-val first_bound : t -> int -> int
-(** [first_bound st v] is the boundary node of [regrow st ~pid v]'s
-    first boundary, found by walking only as far as it; counts the nodes
-    walked in [state.reform_nodes]. *)
-
 val pieces_at : t -> int -> piece list
 
-val separator_piece : piece -> Xt_bintree.Separator.piece
-(** View a piece as input for the separator lemmas ([r1]/[r2] are the
-    boundary nodes). Raises [Invalid_argument] on a boundary-less piece. *)
+val separator_piece : piece -> Xt_bintree.Separator.region
+(** View a piece as input for {!Xt_bintree.Separator.cut1} and [cut2]:
+    its top and bounds, [r1] its first boundary node and [r2] the first
+    other one. Raises [Invalid_argument] on a boundary-less piece. *)
 
 val check_invariants : t -> (unit, string) result
 (** Expensive consistency check used by tests: occupancy, weights and

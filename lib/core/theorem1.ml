@@ -227,6 +227,7 @@ let embed_uncached ?(capacity = 16) ?height ?(record_trace = false) ?(options = 
 type cache_meta = {
   m_xt : Xtree.t;
   m_height : int;
+  m_capacity : int;
   m_fallbacks : int;
   m_wide : int;
 }
@@ -242,26 +243,27 @@ let cache_stats = Shape_memo.stats
    height, so only the three integers travel; reloads rebuild the host
    once per distinct height and share it across entries, exactly as the
    live cache shares it across hits. An entry's height must be the one
-   its key's prefix names. *)
+   its key's prefix names, and its capacity is the prefix's. *)
 let encode_cache_meta m = Printf.sprintf "%d %d %d" m.m_height m.m_fallbacks m.m_wide
 
 let make_cache_meta_decoder () =
   let hosts = Hashtbl.create 4 in
   fun ~prefix s ->
-    let named_height () =
-      Scanf.sscanf prefix "t1|c=%_d|h=%d|o=%_c%_c%_c%!" Fun.id
-    in
-    match (Scanf.sscanf s " %d %d %d %!" (fun h f w -> (h, f, w)), named_height ()) with
+    let named () = Scanf.sscanf prefix "t1|c=%d|h=%d|o=%_c%_c%_c%!" (fun c h -> (c, h)) in
+    match (Scanf.sscanf s " %d %d %d %!" (fun h f w -> (h, f, w)), named ()) with
     | exception _ -> None
-    | (h, f, w), h' when h = h' && f >= 0 && w >= 0 -> (
+    | (h, f, w), (c, h') when h = h' && c > 0 && f >= 0 && w >= 0 -> (
+        let meta xt =
+          Some { m_xt = xt; m_height = h; m_capacity = c; m_fallbacks = f; m_wide = w }
+        in
         match Hashtbl.find_opt hosts h with
-        | Some xt -> Some { m_xt = xt; m_height = h; m_fallbacks = f; m_wide = w }
+        | Some xt -> meta xt
         | None -> (
             match Xtree.create ~height:h with
             | exception Invalid_argument _ -> None
             | xt ->
                 Hashtbl.add hosts h xt;
-                Some { m_xt = xt; m_height = h; m_fallbacks = f; m_wide = w }))
+                meta xt))
     | _ -> None
 
 let cache_save cache ~file = Shape_memo.save cache ~encode_meta:encode_cache_meta ~file
@@ -269,6 +271,7 @@ let cache_save cache ~file = Shape_memo.save cache ~encode_meta:encode_cache_met
 let cache_load cache ~file =
   Shape_memo.load cache ~decode_meta:(make_cache_meta_decoder ())
     ~vertices:(fun m -> Xtree.order m.m_xt)
+    ~capacity:(fun m -> m.m_capacity)
     ~file
 
 let flag b = if b then 't' else 'f'
@@ -278,7 +281,13 @@ let cache_prefix ~name ~capacity ~height (options : Options.t) =
     (flag options.pairing) (flag options.balance_split)
 
 let cache_meta (r : result) =
-  { m_xt = r.xt; m_height = r.height; m_fallbacks = r.fallbacks; m_wide = r.wide_pieces }
+  {
+    m_xt = r.xt;
+    m_height = r.height;
+    m_capacity = r.capacity;
+    m_fallbacks = r.fallbacks;
+    m_wide = r.wide_pieces;
+  }
 
 let embed ?capacity ?height ?record_trace ?options ?cache tree =
   match cache with

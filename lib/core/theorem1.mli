@@ -64,9 +64,10 @@ val cache_load : cache -> file:string -> (int, string) Stdlib.result
 (** Restore a snapshot written by {!cache_save} into the memo; returns
     the entry count, or [Error] (atomically, inserting nothing) on a
     missing, corrupt or mis-versioned file, or on an entry that fails
-    {!Xt_embedding.Shape_memo.load}'s checks or names a height its key
-    does not. Hits on restored entries are bit-identical to hits on the
-    original process's live entries. *)
+    {!Xt_embedding.Shape_memo.load}'s checks (with the capacity its
+    key's [c=] field names) or names a height its key does not. Hits on
+    restored entries are bit-identical to hits on the original process's
+    live entries. *)
 
 val embed :
   ?capacity:int ->

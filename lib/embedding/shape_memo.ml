@@ -130,8 +130,8 @@ exception Bad of string
 (* An entry is only as trustworthy as its checks: the byte path answers
    a request whose bytes equal the key's Codec part, so that part must be
    canonical, and the placement must cover its n nodes with host
-   vertices. *)
-let check_entry ~decode_meta ~vertices key packed meta_s =
+   vertices, none holding more nodes than its capacity. *)
+let check_entry ~decode_meta ~vertices ~capacity key packed meta_s =
   let prefix, canon =
     match String.rindex_opt key '|' with
     | Some i -> (String.sub key 0 i, String.sub key (i + 1) (String.length key - i - 1))
@@ -148,14 +148,17 @@ let check_entry ~decode_meta ~vertices key packed meta_s =
     | Some m -> m
     | None -> raise (Bad "undecodable entry metadata")
   in
-  let order = vertices meta in
+  let order = vertices meta and cap = capacity meta in
+  let load = Array.make order 0 in
   for i = 0 to n - 1 do
     let v = packed_at packed i in
-    if v < 0 || v >= order then raise (Bad "entry placement outside its host")
+    if v < 0 || v >= order then raise (Bad "entry placement outside its host");
+    load.(v) <- load.(v) + 1;
+    if load.(v) > cap then raise (Bad "entry placement exceeds its capacity")
   done;
   { packed; meta }
 
-let load t ~decode_meta ~vertices ~file =
+let load t ~decode_meta ~vertices ~capacity ~file =
   match
     let s = In_channel.with_open_bin file In_channel.input_all in
     let len = String.length s in
@@ -199,7 +202,7 @@ let load t ~decode_meta ~vertices ~file =
       let meta_s = bstr () in
       let packed = bstr () in
       if !bpos <> body_len then raise (Bad "malformed entry body");
-      parsed := (key, check_entry ~decode_meta ~vertices key packed meta_s) :: !parsed
+      parsed := (key, check_entry ~decode_meta ~vertices ~capacity key packed meta_s) :: !parsed
     done;
     if !pos <> len then raise (Bad "trailing bytes");
     List.rev !parsed

@@ -94,16 +94,19 @@ val load :
   'meta t ->
   decode_meta:(prefix:string -> string -> 'meta option) ->
   vertices:('meta -> int) ->
+  capacity:('meta -> int) ->
   file:string ->
   (int, string) result
 (** Parse and verify the entire snapshot, then insert every entry into
     the memo; returns the entry count. [decode_meta ~prefix s] decodes
     an entry's meta given its key's prefix; [vertices meta] is the size
-    of the entry's host. Rejection is atomic: a missing file, bad magic,
-    a version other than 2, truncation, a checksum mismatch, undecodable
-    metadata, a key whose Codec part is not canonical, a placement that
-    is not 4 bytes per node or a placement outside [\[0, vertices meta)]
-    yields [Error] and leaves the memo untouched. Placements restored
-    from a snapshot are byte-identical to the ones stored, so hits after
-    a reload return exactly what the saving process would have
-    returned. *)
+    of the entry's host and [capacity meta] the most guest nodes one of
+    its vertices may hold. Rejection is atomic: a missing file, bad
+    magic, a version other than 2, truncation, a checksum mismatch,
+    undecodable metadata, a key whose Codec part is not canonical, a
+    placement that is not 4 bytes per node, a placement outside
+    [\[0, vertices meta)] or one that puts more than [capacity meta]
+    nodes on a vertex yields [Error] and leaves the memo untouched.
+    Placements restored from a snapshot are byte-identical to the ones
+    stored, so hits after a reload return exactly what the saving
+    process would have returned. *)

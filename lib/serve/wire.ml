@@ -14,6 +14,29 @@ let write_flush oc =
   write_frame oc "";
   flush oc
 
+(* Payloads longer than [chunk] are read [chunk] bytes at a time into a
+   buffer that doubles only once it is full, so a length word that
+   promises more than the stream holds costs one chunk, not the promised
+   size, before the EOF. *)
+let chunk = 65536
+
+let read_payload ic n =
+  if n <= chunk then really_input_string ic n
+  else begin
+    let buf = ref (Bytes.create chunk) and got = ref 0 in
+    while !got < n do
+      if !got = Bytes.length !buf then begin
+        let bigger = Bytes.create (Int.min n (2 * !got)) in
+        Bytes.blit !buf 0 bigger 0 !got;
+        buf := bigger
+      end;
+      let k = Int.min chunk (Bytes.length !buf - !got) in
+      really_input ic !buf !got k;
+      got := !got + k
+    done;
+    Bytes.unsafe_to_string !buf
+  end
+
 let read_frame ic =
   match really_input_string ic 4 with
   | exception End_of_file ->
@@ -28,7 +51,7 @@ let read_frame ic =
         raise (Protocol (Printf.sprintf "bad frame length %d" n));
       if n = 0 then Some ""
       else (
-        match really_input_string ic n with
+        match read_payload ic n with
         | payload -> Some payload
         | exception End_of_file -> raise (Protocol "EOF inside frame"))
 

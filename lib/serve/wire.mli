@@ -29,7 +29,10 @@ val write_flush : out_channel -> unit
 val read_frame : in_channel -> string option
 (** Read one frame; [None] on a clean EOF at a frame boundary, [Some ""]
     for a flush marker. Raises {!Protocol} on EOF inside a frame or an
-    oversized length word. *)
+    oversized length word. A payload of more than 64 KiB is read in
+    64 KiB chunks into a buffer that grows only as they arrive, so a
+    length word that promises more than the stream holds allocates one
+    chunk, not the promised size, before the EOF. *)
 
 type response = { height : int; fallbacks : int; place : int array }
 

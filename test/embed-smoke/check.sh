@@ -8,7 +8,7 @@ grep -q '^theorem1: ' embed.out
 grep -q '^host: X(' embed.out
 grep -q "^condition (3'): " embed.out
 
-# workspace hot path allocates nothing; components allocates only its output
+# the Lemma 2 carve and components allocate only their output
 grep -q '^guard PASS$' guard.out
 
 # SPLIT's fill re-forms at most 20 guest nodes per node it lays

@@ -431,7 +431,8 @@ let run_split_case c =
   reattach ~fallback:dest2 sp.t2;
   let st2, piece, sep, target, floor_level, dest1, dest2 = split_scenario c in
   let place = st2.State.place in
-  let cut = (if c.lemma = 1 then Separator.cut1 else Separator.cut2) st2.State.ws ~place sep ~target in
+  let region = { Separator.top = piece.top; bounds = piece.bounds; r1 = sep.r1; r2 = sep.r2 } in
+  let cut = (if c.lemma = 1 then Separator.cut1 else Separator.cut2) st2.State.ws ~place region ~target in
   Moves.apply_split st2 ~max_level ~floor_level piece cut ~dest1 ~dest2;
   st1.State.place = st2.State.place
   && st1.State.occ = st2.State.occ

@@ -169,6 +169,191 @@ let qcheck_tests =
         n1 + n2 = Bintree.n s.tree);
   ]
 
+(* ---------------- the piece view against an explicit load ---------------- *)
+
+(* A random mirror copy — any family, up to 300 nodes, its ids shuffled
+   before copying — and a random placement: each node is placed with a
+   probability drawn per case. *)
+type view_case = { vfam : string; vn : int; vseed : int }
+
+let view_case_gen =
+  QCheck2.Gen.(
+    let* vfam = oneofl (List.map (fun (f : Gen.family) -> f.name) Gen.families) in
+    let* vn = int_range 1 300 in
+    let* vseed = int_bound 1_000_000 in
+    return { vfam; vn; vseed })
+
+let print_view_case c = Printf.sprintf "%s(%d) seed=%d" c.vfam c.vn c.vseed
+
+let view_scenario c =
+  let open Xt_prelude in
+  let rng = Rng.make ~seed:c.vseed in
+  let t = (Gen.family c.vfam).generate (Rng.split rng) c.vn in
+  let m = Bintree.mirror_copy (Test_bintree.shuffled t c.vseed) in
+  let p = Rng.int_in rng 5 50 in
+  let place = Array.init (Bintree.n m.copy) (fun _ -> if Rng.int rng 100 < p then 0 else -1) in
+  (rng, m, place)
+
+(* An explicit load of the unplaced component of [r], as the lemmas'
+   DFS loaded a piece before the view: each member's parent ([-1] for
+   [r], [-2] off the component) and subtree size with the component
+   rooted at [r], and the members in DFS order. *)
+let dfs_load tree place r =
+  let n = Bintree.n tree in
+  let par = Array.make n (-2) and size = Array.make n 0 in
+  let stack = Stack.create () and popped = ref [] in
+  par.(r) <- -1;
+  Stack.push r stack;
+  while not (Stack.is_empty stack) do
+    let v = Stack.pop stack in
+    popped := v :: !popped;
+    Bintree.iter_neighbours tree v (fun w ->
+        if place.(w) < 0 && par.(w) = -2 then begin
+          par.(w) <- v;
+          Stack.push w stack
+        end)
+  done;
+  (* children are popped after their parent *)
+  List.iter
+    (fun v ->
+      size.(v) <- size.(v) + 1;
+      if par.(v) >= 0 then size.(par.(v)) <- size.(par.(v)) + size.(v))
+    !popped;
+  (par, size, List.rev !popped)
+
+(* [e] is in [v]'s subtree of a load. *)
+let rec in_load par v e = e = v || (par.(e) >= 0 && in_load par v par.(e))
+
+(* Each unplaced component of a scenario, once: its members, its top
+   and its bounds (one entry per placed neighbour). *)
+let iter_pieces tree place f =
+  let n = Bintree.n tree in
+  let seen = Array.make n false in
+  for v0 = 0 to n - 1 do
+    if place.(v0) < 0 && not seen.(v0) then begin
+      let par, _, members = dfs_load tree place v0 in
+      List.iter (fun v -> seen.(v) <- true) members;
+      let inside v = v >= 0 && par.(v) <> -2 in
+      let top = List.find (fun v -> not (inside (Bintree.parent_id tree v))) members in
+      let bounds =
+        List.concat_map
+          (fun v ->
+            List.filter_map
+              (fun w -> if place.(w) >= 0 then Some { Separator.bnode = v; anchor = 0 } else None)
+              (Bintree.neighbours tree v))
+          members
+      in
+      f ~members ~inside ~top ~bounds
+    end
+  done
+
+let run_view_case c =
+  let rng, m, place = view_scenario c in
+  let tree = m.copy in
+  let n = Bintree.n tree in
+  let ws = Separator.mirror_ws m in
+  let pick = function
+    | [] -> None
+    | l -> Some (List.nth l (Xt_prelude.Rng.int rng (List.length l)))
+  in
+  let check what ok = if not ok then QCheck2.Test.fail_reportf "%s" what in
+  iter_pieces tree place (fun ~members ~inside ~top ~bounds ->
+      let bnodes = List.sort_uniq compare (List.map (fun b -> b.Separator.bnode) bounds) in
+      List.iter
+        (fun r1 ->
+          let par, size, _ = dfs_load tree place r1 in
+          (* r1's tree ancestors in the piece, and the members off that path *)
+          let rec up v = if v = top then [] else Bintree.parent_id tree v :: up (Bintree.parent_id tree v) in
+          let path = up r1 in
+          let off = List.filter (fun v -> v <> r1 && not (List.mem v path)) members in
+          List.iter
+            (fun r2 ->
+              let at = Printf.sprintf "r1=%d r2=%s" r1 (match r2 with None -> "-" | Some r -> string_of_int r) in
+              Separator.View.set ws ~place { Separator.top; bounds; r1; r2 };
+              check (at ^ ": size") (Separator.View.size ws = List.length members);
+              for v = 0 to n - 1 do
+                if Separator.View.mem ws v <> inside v then
+                  QCheck2.Test.fail_reportf "%s: membership of %d" at v
+              done;
+              List.iter
+                (fun v ->
+                  if Separator.View.rooted_parent ws v <> par.(v) then
+                    QCheck2.Test.fail_reportf "%s: rooted parent of %d: %d, load %d" at v
+                      (Separator.View.rooted_parent ws v) par.(v);
+                  if Separator.View.rooted_size ws v <> size.(v) then
+                    QCheck2.Test.fail_reportf "%s: rooted size of %d: %d, load %d" at v
+                      (Separator.View.rooted_size ws v) size.(v);
+                  Bintree.iter_neighbours tree v (fun w ->
+                      check
+                        (Printf.sprintf "%s: neighbour %d of %d" at w v)
+                        (place.(w) < 0 = inside w)))
+                members;
+              let ex = List.filter_map (fun _ -> pick members) (List.init (Xt_prelude.Rng.int rng 3) Fun.id) in
+              List.iter (Separator.View.exclude ws) ex;
+              List.iter
+                (fun v ->
+                  let want =
+                    List.fold_left (fun acc e -> if in_load par v e then acc - size.(e) else acc) size.(v) ex
+                  in
+                  if Separator.View.effective_size ws v <> want then
+                    QCheck2.Test.fail_reportf "%s excluding [%s]: effective size of %d: %d, load %d" at
+                      (String.concat ";" (List.map string_of_int ex))
+                      v (Separator.View.effective_size ws v) want)
+                members)
+            [ None; pick path; pick off ])
+        (if bnodes = [] then [ top ] else bnodes));
+  true
+
+(* The fill's pick of a held piece's first boundary node, against the
+   DFS from the held start that stops at the first node it pops with a
+   placed neighbour (neighbours pushed parent, left, right). *)
+let dfs_first_bound tree place s =
+  let n = Bintree.n tree in
+  let seen = Array.make n false and stack = Stack.create () and found = ref (-1) in
+  seen.(s) <- true;
+  Stack.push s stack;
+  while !found < 0 && not (Stack.is_empty stack) do
+    let v = Stack.pop stack in
+    let near = ref false in
+    Bintree.iter_neighbours tree v (fun w -> if place.(w) >= 0 then near := true);
+    if !near then found := v
+    else
+      List.iter
+        (fun w ->
+          if w >= 0 && place.(w) < 0 && not seen.(w) then begin
+            seen.(w) <- true;
+            Stack.push w stack
+          end)
+        [ Bintree.parent_id tree v; Bintree.left_id tree v; Bintree.right_id tree v ]
+  done;
+  !found
+
+let run_first_bound_case c =
+  let rng, m, place = view_scenario c in
+  let tree = m.copy in
+  let st = Xt_core.State.create m ~height:1 ~capacity:16 in
+  iter_pieces tree place (fun ~members ~inside:_ ~top:_ ~bounds ->
+      if bounds <> [] then begin
+        (* the held list in any order *)
+        let bnodes = Array.of_list (List.map (fun b -> b.Separator.bnode) bounds) in
+        Xt_prelude.Rng.shuffle rng bnodes;
+        let bnodes = Array.to_list bnodes in
+        List.iter
+          (fun s ->
+            let want = dfs_first_bound tree place s and got = Xt_core.Split.first_bnode st s bnodes in
+            if got <> want then QCheck2.Test.fail_reportf "start %d: picked %d, DFS %d" s got want)
+          members
+      end);
+  true
+
+let view_tests =
+  [
+    QCheck2.Test.make ~count:200 ~name:"view == explicit load" ~print:print_view_case view_case_gen
+      run_view_case;
+    QCheck2.Test.make ~count:200 ~name:"fill's first boundary == DFS from the start"
+      ~print:print_view_case view_case_gen run_first_bound_case;
+  ]
+
 let suite =
   [
     ("lemma1 on a path", `Quick, test_lemma1_path);
@@ -179,4 +364,4 @@ let suite =
     ("target validation", `Quick, test_target_validation);
     ("components", `Quick, test_components);
   ]
-  @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) (qcheck_tests @ view_tests)

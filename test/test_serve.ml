@@ -80,6 +80,38 @@ let test_wire_torn_length_word () =
       Alcotest.(check (option string)) "torn length word" None (Wire.read_frame ic));
   Sys.remove file
 
+(* A payload past 64 KiB is read in 64 KiB chunks into a buffer that
+   grows as they arrive: a 7-byte stream whose length word announces
+   max_frame (2^26) bytes allocates one chunk, not 64 MB, before the EOF
+   (67.1 MB when the payload was allocated up front); honest frames
+   around the chunk size round-trip. *)
+let test_wire_chunked_payload () =
+  let file = Filename.temp_file "wire_test" ".bin" in
+  Out_channel.with_open_bin file (fun oc ->
+      let hdr = Bytes.create 4 in
+      Bytes.set_int32_be hdr 0 (Int32.of_int Wire.max_frame);
+      output_bytes oc hdr;
+      output_string oc "abc");
+  In_channel.with_open_bin file (fun ic ->
+      let before = Gc.allocated_bytes () in
+      (match Wire.read_frame ic with
+      | exception Wire.Protocol "EOF inside frame" -> ()
+      | _ -> Alcotest.fail "a lying length word must raise Protocol");
+      let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+      Alcotest.(check bool) (Printf.sprintf "lying length word allocated %.3f MB" mb) true (mb < 1.0));
+  let sizes = [ 0; 1; 65_536; 65_537; 1 lsl 20 ] in
+  let payload k = String.init k (fun i -> Char.chr ((i * 7) land 255)) in
+  Out_channel.with_open_bin file (fun oc -> List.iter (fun k -> Wire.write_frame oc (payload k)) sizes);
+  In_channel.with_open_bin file (fun ic ->
+      List.iter
+        (fun k ->
+          match Wire.read_frame ic with
+          | Some got -> Alcotest.(check bool) (Printf.sprintf "%d-byte frame" k) true (got = payload k)
+          | None -> Alcotest.fail "premature EOF")
+        sizes;
+      Alcotest.(check bool) "clean EOF" true (Wire.read_frame ic = None));
+  Sys.remove file
+
 let wire_response_prop =
   QCheck2.Test.make ~count:200 ~name:"wire: response payload round-trips"
     QCheck2.Gen.(
@@ -232,6 +264,12 @@ let test_snapshot_entry_checks () =
   rejects "placement outside X(1)" "outside" (load "((..)(..))" [| 0; 1; 3 |]);
   rejects "negative placement" "outside" (load "((..)(..))" [| 0; -1; 2 |]);
   rejects "height the key does not name" "metadata" (load ~meta:"2 0 0" "((..)(..))" [| 0; 1; 2 |]);
+  rejects "zero capacity" "metadata" (load ~prefix:"t1|c=0|h=1|o=ttt" "((..)(..))" [| 0; 1; 2 |]);
+  rejects "two nodes on a capacity-1 vertex" "capacity"
+    (load ~prefix:"t1|c=1|h=1|o=ttt" "((..)(..))" [| 0; 1; 1 |]);
+  (* every node of a 40-node guest on the root of X(1), capacity 16 *)
+  let path40 = Codec.to_string (Gen.path 40) in
+  rejects "every node on vertex 0" "capacity" (load path40 (Array.make 40 0));
   rejects "foreign key prefix" "metadata" (load ~prefix:"rb|h=1" "((..)(..))" [| 0; 1; 2 |])
 
 (* 64-bit FNV-1a, as the snapshot codec checksums each entry body. *)
@@ -668,6 +706,7 @@ let suite =
     Alcotest.test_case "wire frames round-trip" `Quick test_wire_frames;
     Alcotest.test_case "wire error response" `Quick test_wire_error_response;
     Alcotest.test_case "wire torn length word is a clean EOF" `Quick test_wire_torn_length_word;
+    Alcotest.test_case "wire reads long payloads in chunks" `Quick test_wire_chunked_payload;
     Alcotest.test_case "snapshot rejection is atomic" `Quick test_snapshot_rejection;
     Alcotest.test_case "snapshot keeps recency order" `Quick test_snapshot_keeps_recency;
     Alcotest.test_case "serve responses = direct embeds" `Quick test_serve_equivalence;

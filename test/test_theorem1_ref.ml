@@ -5,8 +5,8 @@
    exhaustively over every binary-tree shape up to 14 nodes, by qcheck
    over random family x size x capacity cases, and on deterministic
    large trees. Plus the [Gc.minor_words] guards pinning
-   [Separator.prepare] as allocation-free and [Separator.components] as
-   allocating only its output. *)
+   [Separator.cut2 ~place] and [Separator.components] as allocating only
+   their output. *)
 
 open Xt_prelude
 open Xt_bintree
@@ -188,23 +188,35 @@ let test_numbering_sensitive () =
         guest ~seed:1 ~shuffle:true ~capacity:1 7 "random-bst";
       ])
 
-(* ---------------- separator hot path allocates nothing --------------- *)
+(* ---------------- separator hot path allocates only its output ------- *)
 
-let test_prepare_allocation_free () =
-  let tree = Gen.uniform (Rng.make ~seed:5) 4093 in
-  let ws = Separator.make_ws tree in
-  let piece = { Separator.nodes = Bintree.preorder tree; r1 = Bintree.root tree; r2 = None } in
+(* [Separator.cut2 ~place] reads a maximal piece through the view of its
+   region and the copy's subtree ranges, which allocates nothing, so the
+   carve may allocate only its lay sets and its side-2 list: one cons
+   cell (3 words) per carved node, plus 256 words for the lay sets, the
+   cut and the carve's small tuples. The piece is the whole 4 093-node
+   tree, rooted at a leaf so that the carve also flips its path. *)
+let test_cut2_allocation () =
+  let m = Bintree.mirror_copy (Gen.uniform (Rng.make ~seed:5) 4093) in
+  let n = Bintree.n m.copy in
+  let ws = Separator.mirror_ws m in
+  let place = Array.make n (-1) in
+  let region = { Separator.top = 0; bounds = []; r1 = n - 1; r2 = None } in
+  let cut () = Separator.cut2 ws ~place region ~target:(n / 3) in
   (* warm up: first call settles any lazy sizing *)
   for _ = 1 to 4 do
-    ignore (Separator.prepare ws piece)
+    ignore (cut ())
   done;
   Gc.minor ();
   let before = Gc.minor_words () in
-  ignore (Separator.prepare ws piece);
+  let c = cut () in
   let allocated = Gc.minor_words () -. before in
+  let carved = List.length c.Separator.carved in
+  checkb "carves a third" true (abs (carved - (n / 3)) <= ((n / 3) + 4) / 9);
+  let bound = float_of_int ((3 * carved) + 256) in
   checkb
-    (Printf.sprintf "prepare allocated %.0f minor words" allocated)
-    true (allocated < 256.)
+    (Printf.sprintf "cut2 allocated %.0f minor words (bound %.0f)" allocated bound)
+    true (allocated <= bound)
 
 (* [Separator.components] re-forms pieces after every placement, so it
    must allocate only its output: one cons cell (3 words) per node, plus
@@ -239,6 +251,6 @@ let suite =
     QCheck_alcotest.to_alcotest ~long:false qcheck_equivalence;
     ("large trees == reference", `Slow, test_large_trees);
     ("numbering-sensitive guests == reference", `Quick, test_numbering_sensitive);
-    ("separator prepare allocation free", `Quick, test_prepare_allocation_free);
+    ("separator cut2 allocates only its output", `Quick, test_cut2_allocation);
     ("separator components allocates only its output", `Quick, test_components_allocation);
   ]
