@@ -1,4 +1,4 @@
-(* Bechamel micro-benchmarks B1..B14: wall-clock cost of each pipeline
+(* Bechamel micro-benchmarks B1..B15: wall-clock cost of each pipeline
    stage, one Test.make per stage. *)
 
 open Bechamel
@@ -95,6 +95,36 @@ let carve_uniform =
 let carve_path =
   lazy (carve_piece (Gen.path 4095) ~roots:(fun _ -> [ 0; 4094 ]) ~top:1 ~r1:(Some 4093))
 
+(* B15 times the re-form half of one Lemma 2 split, next to B14's
+   carve: [State.split_remnants] of B14's two pieces once their cut's
+   lay sets are placed, both sides re-formed from subtree ranges. The
+   laying half of [Moves.apply_split] places nodes and cannot repeat on
+   one state; the re-form reads the state and only draws piece ids, so
+   it repeats on a warm one. *)
+let split_piece tree ~roots ~top ~r1 =
+  let m = Bintree.mirror_copy tree in
+  let st = State.create m ~height:10 ~capacity:16 in
+  List.iter (fun v -> State.lay st ~max_level:10 ~node:v ~vertex:0) (roots m);
+  let bnodes = ref [] in
+  Array.iteri
+    (fun v p ->
+      if p < 0 then
+        Bintree.iter_neighbours m.copy v (fun w -> if st.State.place.(w) >= 0 then bnodes := v :: !bnodes))
+    st.State.place;
+  let r1 = match r1 with Some r -> r | None -> List.hd (List.rev !bnodes) in
+  let piece = State.new_piece st ~top ~start:r1 !bnodes in
+  assert (piece.State.size = 4093);
+  let region = { Separator.top; bounds = piece.State.bounds; r1; r2 = None } in
+  let cut = Separator.cut2 st.State.ws ~place:st.State.place region ~target:(4093 / 3) in
+  List.iter (fun v -> State.lay st ~max_level:10 ~node:v ~vertex:1) cut.Separator.lay1;
+  List.iter (fun v -> State.lay st ~max_level:10 ~node:v ~vertex:2) cut.Separator.lay2;
+  fun () -> ignore (State.split_remnants st piece cut)
+
+let split_uniform =
+  lazy (split_piece (Gen.uniform (Rng.make ~seed:14) 4096) ~roots:three_leaves ~top:0 ~r1:None)
+
+let split_path = lazy (split_piece (Gen.path 4095) ~roots:(fun _ -> [ 0; 4094 ]) ~top:1 ~r1:(Some 4093))
+
 let tests =
   Test.make_grouped ~name:"xtree"
     [
@@ -175,6 +205,10 @@ let tests =
         (Staged.stage (fun () -> (Lazy.force carve_uniform) ()));
       Test.make ~name:"B14 lemma2 carve path piece n=4093"
         (Staged.stage (fun () -> (Lazy.force carve_path) ()));
+      Test.make ~name:"B15 lemma2 split re-form uniform n=4093"
+        (Staged.stage (fun () -> (Lazy.force split_uniform) ()));
+      Test.make ~name:"B15 lemma2 split re-form path n=4093"
+        (Staged.stage (fun () -> (Lazy.force split_path) ()));
       (* The price of arming the flight recorder (--flight, XT_FLIGHT):
          one span with tracing and metrics off is two clock reads plus a
          handful of ring stores, paid by every span-wrapped call site. *)

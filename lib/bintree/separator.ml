@@ -9,29 +9,27 @@ type split = { s1 : int list; t1 : int list; s2 : int list; t2 : int list }
 let side_sizes sp =
   (List.length sp.s1 + List.length sp.t1, List.length sp.s2 + List.length sp.t2)
 
-(* Workspace: generation-stamped scratch arrays over the host tree, and
-   the view of the piece under the current lemma call. Every transient
-   set (component membership, DFS visited, the carved part) is an
-   int-stamp array compared against its generation counter, and the DFS
-   stack is a preallocated int array, so one workspace serves every call
-   on its tree.
+(* Workspace: the ranges of the tree, and the view of the piece under the
+   current lemma call.
 
    The view needs no scratch at all. The tree is a mirror copy: node v's
    subtree is the id range [v, last v]. A maximal unplaced piece is its
    top's range minus the ranges of its cut roots, the placed children of
    its boundary nodes, and every quantity a carve reads — rooted sizes
    and parents, membership, effective sizes — is arithmetic on those
-   ranges (see [below], [rpar], [rsize], [eff]). *)
+   ranges (see [below], [rpar], [rsize], [eff]).
+
+   The list API ([components], the list lemmas, [verify_split]) walks
+   node lists with generation-stamped arrays and an explicit DFS stack;
+   they are allocated on its first call, so a workspace the core carves
+   with holds none. *)
 type ws = {
-  tree : Bintree.t;
-  last : int array;     (* node v's subtree is [v .. last.(v)]; [||] off a mirror copy *)
+  rg : Ranges.t;
   caller_id : int array; (* node -> the caller's id *)
-  mark : int array;     (* set membership stamp *)
-  carve : int array;    (* stamp of the last cut's carved part *)
-  vis : int array;      (* DFS visited stamp *)
-  stack : int array;    (* explicit DFS stack *)
+  mutable mark : int array; (* list API: set membership stamp *)
+  mutable vis : int array; (* list API: DFS visited stamp *)
+  mutable stack : int array; (* list API: explicit DFS stack *)
   mutable gen : int;    (* current set generation *)
-  mutable carvegen : int; (* current carved-part generation *)
   mutable visgen : int; (* current visited generation *)
   (* the view of the current lemma call's piece *)
   mutable place : int array; (* members are unplaced: [place.(v) < 0] *)
@@ -47,18 +45,14 @@ type ws = {
   mutable ex2_size : int;
 }
 
-let create ~tree ~last ~caller_id =
-  let n = Bintree.n tree in
+let create rg ~caller_id =
   {
-    tree;
-    last;
+    rg;
     caller_id;
-    mark = Array.make n 0;
-    carve = Array.make n 0;
-    vis = Array.make n 0;
-    stack = Array.make n 0;
+    mark = [||];
+    vis = [||];
+    stack = [||];
     gen = 0;
-    carvegen = 0;
     visgen = 0;
     place = [||];
     vtop = -1;
@@ -73,8 +67,18 @@ let create ~tree ~last ~caller_id =
     ex2_size = 0;
   }
 
-let make_ws tree = create ~tree ~last:[||] ~caller_id:(Array.init (Bintree.n tree) Fun.id)
-let mirror_ws (m : Bintree.mirror) = create ~tree:m.copy ~last:m.last ~caller_id:m.to_caller
+let make_ws tree = create (Ranges.plain tree) ~caller_id:(Array.init (Bintree.n tree) Fun.id)
+let mirror_ws (m : Bintree.mirror) = create (Ranges.of_mirror m) ~caller_id:m.to_caller
+let ranges ws = ws.rg
+
+(* The list API's scratch, allocated on first use. *)
+let scratch ws =
+  if Array.length ws.mark = 0 then begin
+    let n = Bintree.n ws.rg.tree in
+    ws.mark <- Array.make n 0;
+    ws.vis <- Array.make n 0;
+    ws.stack <- Array.make n 0
+  end
 
 let rec stamp a g = function
   | [] -> ()
@@ -86,23 +90,18 @@ let rec stamp a g = function
 (* The piece view                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* [a] is [b] or a tree ancestor of [b]. *)
-let above ws a b = a <= b && b <= ws.last.(a)
-
-(* The child of [a] whose range holds [b], for [b] strictly below [a]. *)
-let toward ws a b =
-  let l = Bintree.left_id ws.tree a in
-  if l >= 0 && above ws l b then l else Bintree.right_id ws.tree a
+let above ws a b = Ranges.above ws.rg a b
+let toward ws a b = Ranges.toward ws.rg a b
 
 (* g(x): the members in member [x]'s tree subtree — its range minus the
    cut ranges inside it (cut ranges are disjoint, and a member's range
    holds a cut range whole or misses it). *)
 let below ws x =
-  let hi = ws.last.(x) in
+  let hi = ws.rg.last.(x) in
   let s = ref (hi - x + 1) in
   for i = 0 to ws.ncuts - 1 do
     let c = ws.cuts.(i) in
-    if x < c && c <= hi then s := !s - (ws.last.(c) - c + 1)
+    if x < c && c <= hi then s := !s - (ws.rg.last.(c) - c + 1)
   done;
   !s
 
@@ -113,7 +112,7 @@ let below ws x =
 let rpar ws v =
   if v = ws.root then -1
   else if above ws v ws.root then toward ws v ws.root
-  else Bintree.parent_id ws.tree v
+  else Bintree.parent_id ws.rg.tree v
 
 let rsize ws v =
   if v = ws.root then ws.vsize
@@ -121,15 +120,13 @@ let rsize ws v =
   else below ws v
 
 (* Member [v] lies in member [u]'s rooted subtree. *)
-let in_subtree ws ~root:u v =
-  u = ws.root
-  || if above ws u ws.root then not (above ws (toward ws u ws.root) v) else above ws u v
+let in_subtree ws ~root:u v = Ranges.in_rooted ws.rg ~root:ws.root u v
 
 let rec in_cut ws v i =
   i < ws.ncuts
   &&
   let c = ws.cuts.(i) in
-  (c <= v && v <= ws.last.(c)) || in_cut ws v (i + 1)
+  (c <= v && v <= ws.rg.last.(c)) || in_cut ws v (i + 1)
 
 let member ws v =
   v >= 0
@@ -161,21 +158,21 @@ let add_cut ws c =
 let rec add_cuts ws = function
   | [] -> ()
   | b :: rest ->
-      add_cut ws (Bintree.left_id ws.tree b.bnode);
-      add_cut ws (Bintree.right_id ws.tree b.bnode);
+      add_cut ws (Bintree.left_id ws.rg.tree b.bnode);
+      add_cut ws (Bintree.right_id ws.rg.tree b.bnode);
       add_cuts ws rest
 
-(* Point the view at a maximal unplaced piece, rooted at [r1]; no
-   exclusions, and a fresh carved-part generation. *)
+(* Point the view at a maximal unplaced piece, rooted at [r1], with no
+   exclusions. *)
 let set_view ws ~name ~place ~top ~bounds r1 r2 =
-  if Array.length ws.last = 0 then invalid_arg (name ^ ": workspace is not over a mirror copy");
+  if not (Ranges.has_ranges ws.rg) then
+    invalid_arg (name ^ ": workspace is not over a mirror copy");
   ws.place <- place;
   ws.vtop <- top;
   ws.ncuts <- 0;
   add_cuts ws bounds;
   ws.ex1 <- -1;
   ws.ex2 <- -1;
-  ws.carvegen <- ws.carvegen + 1;
   if not (member ws r1) then invalid_arg "Separator: designated node not in piece";
   (match r2 with
   | Some r2 when not (member ws r2) -> invalid_arg (name ^ ": r2 not in piece")
@@ -218,7 +215,7 @@ let child_eff ws pv c = if c >= 0 && c <> pv && ws.place.(c) < 0 then eff ws c e
 let rec descend ws v ev ~target =
   if 3 * ev <= 4 * target then v
   else begin
-    let t = ws.tree and pv = rpar ws v in
+    let t = ws.rg.tree and pv = rpar ws v in
     let p = Bintree.parent_id t v and l = Bintree.left_id t v and r = Bintree.right_id t v in
     let ep = child_eff ws pv p and el = child_eff ws pv l and er = child_eff ws pv r in
     let e = Int.max ep (Int.max el er) in
@@ -230,92 +227,52 @@ let rec descend ws v ev ~target =
 
 let find1 ws v ~target = descend ws v (eff ws v) ~target
 
-(* ------------------------------------------------------------------ *)
-(* The carved part                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The first cut root index from [i] on whose id is at least [k]. *)
-let rec cut_from ws k i = if i < ws.ncuts && ws.cuts.(i) < k then cut_from ws k (i + 1) else i
-
-(* Where the scan of [k .. hi] next skips a range: the cut root at index
-   [i], or an excluded root other than [keep], whichever comes first at
-   or after [k]; [hi + 1] when neither is in range. *)
-let skip_start ws ~keep k hi i =
-  let s = if i < ws.ncuts then Int.min ws.cuts.(i) (hi + 1) else hi + 1 in
-  let s = if ws.ex1 >= k && ws.ex1 < s && ws.ex1 <> keep then ws.ex1 else s in
-  if ws.ex2 >= k && ws.ex2 < s && ws.ex2 <> keep then ws.ex2 else s
-
-(* Cons onto [acc], in increasing id, the members of [k .. hi], a range
-   inside a tree subtree off the r1–top path — where the rooted DFS pops
-   in mirror preorder — skipping cut ranges and excluded ranges other
-   than [keep]'s, and stamp each carved. *)
-let rec scan_range ws ~keep k hi i acc =
-  if k > hi then acc
-  else begin
-    let s = skip_start ws ~keep k hi i in
-    let acc = ref acc in
-    for v = k to s - 1 do
-      ws.carve.(v) <- ws.carvegen;
-      acc := v :: !acc
-    done;
-    if s > hi then !acc
-    else
-      let k = ws.last.(s) + 1 in
-      scan_range ws ~keep k hi (cut_from ws k i) !acc
-  end
-
-(* The same for the rooted subtree of [a], a member on the r1–top path
-   entered from its child [from]: the DFS pops [a], then its other
-   child's subtree, then does the same from [a]'s parent, up to the top
-   or to an excluded ancestor. *)
-let rec scan_up ws ~keep a from acc =
-  ws.carve.(a) <- ws.carvegen;
-  let acc = a :: acc in
-  let t = ws.tree in
-  let l = Bintree.left_id t a in
-  let o = if l = from then Bintree.right_id t a else l in
-  let acc =
-    if o >= 0 && ws.place.(o) < 0 then scan_range ws ~keep o ws.last.(o) (cut_from ws o 0) acc
-    else acc
-  in
-  let p = Bintree.parent_id t a in
-  if a = ws.vtop || p = ws.ex1 || p = ws.ex2 then acc else scan_up ws ~keep p a acc
-
-(* Cons the rooted subtree of [u] (not r1) onto [acc] in the reverse of
-   the rooted DFS's popped order, minus the excluded subtrees inside it
-   (not [u]'s own: a carve may exclude [u] before it lists it), and
-   stamp it carved. *)
-let subtree_nodes ws u acc =
-  if above ws u ws.root then scan_up ws ~keep:u u (toward ws u ws.root) acc
-  else scan_range ws ~keep:u u ws.last.(u) (cut_from ws u 0) acc
-
 (* The lowest rooted ancestor of [u] whose rooted subtree holds [v]. *)
 let rec lca ws u v = if in_subtree ws ~root:u v then u else lca ws (rpar ws u) v
 
 let uniq ws xs = List.sort_uniq (fun a b -> Int.compare ws.caller_id.(a) ws.caller_id.(b)) xs
 
-type cut = { lay1 : int list; lay2 : int list; carved : int list; swapped : bool }
+(* ------------------------------------------------------------------ *)
+(* The carved part                                                     *)
+(* ------------------------------------------------------------------ *)
 
-(* A carve's result: the laid-out sets, and the carved part — side 2 —
-   stamped as it was listed, so that the rest of the piece, side 1, is
-   the piece minus one array read per node, never a filtered copy. *)
-let cut ws ~s1 ~s2 ~carved = { lay1 = uniq ws s1; lay2 = uniq ws s2; carved; swapped = false }
+type cut = {
+  lay1 : int list;
+  lay2 : int list;
+  roots : int list;
+  excluded : int list;
+  r1 : int;
+  swapped : bool;
+}
+
+(* A carve's result: the laid-out sets, and the carved part — side 2 — as
+   the rooted subtrees of [roots] (pairwise disjoint, each laid on side
+   2) minus those of the exclusions that are not roots (each laid on
+   side 1). *)
+let cut ws ~s1 ~s2 ~roots =
+  let keep e acc = if e >= 0 && not (List.mem e roots) then e :: acc else acc in
+  {
+    lay1 = uniq ws s1;
+    lay2 = uniq ws s2;
+    roots;
+    excluded = keep ws.ex1 (keep ws.ex2 []);
+    r1 = ws.root;
+    swapped = false;
+  }
 
 let swap c = { c with lay1 = c.lay2; lay2 = c.lay1; swapped = not c.swapped }
 
 (* Carving nothing keeps the piece on side 1; moving it all is the swap. *)
 let move_all ws =
-  swap (cut ws ~s1:(if ws.other >= 0 then [ ws.root; ws.other ] else [ ws.root ]) ~s2:[] ~carved:[])
-
-let in_carved ws v = ws.carve.(v) = ws.carvegen
-
-(* The lists of the split a cut describes: the carved part in its own
-   order, the rest in the piece's. *)
-let split_of ws (piece : piece) c =
-  let carved s = List.filter (fun v -> not (List.mem v s)) c.carved in
-  let rest s = List.filter (fun v -> not (in_carved ws v || List.mem v s)) piece.nodes in
-  if c.swapped then { s1 = c.lay1; t1 = carved c.lay1; s2 = c.lay2; t2 = rest c.lay2 }
-  else { s1 = c.lay1; t1 = rest c.lay1; s2 = c.lay2; t2 = carved c.lay2 }
+  swap
+    {
+      lay1 = uniq ws (if ws.other >= 0 then [ ws.root; ws.other ] else [ ws.root ]);
+      lay2 = [];
+      roots = [];
+      excluded = [];
+      r1 = ws.root;
+      swapped = false;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Lemma 1                                                             *)
@@ -330,10 +287,10 @@ let carve1 ws ~target =
        degenerate, move everything. *)
     move_all ws
   else begin
-    let z = rpar ws u and side2 = subtree_nodes ws u [] in
-    if r2 < 0 then cut ws ~s1:[ r1; z ] ~s2:[ u ] ~carved:side2
-    else if in_subtree ws ~root:u r2 then cut ws ~s1:[ r1; z ] ~s2:[ u; r2 ] ~carved:side2
-    else cut ws ~s1:[ r1; r2; z; lca ws u r2 ] ~s2:[ u ] ~carved:side2
+    let z = rpar ws u in
+    if r2 < 0 then cut ws ~s1:[ r1; z ] ~s2:[ u ] ~roots:[ u ]
+    else if in_subtree ws ~root:u r2 then cut ws ~s1:[ r1; z ] ~s2:[ u; r2 ] ~roots:[ u ]
+    else cut ws ~s1:[ r1; r2; z; lca ws u r2 ] ~s2:[ u ] ~roots:[ u ]
   end
 
 (* ------------------------------------------------------------------ *)
@@ -343,7 +300,7 @@ let carve1 ws ~target =
 (* Two-stage carve: take T(u1) aiming at [target], then correct the error
    with a second find1 — either carving the overshoot back out of T(u1),
    or carving a second subtree next to it. [from_] is the descent start
-   (r2 in case 1, x in case 2). Returns (s1_extra, s2, side2_nodes). *)
+   (r2 in case 1, x in case 2). Returns (s1_extra, s2, carved roots). *)
 let two_stage_carve ws ~from_ ~target =
   let u1 = find1 ws from_ ~target in
   if u1 = from_ then None
@@ -355,11 +312,11 @@ let two_stage_carve ws ~from_ ~target =
       let u2 = find1 ws u1 ~target:e in
       if u2 = u1 then
         (* cannot correct; accept the coarse carve *)
-        Some ([ z1 ], [ u1 ], subtree_nodes ws u1 [])
+        Some ([ z1 ], [ u1 ], [ u1 ])
       else begin
         let p2 = rpar ws u2 in
         exclude ws u2;
-        Some ([ z1; u2 ], [ u1; p2 ], subtree_nodes ws u1 [])
+        Some ([ z1; u2 ], [ u1; p2 ], [ u1 ])
       end
     end
     else if e < 0 then begin
@@ -371,12 +328,10 @@ let two_stage_carve ws ~from_ ~target =
          other than its start has a positive effective size. *)
       exclude ws u1;
       let u2 = find1 ws z1 ~target:(-e) in
-      if u2 = z1 then Some ([ z1 ], [ u1 ], subtree_nodes ws u1 [])
-      else
-        Some
-          ([ z1; rpar ws u2 ], [ u1; u2 ], subtree_nodes ws u1 (subtree_nodes ws u2 []))
+      if u2 = z1 then Some ([ z1 ], [ u1 ], [ u1 ])
+      else Some ([ z1; rpar ws u2 ], [ u1; u2 ], [ u1; u2 ])
     end
-    else Some ([ z1 ], [ u1 ], subtree_nodes ws u1 [])
+    else Some ([ z1 ], [ u1 ], [ u1 ])
   end
 
 (* procedure find2: walk from r1 towards r2 while |T(v)| > 4A/3. Sizes
@@ -397,7 +352,7 @@ let carve2 ws ~target =
   if v = r2 && 3 * sv > 4 * target then begin
     (* Case 1: both designated nodes stay in S1; carve inside T(r2). *)
     match two_stage_carve ws ~from_:r2 ~target with
-    | Some (s1x, s2, side2) -> cut ws ~s1:(r1 :: r2 :: s1x) ~s2 ~carved:side2
+    | Some (s1x, s2, roots) -> cut ws ~s1:(r1 :: r2 :: s1x) ~s2 ~roots
     | None -> move_all ws
   end
   else if sv < target then begin
@@ -407,9 +362,8 @@ let carve2 ws ~target =
     else begin
       exclude ws v;
       match two_stage_carve ws ~from_:x ~target:(target - sv) with
-      | Some (s1x, s2x, side2c) ->
-          cut ws ~s1:(r1 :: x :: s1x) ~s2:(r2 :: v :: s2x) ~carved:(subtree_nodes ws v side2c)
-      | None -> cut ws ~s1:[ r1; x ] ~s2:[ r2; v ] ~carved:(subtree_nodes ws v [])
+      | Some (s1x, s2x, roots) -> cut ws ~s1:(r1 :: x :: s1x) ~s2:(r2 :: v :: s2x) ~roots:(v :: roots)
+      | None -> cut ws ~s1:[ r1; x ] ~s2:[ r2; v ] ~roots:[ v ]
     end
   end
   else begin
@@ -421,16 +375,15 @@ let carve2 ws ~target =
     else begin
       let a' = sv - target in
       let u' = if a' = 0 then v else find1 ws v ~target:a' in
-      if u' = v then cut ws ~s1:[ r1; x ] ~s2:[ r2; v ] ~carved:(subtree_nodes ws v [])
+      if u' = v then cut ws ~s1:[ r1; x ] ~s2:[ r2; v ] ~roots:[ v ]
       else begin
         let z' = rpar ws u' in
         (* side 2 = T(v) minus T(u') *)
         exclude ws u';
-        let side2 = subtree_nodes ws v [] in
         if in_subtree ws ~root:u' r2 then
           (* r2 is inside the carved part: it stays on side 1 *)
-          cut ws ~s1:(r1 :: x :: [ u'; r2 ]) ~s2:[ v; z' ] ~carved:side2
-        else cut ws ~s1:[ r1; x; u' ] ~s2:[ v; z'; r2; lca ws u' r2 ] ~carved:side2
+          cut ws ~s1:(r1 :: x :: [ u'; r2 ]) ~s2:[ v; z' ] ~roots:[ v ]
+        else cut ws ~s1:[ r1; x; u' ] ~s2:[ v; z'; r2; lca ws u' r2 ] ~roots:[ v ]
       end
     end
   end
@@ -452,18 +405,23 @@ let cut_of ~name carve ws ~place (r : region) ~target =
 let cut1 ws ~place r ~target = cut_of ~name:"Separator.lemma1" carve1 ws ~place r ~target
 let cut2 ws ~place r ~target = cut_of ~name:"Separator.lemma2" carve2 ws ~place r ~target
 
+(* ------------------------------------------------------------------ *)
+(* The list lemmas                                                     *)
+(* ------------------------------------------------------------------ *)
+
 (* A listed piece, relabelled in mirror preorder: a workspace over r1's
    component of the listed nodes alone, viewed whole and rooted at r1,
    and the original id of each of its nodes. The relabelling keeps every
    parent, left and right link, and the workspace's caller ids are the
-   originals', so the carve makes the same choices and lists the same
-   nodes in the same order as on the piece itself. *)
+   originals', so the carve makes the same choices as on the piece
+   itself. *)
 let relabel ws ~name piece =
+  scratch ws;
   ws.gen <- ws.gen + 1;
   stamp ws.mark ws.gen piece.nodes;
   let inside v = v >= 0 && ws.mark.(v) = ws.gen in
   if not (inside piece.r1) then invalid_arg "Separator: designated node not in piece";
-  let t = ws.tree in
+  let t = ws.rg.tree in
   let rec up v = if inside (Bintree.parent_id t v) then up (Bintree.parent_id t v) else v in
   let cap = List.length piece.nodes in
   let orig = Array.make cap 0 and from = Array.make cap (-1) in
@@ -503,20 +461,58 @@ let relabel ws ~name piece =
       (if left.(i) >= 0 then last.(left.(i)) else if right.(i) >= 0 then last.(right.(i)) else i)
   done;
   let tree = Bintree.of_arrays ~root:0 ~parent:(Array.sub parent 0 k) ~left ~right in
-  let sub = create ~tree ~last ~caller_id:(Array.init k (fun i -> ws.caller_id.(orig.(i)))) in
+  let sub = create (Ranges.make tree ~last) ~caller_id:(Array.init k (fun i -> ws.caller_id.(orig.(i)))) in
+  scratch sub;
   set_view sub ~name ~place:(Array.make k (-1)) ~top:0 ~bounds:[] !r1'
     (if !r2' >= 0 then Some !r2' else None);
   (sub, orig)
+
+(* The carved part of a cut in the workspace's view, root by root, each
+   in the reverse of the order in which the DFS from r1 pops it: a
+   rooted subtree minus the excluded ones, walked away from r1. *)
+let carved_nodes ws c =
+  let t = ws.rg.tree in
+  let segment acc u =
+    let acc = ref acc and sp = ref 1 in
+    ws.stack.(0) <- u;
+    while !sp > 0 do
+      decr sp;
+      let v = ws.stack.(!sp) in
+      acc := v :: !acc;
+      let pv = rpar ws v in
+      let push w =
+        if w >= 0 && w <> pv && not (List.mem w c.excluded) then begin
+          ws.stack.(!sp) <- w;
+          incr sp
+        end
+      in
+      push (Bintree.parent_id t v);
+      push (Bintree.left_id t v);
+      push (Bintree.right_id t v)
+    done;
+    !acc
+  in
+  List.fold_left segment [] (List.rev c.roots)
+
+(* The lists of the split a cut describes: the carved part in its own
+   order, the rest in the piece's. *)
+let split_of ws (piece : piece) c ~carved =
+  ws.gen <- ws.gen + 1;
+  stamp ws.mark ws.gen carved;
+  let keep s v = not (List.mem v s) in
+  let rest s = List.filter (fun v -> ws.mark.(v) <> ws.gen && keep s v) piece.nodes in
+  let carved s = List.filter (keep s) carved in
+  if c.swapped then { s1 = c.lay1; t1 = carved c.lay1; s2 = c.lay2; t2 = rest c.lay2 }
+  else { s1 = c.lay1; t1 = rest c.lay1; s2 = c.lay2; t2 = carved c.lay2 }
 
 let lemma_of ~name carve ws piece ~target =
   if target <= 0 then invalid_arg (name ^ ": target must be positive");
   let sub, orig = relabel ws ~name piece in
   let c = lemma carve sub ~target in
   let back = List.map (fun i -> orig.(i)) in
-  let carved = back c.carved in
-  ws.carvegen <- ws.carvegen + 1;
-  stamp ws.carve ws.carvegen carved;
-  split_of ws piece { lay1 = back c.lay1; lay2 = back c.lay2; carved; swapped = c.swapped }
+  split_of ws piece
+    { c with lay1 = back c.lay1; lay2 = back c.lay2 }
+    ~carved:(back (carved_nodes sub c))
 
 let lemma1 ws piece ~target = lemma_of ~name:"Separator.lemma1" carve1 ws piece ~target
 let lemma2 ws piece ~target = lemma_of ~name:"Separator.lemma2" carve2 ws piece ~target
@@ -537,91 +533,54 @@ end
 (* Components and verification                                         *)
 (* ------------------------------------------------------------------ *)
 
-type component = {
-  members : int list;
-  count : int;
-  bounds : boundary list;
-  start : int;
-  top : int;
-}
-
-(* Push [w] when it is in the walked set — the nodes [set] maps to
-   [key] — and not yet visited; returns the new stack height. *)
-let visit ws (set : int array) key w sp =
-  if w >= 0 && set.(w) = key && ws.vis.(w) <> ws.visgen then begin
+(* Push [w] when it is in the walked set and not yet visited; returns
+   the new stack height. *)
+let visit ws w sp =
+  if w >= 0 && ws.mark.(w) = ws.gen && ws.vis.(w) <> ws.visgen then begin
     ws.vis.(w) <- ws.visgen;
     ws.stack.(sp) <- w;
     sp + 1
   end
   else sp
 
-(* Prepend [u]'s boundary towards neighbour [x] when [x] is placed. *)
-let bound place u x acc =
-  if x >= 0 && place.(x) >= 0 then { bnode = u; anchor = place.(x) } :: acc else acc
-
 (* One component of the walked set: DFS from [v], neighbours pushed
-   parent, left, right — the node order of every re-formed piece, and so
-   every placement, depends on it. Members come out last-popped first.
-   Boundaries (when [bounds]) are prepended right, left, parent per node
-   and reversed once at the end: popped order, right, left, parent within
-   a node — what a scan of the finished member list would give. The top
-   is the member whose parent is outside the set. No closure captures
-   the refs, so the walk allocates only its output. *)
-let grow ws ~(set : int array) ~key ~place ~bounds v =
+   parent, left, right. Members come out last-popped first. No closure
+   captures the refs, so the walk allocates only its output. *)
+let grow ws v =
   ws.vis.(v) <- ws.visgen;
   ws.stack.(0) <- v;
-  let t = ws.tree in
-  let sp = ref 1 and members = ref [] and count = ref 0 and acc = ref [] and top = ref v in
+  let t = ws.rg.tree in
+  let sp = ref 1 and members = ref [] in
   while !sp > 0 do
     decr sp;
     let u = ws.stack.(!sp) in
     members := u :: !members;
-    incr count;
     let p = Bintree.parent_id t u and l = Bintree.left_id t u and r = Bintree.right_id t u in
-    if p < 0 || set.(p) <> key then top := u;
-    sp := visit ws set key r (visit ws set key l (visit ws set key p !sp));
-    if bounds then acc := bound place u p (bound place u l (bound place u r !acc))
+    sp := visit ws r (visit ws l (visit ws p !sp))
   done;
-  let bounds = match !acc with ([] | [ _ ]) as b -> b | b -> List.rev b in
-  { members = !members; count = !count; bounds; start = v; top = !top }
+  !members
 
-(* Components of the walked set in reverse order of discovery; a
-   component is discovered at the first occurrence of one of its nodes
-   in [nodes], unless that node's carve stamp is [skip] (every stamp is a
-   positive generation, so -1 skips nothing). *)
-let walk ws ~set ~key ~skip ~place ~bounds nodes =
+(* Removed nodes are stamped out of the set, so skipping them gives
+   exactly the order a filtered copy of [nodes] would. A component is
+   discovered at the first occurrence of one of its nodes in [nodes]. *)
+let components ws ~nodes ~removed =
+  scratch ws;
+  ws.gen <- ws.gen + 1;
+  stamp ws.mark ws.gen nodes;
+  stamp ws.mark (ws.gen - 1) removed;
   ws.visgen <- ws.visgen + 1;
   let rec scan acc = function
     | [] -> acc
     | v :: rest ->
-        if set.(v) = key && ws.vis.(v) <> ws.visgen && ws.carve.(v) <> skip then
-          scan (grow ws ~set ~key ~place ~bounds v :: acc) rest
+        if ws.mark.(v) = ws.gen && ws.vis.(v) <> ws.visgen then scan (grow ws v :: acc) rest
         else scan acc rest
   in
   scan [] nodes
 
-(* Removed nodes are stamped out of the set, so skipping them gives
-   exactly the order a filtered copy of [nodes] would. *)
-let components ws ~nodes ~removed =
-  ws.gen <- ws.gen + 1;
-  stamp ws.mark ws.gen nodes;
-  stamp ws.mark (ws.gen - 1) removed;
-  List.map
-    (fun c -> c.members)
-    (walk ws ~set:ws.mark ~key:ws.gen ~skip:(-1) ~place:[||] ~bounds:false nodes)
-
-let unplaced_components ws ~place ?outside nodes =
-  let skip = match outside with Some _ -> ws.carvegen | None -> -1 in
-  walk ws ~set:place ~key:(-1) ~skip ~place ~bounds:true nodes
-
-(* The unplaced nodes are the ones [place] maps to -1. *)
-let component_at ws ~place v =
-  ws.visgen <- ws.visgen + 1;
-  grow ws ~set:place ~key:(-1) ~place ~bounds:true v
-
 let verify_split ws piece sp =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
-  let n = Bintree.n ws.tree in
+  let tree = ws.rg.tree in
+  let n = Bintree.n tree in
   (* code.(v): 0 outside the piece, 1 in it, 2 once a split list names
      it; after the partition check, 3-6 encode (side, laid) as t1 s1 t2
      s2 *)
@@ -665,7 +624,7 @@ let verify_split ws piece sp =
       List.iter
         (fun v ->
           let sv = side_of v and lv = laid_of v in
-          Bintree.iter_neighbours ws.tree v (fun w ->
+          Bintree.iter_neighbours tree v (fun w ->
               if code.(w) >= 3 then begin
                 let sw = side_of w and lw = laid_of w in
                 if sv <> sw && not (lv && lw) then
@@ -683,7 +642,7 @@ let verify_split ws piece sp =
                 let edges = ref 0 in
                 List.iter
                   (fun v ->
-                    Bintree.iter_neighbours ws.tree v (fun w ->
+                    Bintree.iter_neighbours tree v (fun w ->
                         if List.mem w s_side then incr edges))
                   comp;
                 !edges <= 2)

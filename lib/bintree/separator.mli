@@ -36,8 +36,8 @@ type piece = {
 type region = {
   top : int;  (** The member whose tree parent is placed or absent. *)
   bounds : boundary list;
-      (** Every member next to a placed node (one entry per placed
-          neighbour, as {!component} lists them). *)
+      (** Every member next to a placed node, one entry per placed
+          neighbour. *)
   r1 : int;  (** First designated node; a member. *)
   r2 : int option;  (** Optional second designated node. *)
 }
@@ -57,22 +57,26 @@ val side_sizes : split -> int * int
 (** [(|s1|+|t1|, |s2|+|t2|)]. *)
 
 type ws
-(** A reusable workspace holding scratch arrays sized to one tree. Not
-    thread-safe: a workspace serves one domain at a time, and is reused
-    across calls — all transient sets are generation-stamped flat arrays,
-    so reuse costs nothing and the hot path allocates no scratch at all. *)
+(** A reusable workspace over one tree: the tree's subtree ranges, the
+    view of the piece under the current lemma call and, for the list API
+    ({!components}, {!lemma1}, {!lemma2}, {!verify_split}),
+    generation-stamped scratch arrays allocated on its first call. Not
+    thread-safe: a workspace serves one domain at a time. *)
 
 val make_ws : Bintree.t -> ws
-(** A workspace over any tree, for the list lemmas {!lemma1} and
-    {!lemma2}, {!components} and {!verify_split}; {!uniq} sorts by node
+(** A workspace over any tree, for the list API; {!uniq} sorts by node
     id. *)
 
 val mirror_ws : Bintree.mirror -> ws
 (** A workspace over a mirror copy, whose node ids are the copy's:
-    besides all that {!make_ws}'s does, it carves maximal unplaced pieces
-    ({!cut1}, {!cut2}) from the copy's subtree ranges, and {!uniq}, and
-    so every cut's [lay1] and [lay2], sorts by the guest's own ids
+    besides the list API it carves maximal unplaced pieces ({!cut1},
+    {!cut2}) from the copy's subtree ranges, and {!uniq}, and so every
+    cut's [lay1] and [lay2], sorts by the guest's own ids
     ([to_caller]). *)
+
+val ranges : ws -> Ranges.t
+(** The workspace's ranges: {!Ranges.of_mirror} of a {!mirror_ws}'s
+    copy. *)
 
 val uniq : ws -> int list -> int list
 (** The nodes without repeats, in increasing caller id. *)
@@ -80,17 +84,22 @@ val uniq : ws -> int list -> int list
 type cut = private {
   lay1 : int list;  (** [s1], by {!uniq}. *)
   lay2 : int list;  (** [s2], by {!uniq}. *)
-  carved : int list;
-      (** The part the lemma's carve cut off, subtree by subtree: side 2,
-          or side 1 when [swapped]. Its membership stays stamped in the
-          workspace until the workspace's next lemma call; the rest of
-          the piece is the other side. *)
+  roots : int list;
+      (** The part the lemma's carve cut off — side 2, or side 1 when
+          [swapped] — as rooted subtrees (the piece rooted at [r1]),
+          pairwise disjoint, in the order the carve took them; each root
+          is laid on that side. The rest of the piece is the other side. *)
+  excluded : int list;
+      (** Rooted subtrees taken back out of the roots' subtrees; each is
+          laid on the other side. *)
+  r1 : int;  (** The designated node the piece was rooted at. *)
   swapped : bool;
       (** The carved part is side 1: the lemma carved the complement of
           side 2 ([3n <= 4 target]), or moves the whole piece
           ([target >= n]), which carves nothing. *)
 }
-(** A split without its node lists: side [i] is [lay_i] plus [t_i]. *)
+(** A split without its node lists: side [i] is [lay_i] plus [t_i]. It
+    allocates the lay sets and a few cells, whatever the piece's size. *)
 
 val cut1 : ws -> place:int array -> region -> target:int -> cut
 (** {!lemma1} of a maximal unplaced piece of a {!mirror_ws} workspace's
@@ -98,8 +107,8 @@ val cut1 : ws -> place:int array -> region -> target:int -> cut
     when unplaced. The carve reads the piece from the view its region
     gives — a member's rooted size, rooted parent and effective size are
     O(cut roots) arithmetic on subtree ranges — so it walks only the
-    nodes it descends through and lists side 2 range by range; it reads
-    no node list and loads nothing. Raises [Invalid_argument] if
+    nodes it descends through; it reads no node list, loads nothing and
+    lists neither side. Raises [Invalid_argument] if
     [target <= 0], if a designated node is not a member or if the
     workspace is not over a mirror copy. *)
 
@@ -112,8 +121,9 @@ val lemma1 : ws -> piece -> target:int -> split
     and carved as {!cut1} carves it. Raises
     [Invalid_argument] if [target <= 0] or a designated node is missing
     from [nodes]. If [target >= |piece|] the whole piece becomes side 2.
-    The carved side's [t] list keeps the order of the cut's [carved], the
-    other side's the order of [nodes]. *)
+    The carved side's [t] list runs root by root, each rooted subtree in
+    the reverse of the order in which the DFS from [r1] pops it; the
+    other side's keeps the order of [nodes]. *)
 
 val lemma2 : ws -> piece -> target:int -> split
 (** Lemma 2 split: same contract, tighter size error, both laid-out sets
@@ -160,31 +170,6 @@ val components : ws -> nodes:int list -> removed:int list -> int list list
     nodes in reverse DFS order (neighbours visited parent, left, right).
     Passing [removed] is the same as filtering it out of [nodes] first,
     without the copy. The walk allocates only its output lists. *)
-
-type component = {
-  members : int list;      (** As in {!components}. *)
-  count : int;             (** [List.length members]. *)
-  bounds : boundary list;
-      (** In DFS order of [bnode]; right, left, parent within a node. *)
-  start : int;             (** The DFS root: the last of [members]. *)
-  top : int;               (** The member whose tree parent is outside the set. *)
-}
-
-val unplaced_components :
-  ws -> place:int array -> ?outside:cut -> int list -> component list
-(** For each unplaced node of the list that no earlier component holds,
-    in list order, its unplaced component ({!component_at}); returned in
-    reverse order of discovery. Given [outside], the workspace's last
-    cut, the nodes of its carved part start no component. This is
-    {!components} of the unplaced nodes with sizes and boundaries, as
-    long as every unplaced component it meets lies inside the list: after
-    a cut's [lay1] and [lay2] are placed, each side of a maximal piece is
-    such a list. Used to re-form pieces after nodes have been laid. *)
-
-val component_at : ws -> place:int array -> int -> component
-(** [component_at ws ~place v] is the connected set of unplaced nodes
-    (those [place] maps to [-1]) that contains [v], walked by the same
-    DFS from [v]. Allocates only its output. *)
 
 val verify_split : ws -> piece -> split -> (unit, string) result
 (** Structural check used by the test suite: partition, designated-node

@@ -38,58 +38,29 @@ let assign_class ~pairing (bag0, acc0) (bag1, acc1) pieces =
 (*                                                                     *)
 (* The fill peels the first boundary node of the piece at the head of  *)
 (* the child's list until the child is full; re-forming the rest of   *)
-(* the piece after each peel would put its components at the head, in *)
-(* their order of discovery along the piece's nodes. The fill lays the *)
+(* the piece after each peel would put its remnants at the head, in   *)
+(* their order of discovery along the piece's DFS. The fill lays the   *)
 (* same nodes without re-forming: it holds each piece it creates as   *)
 (* its start, its top and its boundary nodes, derives the next peel   *)
 (* and the pieces that peel leaves from the guest's structure, and    *)
-(* re-forms only the pieces that survive, once each.                   *)
+(* forms only the pieces that survive, once each (State.form).        *)
 (*                                                                     *)
-(* A piece's node list is its reverse DFS preorder from its start,     *)
-(* with neighbours popped right, left, parent: from a node the DFS    *)
-(* covers its part of the subtree below right-first, then climbs to   *)
-(* the parent and covers the sibling's part, up to the top, where it  *)
-(* ends in the other child's part. Below a node the DFS visits the    *)
-(* piece in mirror preorder, the state's id order, so the last node    *)
-(* it reaches there is the largest id in the node's subtree range      *)
-(* outside every cut subtree — the subtrees of the placed children of  *)
-(* the boundary nodes (the piece is a maximal unplaced set, so nothing *)
-(* else cuts it). All of it is read before the peeled node is laid.    *)
+(* A piece's DFS from its start pops neighbours right, left, parent:   *)
+(* from a node it covers its part of the subtree below right-first,   *)
+(* then climbs to the parent and covers the sibling's part, up to the  *)
+(* top, where it ends in the other child's part. Below a node the DFS  *)
+(* visits the piece in mirror preorder, the state's id order, so the   *)
+(* last node it reaches there is the largest id in the node's subtree  *)
+(* range outside every cut subtree — the subtrees of the placed        *)
+(* children of the boundary nodes (the piece is a maximal unplaced     *)
+(* set, so nothing else cuts it): Ranges.last_below. All of it is read *)
+(* before the peeled node is laid.                                     *)
 (* ------------------------------------------------------------------ *)
 
-let free (st : State.t) v = v >= 0 && st.place.(v) < 0
-
-(* [a] is [b] or a guest ancestor of [b]. *)
-let above (st : State.t) a b = a <= b && b <= st.last.(a)
-
-(* The child of [a] that is [b] or above it; [b] lies strictly below [a]. *)
-let toward (st : State.t) a b =
-  let l = Bintree.left_id st.tree a in
-  if l >= 0 && above st l b then l else Bintree.right_id st.tree a
-
-let cut_at (st : State.t) k c = c >= 0 && st.place.(c) >= 0 && above st c k
-
-(* The cut subtree holding node [k], found among the children of the
-   boundary nodes; -1 when [k] is not cut. *)
-let rec cut_root (st : State.t) k = function
-  | [] -> -1
-  | b :: rest ->
-      let l = Bintree.left_id st.tree b and r = Bintree.right_id st.tree b in
-      if cut_at st k l then l else if cut_at st k r then r else cut_root st k rest
-
-let rec last_index (st : State.t) bnodes k =
-  let c = cut_root st k bnodes in
-  if c < 0 then k else last_index st bnodes (c - 1)
-
-(* The last node the DFS reaches on entering [w] from its parent. *)
-let last_below (st : State.t) bnodes w = last_index st bnodes st.last.(w)
-
-(* The last node the DFS reaches after climbing to the top [t] through
-   its child [pc]: the end of t's other child's part, else [t]. *)
-let last_from_top (st : State.t) bnodes t pc =
-  let l = Bintree.left_id st.tree t in
-  let other = if pc = l then Bintree.right_id st.tree t else l in
-  if free st other then last_below st bnodes other else t
+let free (st : State.t) v = Ranges.free st.place v
+let above (st : State.t) a b = Ranges.above st.rg a b
+let toward (st : State.t) a b = Ranges.toward st.rg a b
+let last_below (st : State.t) bnodes w = Ranges.last_below st.rg ~place:st.place bnodes w
 
 (* The node the DFS from [s] pops just before [x], which it reaches from
    its neighbour [y]: [y] itself, or the end of the part of [y]'s child
@@ -125,7 +96,7 @@ let rec bnodes_of = function [] -> [] | (b : State.boundary) :: rest -> b.bnode 
 (* Hold the piece that laying [x] leaves behind its neighbour [z]: top
    [t] above [x], else [z]; its boundary nodes are the held piece's on
    that side plus [z] itself, now next to a placed node. Ids and the
-   wide-piece count are drawn as [State.reform] would draw them. *)
+   wide-piece count are drawn as re-forming would draw them. *)
 let hold (st : State.t) ~x ~t bnodes z start =
   let h = st.held in
   let k = h.h_len in
@@ -145,43 +116,32 @@ let hold (st : State.t) ~x ~t bnodes z start =
    others in parent, left, right order. *)
 let peel st ~round:i ~vertex ~s ~t bnodes x =
   let tree = st.State.tree in
+  let last_from_top c = Ranges.last_from_top st.rg ~place:st.place bnodes t c in
   let px = Bintree.parent_id tree x
   and lx = Bintree.left_id tree x
   and rx = Bintree.right_id tree x in
   let y = if x = s then -1 else if above st x s then toward st x s else px in
   (* the DFS's last node, and whether it lies on [y]'s side *)
-  let e =
-    if y < 0 then -1
-    else if s = t then last_below st bnodes t
-    else last_from_top st bnodes t (toward st t s)
-  in
+  let e = if y < 0 then -1 else Ranges.last_popped st.rg ~place:st.place bnodes ~s t in
   let y_first = y >= 0 && if y = px then not (above st x e) else above st y e in
   let y_start = if y < 0 || y_first then e else popped_before st bnodes ~s x y in
   (* pushed in reverse order of discovery *)
   if y >= 0 && not y_first then hold st ~x ~t bnodes y y_start;
   if rx <> y && free st rx then hold st ~x ~t bnodes rx (last_below st bnodes rx);
   if lx <> y && free st lx then hold st ~x ~t bnodes lx (last_below st bnodes lx);
-  if px <> y && x <> t then hold st ~x ~t bnodes px (last_from_top st bnodes t (toward st t x));
+  if px <> y && x <> t then hold st ~x ~t bnodes px (last_from_top (toward st t x));
   if y_first then hold st ~x ~t bnodes y y_start;
   State.lay st ~max_level:i ~node:x ~vertex;
   Obs.incr c_fill
 
 let rec one_node (v : int) = function [] -> true | b :: rest -> b = v && one_node v rest
 
-(* The least of [bnodes] in [a]'s subtree range, else -1. *)
-let rec least_below (st : State.t) a best = function
-  | [] -> best
-  | b :: rest ->
-      least_below st a (if above st a b && (best < 0 || b < best) then b else best) rest
-
 (* The first of a held piece's boundary nodes that the DFS from its
-   start [s] pops: the DFS walks [s]'s subtree, then each ancestor
-   followed by that ancestor's other child's subtree, each in increasing
-   ids; so it is the least boundary node in the subtree range of the
-   lowest ancestor of [s] (or [s]) that holds one. *)
-let rec first_bnode (st : State.t) a bnodes =
-  let b = least_below st a (-1) bnodes in
-  if b >= 0 then b else first_bnode st (Bintree.parent_id st.tree a) bnodes
+   start [s] pops. *)
+let first_bnode (st : State.t) s bnodes =
+  List.fold_left
+    (fun best b -> if best < 0 || Ranges.before st.rg ~s b best then b else best)
+    (-1) bnodes
 
 let fill st ~round ~vertex =
   let h = st.State.held in
@@ -200,12 +160,18 @@ let fill st ~round ~vertex =
       | [] -> stop := true
       | (p : State.piece) :: _ ->
           State.detach st ~vertex p;
-          let x = match p.bounds with b :: _ -> b.bnode | [] -> List.hd p.nodes in
-          peel st ~round ~vertex ~s:p.start ~t:p.top (bnodes_of p.bounds) x
+          let bnodes = bnodes_of p.bounds in
+          let x =
+            match p.bounds with
+            | b :: _ -> b.bnode
+            | [] -> Ranges.last_popped st.rg ~place:st.place [] ~s:p.start p.top
+          in
+          peel st ~round ~vertex ~s:p.start ~t:p.top bnodes x
   done;
   (* bottom of the stack first, so the top piece ends at the head *)
   for k = 0 to h.h_len - 1 do
-    State.attach st ~vertex (State.regrow st ~pid:h.h_pid.(k) h.h_start.(k));
+    State.attach st ~vertex
+      (State.form st ~pid:h.h_pid.(k) ~top:h.h_top.(k) ~start:h.h_start.(k) h.h_bnodes.(k));
     h.h_bnodes.(k) <- []
   done;
   h.h_len <- 0
@@ -274,7 +240,7 @@ let run ?(options = Options.default) ?outer_weight st ~round:i ~alpha =
         if to_lay = [] then State.attach st ~vertex:child p
         else begin
           List.iter (fun v -> State.lay st ~max_level:i ~node:v ~vertex:child) to_lay;
-          Moves.reattach_to st ~vertex:child p.State.nodes
+          Moves.reattach_to st ~vertex:child p ~laid:to_lay
         end)
       pieces
   in

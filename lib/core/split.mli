@@ -32,16 +32,16 @@ val fill : State.t -> round:int -> vertex:int -> unit
     a free slot and an attached piece, lay the first boundary node of the
     piece at the head of its list (the piece's last DFS node when it has
     no boundary) there. The pieces each peel leaves go to the head of the
-    list in their order of discovery along the piece's nodes, with ids
+    list in their order of discovery along the piece's DFS, with ids
     drawn in reverse of that order — exactly as re-forming the piece
-    after every peel with {!State.reform} would leave them, but each
-    surviving piece is re-formed once, at the end. Counts each laid node
-    in [split.fill_laid]. *)
+    after every peel ({!State.remnants}) would leave them, but each
+    surviving piece is formed once, at the end ({!State.form}). Counts
+    each laid node in [split.fill_laid]. *)
 
 val first_bnode : State.t -> int -> int list -> int
 (** [first_bnode st s bnodes] is the first of a maximal unplaced piece's
     boundary nodes [bnodes] (repeats allowed, any order) that the DFS
     from its member [s] pops: the least boundary node in the subtree
-    range of the lowest ancestor of [s] (or [s]) whose range holds one.
-    It climbs from [s] and reads no other node. {!fill} peels it from a
-    held piece with more than one boundary node. *)
+    range of the lowest ancestor of [s] (or [s]) whose range holds one
+    ({!Xt_bintree.Ranges.before}, which finds that ancestor by jumping).
+    {!fill} peels it from a held piece with more than one boundary node. *)

@@ -1,21 +1,9 @@
-open Xt_obs
 open Xt_topology
 open Xt_bintree
 
-(* Guest nodes walked while re-forming pieces after a placement: the
-   work of [reform] and of [regrow]. *)
-let c_reform_nodes = Obs.counter "state.reform_nodes"
-
 type boundary = Separator.boundary = { bnode : int; anchor : int }
 
-type piece = {
-  pid : int;
-  size : int;
-  nodes : int list;
-  bounds : boundary list;
-  start : int;
-  top : int;
-}
+type piece = { pid : int; size : int; bounds : boundary list; start : int; top : int }
 
 type held = {
   h_start : int array;
@@ -41,7 +29,7 @@ type t = {
   occ : int array;
   weight : int array;
   attached : piece list array;
-  last : int array;
+  rg : Ranges.t;
   ws : Separator.ws;
   held : held;
   search : search;
@@ -68,6 +56,7 @@ let create (m : Bintree.mirror) ~height ~capacity =
   let tree = m.copy in
   let xt = Xtree.create ~height in
   let order = Xtree.order xt in
+  let ws = Separator.mirror_ws m in
   {
     tree;
     xt;
@@ -77,8 +66,8 @@ let create (m : Bintree.mirror) ~height ~capacity =
     occ = Array.make order 0;
     weight = Array.make order 0;
     attached = Array.make order [];
-    last = m.last;
-    ws = Separator.mirror_ws m;
+    rg = Separator.ranges ws;
+    ws;
     held = make_held ~laid:(min capacity (Bintree.n tree));
     search = { seen = Array.make order 0; queue = Array.make order 0; stamp = 0; tail = 0 };
     placed = 0;
@@ -160,41 +149,133 @@ let draw_pid st =
   st.next_pid <- pid + 1;
   pid
 
-let make_piece st nodes =
-  let bounds = ref [] in
+(* ------------------------------------------------------------------ *)
+(* Pieces from ranges                                                  *)
+(*                                                                     *)
+(* A maximal piece is its top's range minus its cut roots' ranges, the *)
+(* placed children of its boundary nodes; its DFS from its start pops  *)
+(* a node's neighbours right, left, parent. Once nodes L inside a      *)
+(* maximal piece P are laid, its remnants are maximal pieces again:    *)
+(* their tops are P's top, if unplaced, and the unplaced children of   *)
+(* L; their boundary nodes are the tops (but a root) and the unplaced  *)
+(* parents of P's cut roots and of L; each one's start is the node its *)
+(* list order would discover it at. All of it is range arithmetic      *)
+(* (Ranges), with the holes named by their parents: P's boundary nodes *)
+(* and L's parents.                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let rec bnodes_of = function [] -> [] | b :: rest -> b.bnode :: bnodes_of rest
+
+(* Prepend [w]'s boundary entry towards its neighbour [x] when [x] is placed. *)
+let bound st w x acc =
+  if x >= 0 && st.place.(x) >= 0 then { bnode = w; anchor = st.place.(x) } :: acc else acc
+
+(* A strict order as a comparison: nothing it orders is equal. *)
+let by lt a b = if lt a b then -1 else 1
+
+let form st ~pid ~top ~start bnodes =
+  let rg = st.rg and t = st.tree in
+  let before = Ranges.before rg ~s:start in
+  let ordered = List.sort_uniq (fun a b -> if a = b then 0 else by before a b) bnodes in
+  let size = ref (rg.last.(top) - top + 1) in
+  let cut c = if c >= 0 && st.place.(c) >= 0 then size := !size - (rg.last.(c) - c + 1) in
   List.iter
     (fun w ->
-      Bintree.iter_neighbours st.tree w (fun x ->
-          if st.place.(x) >= 0 then bounds := { bnode = w; anchor = st.place.(x) } :: !bounds))
-    nodes;
-  let bounds = !bounds in
-  if List.length bounds > 2 then st.wide_pieces <- st.wide_pieces + 1;
-  let pid = draw_pid st in
-  (* the top of a connected set comes first in preorder: the least id *)
-  let top = List.fold_left Int.min (List.hd nodes) nodes in
-  { pid; size = List.length nodes; nodes; bounds; start = List.hd (List.rev nodes); top }
-
-let piece_of st (c : Separator.component) =
-  (match c.bounds with _ :: _ :: _ :: _ -> st.wide_pieces <- st.wide_pieces + 1 | _ -> ());
-  let pid = draw_pid st in
-  Obs.add c_reform_nodes c.count;
-  { pid; size = c.count; nodes = c.members; bounds = c.bounds; start = c.start; top = c.top }
-
-let regrow st ~pid v =
-  let c = Separator.component_at st.ws ~place:st.place v in
-  Obs.add c_reform_nodes c.count;
-  { pid; size = c.count; nodes = c.members; bounds = c.bounds; start = c.start; top = c.top }
-
-(* Ids are drawn in list order, as [make_piece] over each component
-   would draw them. *)
-let reform st ?outside nodes =
-  let rec wrap = function
-    | [] -> []
-    | c :: rest ->
-        let p = piece_of st c in
-        p :: wrap rest
+      cut (Bintree.left_id t w);
+      cut (Bintree.right_id t w))
+    ordered;
+  let bounds =
+    List.fold_right
+      (fun w acc ->
+        bound st w (Bintree.right_id t w)
+          (bound st w (Bintree.left_id t w) (bound st w (Bintree.parent_id t w) acc)))
+      ordered []
   in
-  wrap (Separator.unplaced_components st.ws ~place:st.place ?outside nodes)
+  { pid; size = !size; bounds; start; top }
+
+let new_piece st ~top ~start bnodes =
+  let p = form st ~pid:(draw_pid st) ~top ~start bnodes in
+  (match p.bounds with _ :: _ :: _ :: _ -> st.wide_pieces <- st.wide_pieces + 1 | _ -> ());
+  p
+
+(* One remnant while it is worked out: its top, boundary nodes, start,
+   and the index of the carved root whose subtree holds it (-1 off the
+   carved part). *)
+type part = { ptop : int; mutable pbn : int list; pstart : int; pseg : int }
+
+(* The index in [roots] of the rooted subtree (rooted at [r1]) holding
+   [u], unless an excluded one holds it; -1 when none does. *)
+let segment rg ~r1 ~roots ~excluded u =
+  let inside a = Ranges.in_rooted rg ~root:r1 a u in
+  let rec find i = function [] -> -1 | a :: rest -> if inside a then i else find (i + 1) rest in
+  if List.exists inside excluded then -1 else find 0 roots
+
+(* The remnants of [p] once [laid] are placed, each started at the node
+   of it that its DFS pops last, in the order of those starts: the rest
+   of the piece by the DFS from its start, the carved part root by root
+   in reverse, each by the DFS from [r1]. *)
+let parts st (p : piece) ~laid ~r1 ~roots ~excluded =
+  let rg = st.rg and place = st.place and t = st.tree in
+  let holes =
+    List.fold_left
+      (fun acc l -> if l = p.top then acc else Bintree.parent_id t l :: acc)
+      (bnodes_of p.bounds) laid
+  in
+  let add_top acc c = if Ranges.free place c then c :: acc else acc in
+  let tops =
+    List.fold_left
+      (fun acc l -> add_top (add_top acc (Bintree.left_id t l)) (Bintree.right_id t l))
+      (add_top [] p.top) laid
+  in
+  let parts =
+    List.map
+      (fun u ->
+        let pseg = segment rg ~r1 ~roots ~excluded u in
+        let rho = if pseg < 0 then p.start else r1 in
+        let pstart =
+          if Ranges.above rg u rho then Ranges.last_popped rg ~place holes ~s:rho u
+          else Ranges.last_below rg ~place holes u
+        in
+        { ptop = u; pbn = (if Bintree.parent_id t u >= 0 then [ u ] else []); pstart; pseg })
+      tops
+  in
+  (* an unplaced hole parent is a boundary node of the remnant whose top
+     is the lowest above it *)
+  List.iter
+    (fun w ->
+      if Ranges.free place w then begin
+        let holder =
+          List.fold_left
+            (fun best q ->
+              if Ranges.above rg q.ptop w && (best.ptop < 0 || q.ptop > best.ptop) then q else best)
+            { ptop = -1; pbn = []; pstart = -1; pseg = -1 }
+            parts
+        in
+        holder.pbn <- w :: holder.pbn
+      end)
+    holes;
+  let earlier a b =
+    if a.pseg <> b.pseg then a.pseg > b.pseg
+    else Ranges.before rg ~s:(if a.pseg < 0 then p.start else r1) a.pstart b.pstart
+  in
+  List.sort (by earlier) parts
+
+let rec forms st = function
+  | [] -> []
+  | q :: rest ->
+      let piece = new_piece st ~top:q.ptop ~start:q.pstart q.pbn in
+      piece :: forms st rest
+
+let remnants st p ~laid = forms st (parts st p ~laid ~r1:p.start ~roots:[] ~excluded:[])
+
+let split_remnants st p (c : Separator.cut) =
+  let parts =
+    parts st p ~laid:(c.lay1 @ c.lay2) ~r1:c.r1 ~roots:c.roots ~excluded:c.excluded
+  in
+  let carved, rest = List.partition (fun q -> q.pseg >= 0) parts in
+  let side1, side2 = if c.swapped then (carved, rest) else (rest, carved) in
+  let side1 = forms st side1 in
+  (side1, forms st side2)
 
 let pieces_at st v = st.attached.(v)
 
@@ -209,20 +290,51 @@ let separator_piece p =
       in
       { Separator.top = p.top; bounds = p.bounds; r1 = b.bnode; r2 }
 
-(* An attached piece that is not the whole unplaced component of its
-   start as re-grown from there — other nodes, size, bounds or top —
-   as (vertex, pid). *)
-let stale_piece st =
-  let stale = ref None in
+(* The independent re-grow behind [check_invariants]: the DFS from [v]
+   over the unplaced nodes, neighbours pushed parent, left, right.
+   Returns its size, its bounds in popped order (right, left, parent
+   within a node) and its top; marks its nodes [k] in [mark] and counts
+   them in [covered]. *)
+let regrow st ~mark ~covered k v =
+  let t = st.tree and place = st.place in
+  let stack = ref [ v ] and size = ref 0 and acc = ref [] and top = ref v in
+  mark.(v) <- k;
+  let push w = if w >= 0 && place.(w) < 0 && mark.(w) <> k then begin
+      mark.(w) <- k;
+      stack := w :: !stack
+    end
+  in
+  while !stack <> [] do
+    let u = List.hd !stack in
+    stack := List.tl !stack;
+    incr size;
+    covered.(u) <- covered.(u) + 1;
+    let p = Bintree.parent_id t u and l = Bintree.left_id t u and r = Bintree.right_id t u in
+    if p < 0 || place.(p) >= 0 then top := u;
+    push p;
+    push l;
+    push r;
+    acc := bound st u p (bound st u l (bound st u r !acc))
+  done;
+  (!size, List.rev !acc, !top)
+
+(* Re-grow every attached piece from its start, counting the nodes each
+   reaches; the first piece whose start is placed, or whose re-grown
+   size, bounds or top differ from its own, as (vertex, pid). *)
+let stale_piece st covered =
+  let mark = Array.make (Bintree.n st.tree) 0 and k = ref 0 and stale = ref None in
   Array.iteri
     (fun v pieces ->
       List.iter
         (fun p ->
-          if !stale = None then begin
-            let c = Separator.component_at st.ws ~place:st.place p.start in
-            if c.members <> p.nodes || c.count <> p.size || c.bounds <> p.bounds || c.top <> p.top
-            then stale := Some (v, p.pid)
-          end)
+          incr k;
+          let ok =
+            st.place.(p.start) < 0
+            &&
+            let size, bounds, top = regrow st ~mark ~covered !k p.start in
+            size = p.size && bounds = p.bounds && top = p.top
+          in
+          if (not ok) && !stale = None then stale := Some (v, p.pid))
         pieces)
     st.attached;
   !stale
@@ -243,18 +355,15 @@ let check_invariants st =
   if occ' <> st.occ then fail "occupancy out of sync"
   else if !placed' <> st.placed then fail "placed counter out of sync"
   else begin
-    (* every guest node is placed xor belongs to exactly one piece *)
+    (* every guest node is placed xor reached by exactly one piece's re-grow *)
     let covered = Array.make (Bintree.n st.tree) 0 in
     Array.iteri (fun v p -> if p >= 0 then covered.(v) <- covered.(v) + 1) st.place;
-    Array.iter
-      (fun pieces ->
-        List.iter (fun p -> List.iter (fun v -> covered.(v) <- covered.(v) + 1) p.nodes) pieces)
-      st.attached;
+    let stale = stale_piece st covered in
     let bad = ref None in
     Array.iteri
       (fun v c -> if c <> 1 && !bad = None then bad := Some (v, c))
       covered;
-    match (!bad, stale_piece st) with
+    match (!bad, stale) with
     | Some (v, c), _ -> fail "guest node %d covered %d times" v c
     | None, Some (v, pid) -> fail "piece %d at vertex %d is not its start's re-grown component" pid v
     | None, None ->

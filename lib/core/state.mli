@@ -16,13 +16,18 @@ type boundary = Xt_bintree.Separator.boundary = { bnode : int; anchor : int }
 type piece = {
   pid : int;
   size : int;
-  nodes : int list;  (** Reverse DFS preorder from [start] (neighbours pushed parent, left, right). *)
-  bounds : boundary list; (** Usually one or two. *)
-  start : int;  (** The node the piece's DFS starts at: the last of [nodes]. *)
+  bounds : boundary list;
+      (** Usually one or two; in the order the piece's DFS pops their
+          nodes, right, left, parent within a node. *)
+  start : int;
+      (** The node the piece's DFS starts at; it visits a node's
+          neighbours right, left, parent. *)
   top : int;  (** The node whose tree parent is not in the piece. *)
 }
 (** Every attached piece is a maximal connected set of unplaced guest
-    nodes: its nodes' unplaced neighbours are its own. *)
+    nodes — its nodes' unplaced neighbours are its own — so its nodes
+    are [top]'s subtree id range minus the ranges of its cut roots, the
+    placed children of its boundary nodes. It lists none of them. *)
 
 type held = {
   h_start : int array;
@@ -56,7 +61,7 @@ type t = {
   occ : int array;              (** per-vertex occupancy *)
   weight : int array;           (** cached X-subtree weights *)
   attached : piece list array;  (** pieces attached per vertex *)
-  last : int array;             (** node v's subtree is the id range [v .. last.(v)] *)
+  rg : Xt_bintree.Ranges.t;     (** the copy's subtree ranges *)
   ws : Xt_bintree.Separator.ws;
   held : held;                  (** the fill's scratch *)
   search : search;              (** the fallback's scratch *)
@@ -84,35 +89,36 @@ val lay : t -> max_level:int -> node:int -> vertex:int -> unit
 val attach : t -> vertex:int -> piece -> unit
 val detach : t -> vertex:int -> piece -> unit
 
-val make_piece : t -> int list -> piece
-(** Builds a piece from its node list, scanning for boundaries against the
-    current placement; [start] is the last node, [top] the least id, the
-    one first in preorder. *)
-
-val reform : t -> ?outside:Xt_bintree.Separator.cut -> int list -> piece list
-(** The unplaced components that the unplaced nodes of the list meet,
-    wrapped as pieces in one walk over [place]
-    ({!Xt_bintree.Separator.unplaced_components}); given [outside], the
-    last cut made in the state's workspace, the nodes of its carved part
-    start none. Precondition: every unplaced component the walk meets
-    lies inside the list (minus that carved part) — as when the list is
-    the rest of a maximal piece after nodes of it were laid, for every
-    neighbour of such a piece outside it is placed. Then it is exactly
-    [List.map (make_piece st) (Separator.components st.ws ~nodes:kept ~removed:[])]
-    with [kept] the list's unplaced nodes — the same pieces in the same
-    order, node order, sizes, boundary order, ids and [wide_pieces]
-    count — without the filtered copy or the second boundary scan.
-    Counts the nodes walked in [state.reform_nodes]. *)
-
 val draw_pid : t -> int
 (** The next piece id. *)
 
-val regrow : t -> pid:int -> int -> piece
-(** [regrow st ~pid v] is the piece with id [pid] holding the unplaced
-    component of [v], walked from [v] ({!Xt_bintree.Separator.component_at}):
-    what {!reform} makes of that component when [v] is its first node.
-    Draws no id and counts no wide piece; counts the nodes walked in
-    [state.reform_nodes]. *)
+val form : t -> pid:int -> top:int -> start:int -> int list -> piece
+(** [form st ~pid ~top ~start bnodes] is the maximal piece with this top
+    and start whose boundary nodes are [bnodes] (repeats allowed, any
+    order): its size is [top]'s range minus those of the placed children
+    of [bnodes], and its bounds are every placed neighbour of theirs,
+    ordered as its DFS pops them ({!Xt_bintree.Ranges.before}). Reads no
+    other node; draws no id. *)
+
+val new_piece : t -> top:int -> start:int -> int list -> piece
+(** {!form} with the next id, counted in [wide_pieces] when it has more
+    than two bounds. *)
+
+val remnants : t -> piece -> laid:int list -> piece list
+(** The pieces a maximal piece leaves once [laid], nodes of it, are
+    placed: exactly what re-growing its unplaced components along its
+    nodes in reverse DFS order from its start gives — each started at
+    its node met first, in the reverse of that order, with ids drawn in
+    list order and wide pieces counted. Derived from ranges, with work
+    per remnant that grows with [laid] and the bounds, not with the
+    piece's size. *)
+
+val split_remnants : t -> piece -> Xt_bintree.Separator.cut -> piece list * piece list
+(** Side 1's and side 2's remnants once the cut's [lay1] and [lay2] are
+    placed, ids drawn side 1 first. The rest of the piece comes out as
+    {!remnants} gives it; the carved part as re-growing it along its
+    nodes listed root by root gives it, each rooted subtree in the
+    reverse of the order in which the DFS from the cut's [r1] pops it. *)
 
 val pieces_at : t -> int -> piece list
 
@@ -124,5 +130,7 @@ val separator_piece : piece -> Xt_bintree.Separator.region
 val check_invariants : t -> (unit, string) result
 (** Expensive consistency check used by tests: occupancy, weights and
     piece bookkeeping all agree with [place], and every attached piece is
-    maximal and canonical — re-growing it from its [start] over the
-    unplaced nodes gives back its nodes, size, bounds and [top]. *)
+    maximal and canonical. A DFS from each piece's [start] over the
+    unplaced nodes, independent of the ranges, must give back its size,
+    bounds and [top], and these re-grown pieces together with the placed
+    nodes must cover every guest node exactly once. *)

@@ -45,13 +45,14 @@ let bfs_prefix tree k =
   done;
   List.rev !taken
 
-(* Round 0 re-forms what D0 leaves along the caller's ids: each piece is
-   discovered, and its DFS starts, at its least caller id. A piece is
-   the subtree of a child of D0 (D0 holds every ancestor of its nodes),
-   so in the copy a contiguous id range, scanned once. These starts in
-   caller-id order re-form to the same pieces, in the same order, as the
-   whole guest in caller-id order would. *)
-let round0_starts st (m : Bintree.mirror) d0 =
+(* Round 0 forms the pieces D0 leaves as re-forming them along the
+   caller's ids did: each piece is discovered, and its DFS starts, at its
+   least caller id. A piece is the subtree of a child of D0 (D0 holds
+   every ancestor of its nodes), so in the copy a contiguous id range,
+   scanned once for that start; its one boundary node is its top. The
+   pieces come out in the reverse of their starts' caller-id order, the
+   order re-forming the whole guest in caller-id order would give. *)
+let round0_pieces st (m : Bintree.mirror) d0 =
   let caller_id = m.to_caller in
   let start c =
     let best = ref c in
@@ -60,12 +61,15 @@ let round0_starts st (m : Bintree.mirror) d0 =
     done;
     !best
   in
-  let hanging c acc = if c >= 0 && st.State.place.(c) < 0 then start c :: acc else acc in
-  List.sort
-    (fun a b -> Int.compare caller_id.(a) caller_id.(b))
-    (List.fold_left
-       (fun acc v -> hanging (Bintree.left_id m.copy v) (hanging (Bintree.right_id m.copy v) acc))
-       [] d0)
+  let hanging c acc = if c >= 0 && st.State.place.(c) < 0 then (start c, c) :: acc else acc in
+  let discovered =
+    List.sort
+      (fun (a, _) (b, _) -> Int.compare caller_id.(b) caller_id.(a))
+      (List.fold_left
+         (fun acc v -> hanging (Bintree.left_id m.copy v) (hanging (Bintree.right_id m.copy v) acc))
+         [] d0)
+  in
+  List.map (fun (s, c) -> State.new_piece st ~top:c ~start:s [ c ]) discovered
 
 let snapshot st ~height =
   let row = Array.make (max height 1) 0 in
@@ -102,8 +106,10 @@ let snapshot_spread st ~height =
 (* Place every node still living in a piece: breadth-first from the
    piece's boundary nodes, each node next to an already-placed tree
    neighbour (State.lay diverts to the nearest free slot if needed).
-   One stamp array serves every piece: the [k]-th piece drained marks its
-   nodes [2k+1] and raises a node to [2k+2] once queued. *)
+   Every piece is maximal, so an unplaced neighbour of a piece's node is
+   the piece's own: [place] is the membership test. One stamp array
+   serves every piece: the [k]-th piece drained marks a node [k] once
+   queued. *)
 let final_fill st =
   let height = st.State.height in
   let order = Xtree.order st.State.xt in
@@ -119,18 +125,17 @@ let final_fill st =
       | [] -> ()
       | (p : State.piece) :: _ ->
           State.detach st ~vertex:v p;
-          gen := !gen + 2;
-          let member = !gen - 1 and queued = !gen in
-          List.iter (fun w -> stamp.(w) <- member) p.nodes;
+          incr gen;
+          let queued = !gen in
           let enqueue w =
             if stamp.(w) <> queued then begin
               stamp.(w) <- queued;
               Queue.add w queue
             end
           in
-          let follow x = if x >= 0 && stamp.(x) = member && place.(x) < 0 then enqueue x in
+          let follow x = if x >= 0 && place.(x) < 0 then enqueue x in
           (match p.bounds with
-          | [] -> enqueue (List.hd p.nodes)
+          | [] -> enqueue (Ranges.last_popped st.State.rg ~place [] ~s:p.start p.top)
           | bs -> List.iter (fun b -> enqueue b.State.bnode) bs);
           while not (Queue.is_empty queue) do
             let w = Queue.pop queue in
@@ -148,12 +153,13 @@ let final_fill st =
   done
 
 (* The construction runs on a copy of the guest numbered in mirror
-   preorder, the order in which every walk of the core pops nodes: each
-   subtree is a contiguous id range, so piece walks, Lemma loads and
-   re-formations read neighbouring cells. Every decision that reads
-   node-id order reads the caller's: round 0 discovers its pieces along
-   the caller's ids ([round0_starts]), and every lay order sorts by them
-   ([Separator.uniq]). So placements are the caller numbering's own. *)
+   preorder, the order in which every DFS of the core pops nodes: each
+   subtree is a contiguous id range, so a piece is its top's range minus
+   its cuts' ranges, and carves and re-forms are arithmetic on ranges.
+   Every decision that reads node-id order reads the caller's: round 0
+   discovers its pieces along the caller's ids ([round0_pieces]), and
+   every lay order sorts by them ([Separator.uniq]). So placements are
+   the caller numbering's own. *)
 let embed_uncached ?(capacity = 16) ?height ?(record_trace = false) ?(options = Options.default)
     guest =
   let n = Bintree.n guest in
@@ -166,7 +172,7 @@ let embed_uncached ?(capacity = 16) ?height ?(record_trace = false) ?(options = 
   (* Round 0: the initial subtree D0 at the root. *)
   let d0 = bfs_prefix m.copy (min capacity n) in
   List.iter (fun node -> State.lay st ~max_level:0 ~node ~vertex:Xtree.root) d0;
-  Moves.reattach st ~floor_level:0 ~fallback:Xtree.root (round0_starts st m d0);
+  Moves.attach_near st ~floor_level:0 ~fallback:Xtree.root (round0_pieces st m d0);
   (* Rounds 1..r. *)
   let rows = ref [] and spread_rows = ref [] in
   for i = 1 to height do

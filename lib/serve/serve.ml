@@ -9,6 +9,7 @@ let c_errors = Obs.counter "serve.errors"
 let c_unique = Obs.counter "serve.unique_shapes"
 let c_snapshot_loaded = Obs.counter "serve.snapshot_loaded"
 let c_snapshot_saved = Obs.counter "serve.snapshot_saved"
+let c_snapshot_errors = Obs.counter "serve.snapshot_errors"
 let h_request_ns = Obs.histogram "serve.request_ns"
 
 type config = {
@@ -146,7 +147,12 @@ let run ?(config = default) ?state ic oc =
     end;
     since_flush := !since_flush + Array.length batch;
     if config.snapshot_every > 0 && !since_flush >= config.snapshot_every then
-      flush_snapshot ()
+      (* A periodic flush that fails costs only itself: it is reported
+         and counted, the stream goes on, and the next batch tries again. *)
+      try flush_snapshot ()
+      with Sys_error msg ->
+        Obs.incr c_snapshot_errors;
+        Printf.eprintf "serve: snapshot flush failed: %s\n%!" msg
   in
   let pending = ref [] and npending = ref 0 in
   let flush_pending () =

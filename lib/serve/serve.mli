@@ -21,11 +21,14 @@
     With [config.snapshot] set, the shape cache is restored from the
     snapshot file at startup and flushed back (atomically, see
     {!Xt_core.Theorem1.cache_save}) every [snapshot_every] requests and
-    at EOF, so a restarted server resumes warm.
+    at EOF, so a restarted server resumes warm. A periodic flush that
+    fails is reported on stderr and counted, and serving goes on; the
+    flush at EOF raises [Sys_error].
 
     Instruments: [serve.requests] / [serve.batches] / [serve.errors] /
     [serve.unique_shapes] (distinct shapes among a batch's misses) /
-    [serve.snapshot_loaded] / [serve.snapshot_saved] counters, the
+    [serve.snapshot_loaded] / [serve.snapshot_saved] /
+    [serve.snapshot_errors] (failed periodic flushes) counters, the
     [serve.request_ns] histogram (from a request's frame read to its
     response write, metrics-gated) and a [serve.batch] trace span per
     batch. *)

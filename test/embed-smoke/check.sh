@@ -8,10 +8,11 @@ grep -q '^theorem1: ' embed.out
 grep -q '^host: X(' embed.out
 grep -q "^condition (3'): " embed.out
 
-# the Lemma 2 carve and components allocate only their output
+# the Lemma 2 carve allocates a constant, components only their output
 grep -q '^guard PASS$' guard.out
 
-# SPLIT's fill re-forms at most 20 guest nodes per node it lays
+# a Theorem 1 embed, whose re-forms read subtree ranges and list no
+# nodes, allocates at most 60 minor words per guest node
 grep -q '^reform guard PASS$' guard.out
 
 # a Theorem 1 embed allocates at most 106 minor words per guest node

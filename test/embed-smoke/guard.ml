@@ -2,21 +2,20 @@
 
    - on the mirror copy of one 4 093-node tree, [Separator.cut2 ~place]
      of the whole tree as one piece, the Lemma 2 split every balance
-     split of the Theorem 1 pipeline makes, may allocate only its lay
-     sets and its side-2 list: one cons cell (3 words) per carved node
-     plus 256 words for the lay sets, the cut and the carve's small
-     tuples (the view it reads the piece through allocates nothing);
-   - there, [Separator.components], which re-forms pieces after every
-     placement, must allocate only its output: one cons cell (3 words)
-     per node plus a few words per component;
+     split of the Theorem 1 pipeline makes, may allocate 256 words
+     whatever the piece's size: its lay sets, the cut with its carved
+     roots and the carve's small tuples (130 words; the view it reads
+     the piece through allocates nothing, and it lists neither side);
+   - there, [Separator.components], the list API's component walk, must
+     allocate only its output: one cons cell (3 words) per node plus a
+     few words per component;
    - a Theorem 1 embed of the 8 176-node path guest (X(8)'s paper size)
-     must re-form at most 20 guest nodes per node SPLIT's fill lays:
-     the fill re-forms each surviving piece once, not the rest of its
-     piece after every peel (58.5 per laid node);
-   - that embed must allocate at most 106 minor words per guest node:
-     its Lemma splits carve and re-form each piece without copying its
-     node list (69.6 words per node; 72.2 when each split still loaded
-     its piece; 115.9 with the copies).
+     must allocate at most 106 minor words per guest node (alloc
+     guard), and at most 60 (reform guard, 16 % above the 51.8 it
+     allocates now that pieces are re-formed from subtree ranges and
+     list no nodes: 69.6 words per node when re-forms walked node
+     lists, 72.2 when each split still loaded its piece, 115.9 with the
+     list copies).
 
    Prints one parseable line per check and one verdict per guard for
    check.sh; the richer equivalence suite lives in
@@ -40,11 +39,10 @@ let () =
   let place = Array.make n (-1) in
   (* rooted at a leaf, so the carve also flips the leaf-to-top path *)
   let region = { Separator.top = 0; bounds = []; r1 = n - 1; r2 = None } in
-  let cut_words, c = minor_words (fun () -> Separator.cut2 mws ~place region ~target:(n / 3)) in
-  let carved = List.length c.Separator.carved in
-  let cut_bound = float_of_int ((3 * carved) + 256) in
-  Printf.printf "cut2-minor-words = %.0f (bound %.0f: %d carved nodes)\n" cut_words cut_bound
-    carved;
+  let cut_words, _ = minor_words (fun () -> Separator.cut2 mws ~place region ~target:(n / 3)) in
+  let cut_bound = 256. in
+  Printf.printf "cut2-minor-words = %.0f (bound %.0f, whatever the piece's size)\n" cut_words
+    cut_bound;
   let ws = Separator.make_ws tree in
   let nodes = Bintree.preorder tree in
   (* cutting every 512th preorder node leaves several components *)
@@ -57,17 +55,11 @@ let () =
   print_endline (if cut_words <= cut_bound && walked <= bound then "guard PASS" else "guard FAIL")
 
 let () =
-  let open Xt_obs in
+  let reform_bound = 60. in
   let tree = Xt_bintree.Gen.path (Xt_core.Theorem1.optimal_size 8) in
   let words, _ = minor_words (fun () -> Xt_core.Theorem1.embed tree) in
   let per_node = words /. float_of_int (Xt_bintree.Bintree.n tree) in
   Printf.printf "embed-minor-words-per-node = %.1f (bound 106)\n" per_node;
   print_endline (if per_node <= 106. then "alloc guard PASS" else "alloc guard FAIL");
-  Obs.enable_metrics ();
-  ignore (Xt_core.Theorem1.embed tree);
-  let counters = (Obs.snapshot ()).Obs.counters in
-  let reformed = List.assoc "state.reform_nodes" counters
-  and laid = List.assoc "split.fill_laid" counters in
-  Printf.printf "reform-nodes = %d (bound %d: 20 x %d fill-laid nodes)\n" reformed (20 * laid) laid;
-  print_endline
-    (if laid > 0 && reformed <= 20 * laid then "reform guard PASS" else "reform guard FAIL")
+  Printf.printf "reform-minor-words-per-node = %.1f (bound %.0f)\n" per_node reform_bound;
+  print_endline (if per_node <= reform_bound then "reform guard PASS" else "reform guard FAIL")

@@ -213,7 +213,7 @@ let test_state_fallback_order_and_allocation () =
 let test_state_attach_detach () =
   let tree = Gen.complete 31 in
   let st = State.create (Bintree.mirror_copy tree) ~height:2 ~capacity:16 in
-  let piece = State.make_piece st [ 1; 2; 9 ] in
+  let piece = { State.pid = 0; size = 3; bounds = []; start = 1; top = 1 } in
   State.attach st ~vertex:3 piece;
   check "weight" 3 (State.weight_of st 3);
   check "root sees it" 3 (State.weight_of st 0);
@@ -224,12 +224,15 @@ let test_state_attach_detach () =
     (fun () -> State.detach st ~vertex:3 piece)
 
 (* In the mirror-preorder complete 7-node guest the root's right child is
-   1, with children 2 and 3. *)
+   1, with children 2 and 3: once the root is laid they are a maximal
+   piece, which [State.new_piece] forms from its top, start and one
+   boundary node. *)
 let test_make_piece_boundaries () =
   let tree = Gen.complete 7 in
   let st = State.create (Bintree.mirror_copy tree) ~height:1 ~capacity:16 in
   State.lay st ~max_level:0 ~node:0 ~vertex:0;
-  let piece = State.make_piece st [ 1; 2; 3 ] in
+  let piece = State.new_piece st ~top:1 ~start:3 [ 1 ] in
+  check "size" 3 piece.State.size;
   check "one boundary" 1 (List.length piece.State.bounds);
   let b = List.hd piece.State.bounds in
   check "boundary node" 1 b.State.bnode;

@@ -3,6 +3,7 @@
    Theorem1.embed calls — the equivalence suite the snapshot and serve
    paths are held to. *)
 
+open Xt_obs
 open Xt_prelude
 open Xt_bintree
 open Xt_embedding
@@ -527,6 +528,49 @@ let test_serve_snapshot_warm_restart () =
     (replies1 = replies2);
   Sys.remove file
 
+(* A periodic snapshot flush that fails costs only itself: it is counted
+   in [serve.snapshot_errors], every request is still answered with the
+   bytes a run without a snapshot writes, and only the flush at EOF
+   raises. The snapshot's directory is a regular file, so no flush can
+   create its temporary file. *)
+let test_serve_failed_flush () =
+  let pool = Loadgen.make_shapes ~seed:41 ~count:3 ~size:50 in
+  let stream = Loadgen.skewed_stream ~seed:41 ~shapes:pool ~requests:6 ~skew:1.0 in
+  let input = Filename.temp_file "serve_flush" ".in" in
+  let output = Filename.temp_file "serve_flush" ".out" in
+  let oc = open_out_bin input in
+  List.iter (Wire.write_frame oc) stream;
+  close_out oc;
+  let run snapshot =
+    let ic = open_in_bin input and oc = open_out_bin output in
+    let config = { Serve.default with snapshot; snapshot_every = 1; max_batch = 1 } in
+    let outcome = try Ok (Serve.run ~config ic oc) with Sys_error msg -> Error msg in
+    close_in ic;
+    close_out oc;
+    let ic = open_in_bin output in
+    let bytes = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    (outcome, bytes)
+  in
+  let was_on = Obs.metrics_enabled () in
+  Obs.enable_metrics ();
+  let failures () =
+    Option.value ~default:0 (List.assoc_opt "serve.snapshot_errors" (Obs.snapshot ()).Obs.counters)
+  in
+  let plain, plain_bytes = run None in
+  let before = failures () in
+  let flushed, flushed_bytes = run (Some (Filename.concat input "snap.bin")) in
+  let counted = failures () - before in
+  if not was_on then Obs.disable_metrics ();
+  Sys.remove input;
+  Sys.remove output;
+  (match plain with
+  | Ok s -> Alcotest.(check int) "plain run answers all" 6 s.Serve.requests
+  | Error msg -> Alcotest.failf "plain run failed: %s" msg);
+  Alcotest.(check bool) "the flush at EOF raises" true (Result.is_error flushed);
+  Alcotest.(check int) "each periodic flush counted" 6 counted;
+  Alcotest.(check bool) "replies byte-identical to the plain run" true (plain_bytes = flushed_bytes)
+
 (* A fresh session over R requests and U distinct shapes embeds each
    shape once and counts each once: misses = U. The stream repeats shapes
    within and across windows, and spells one shape with whitespace. *)
@@ -713,6 +757,7 @@ let suite =
     Alcotest.test_case "serve reports request errors" `Quick test_serve_error_reply;
     Alcotest.test_case "snapshot-warm restart" `Quick test_serve_snapshot_warm_restart;
     Alcotest.test_case "snapshot entries are checked" `Quick test_snapshot_entry_checks;
+    Alcotest.test_case "a failed periodic flush keeps serving" `Quick test_serve_failed_flush;
     Alcotest.test_case "serve counts each shape's miss once" `Quick test_serve_counts_misses;
     Alcotest.test_case "listen survives a client hang-up" `Quick test_listen_survives_hangup;
     Alcotest.test_case "listen publishes a listening socket" `Quick

@@ -1,12 +1,12 @@
 (* Equivalence of the Theorem 1 core against the frozen reference
-   [Theorem1_ref]: the production pipeline — flat generation-stamped
-   separator workspaces, one-walk piece re-formation, SPLIT's
-   once-per-piece fill — must produce bit-identical placements. Checked
+   [Theorem1_ref]: the production pipeline — carves read from subtree
+   ranges, pieces that list no nodes and are re-formed from ranges,
+   SPLIT's once-per-piece fill — must produce bit-identical placements. Checked
    exhaustively over every binary-tree shape up to 14 nodes, by qcheck
    over random family x size x capacity cases, and on deterministic
    large trees. Plus the [Gc.minor_words] guards pinning
-   [Separator.cut2 ~place] and [Separator.components] as allocating only
-   their output. *)
+   [Separator.cut2 ~place] to a constant and [Separator.components] to
+   its output. *)
 
 open Xt_prelude
 open Xt_bintree
@@ -191,11 +191,13 @@ let test_numbering_sensitive () =
 (* ---------------- separator hot path allocates only its output ------- *)
 
 (* [Separator.cut2 ~place] reads a maximal piece through the view of its
-   region and the copy's subtree ranges, which allocates nothing, so the
-   carve may allocate only its lay sets and its side-2 list: one cons
-   cell (3 words) per carved node, plus 256 words for the lay sets, the
-   cut and the carve's small tuples. The piece is the whole 4 093-node
-   tree, rooted at a leaf so that the carve also flips its path. *)
+   region and the copy's subtree ranges, which allocates nothing, and
+   names its carved part by roots and exclusions instead of listing it:
+   it may allocate only its lay sets, the cut and the carve's small
+   tuples, 256 words whatever the piece's size. The piece is the whole
+   4 093-node tree, rooted at a leaf so that the carve also flips its
+   path; the carved part's size, read back through the view, must be
+   within Lemma 2's error bound of a third. *)
 let test_cut2_allocation () =
   let m = Bintree.mirror_copy (Gen.uniform (Rng.make ~seed:5) 4093) in
   let n = Bintree.n m.copy in
@@ -211,12 +213,16 @@ let test_cut2_allocation () =
   let before = Gc.minor_words () in
   let c = cut () in
   let allocated = Gc.minor_words () -. before in
-  let carved = List.length c.Separator.carved in
+  let size v = Separator.View.rooted_size ws v in
+  let carved =
+    List.fold_left (fun acc v -> acc + size v) 0 c.Separator.roots
+    - List.fold_left (fun acc v -> acc + size v) 0 c.Separator.excluded
+  in
+  checkb "not swapped" false c.Separator.swapped;
   checkb "carves a third" true (abs (carved - (n / 3)) <= ((n / 3) + 4) / 9);
-  let bound = float_of_int ((3 * carved) + 256) in
   checkb
-    (Printf.sprintf "cut2 allocated %.0f minor words (bound %.0f)" allocated bound)
-    true (allocated <= bound)
+    (Printf.sprintf "cut2 allocated %.0f minor words (bound 256)" allocated)
+    true (allocated <= 256.)
 
 (* [Separator.components] re-forms pieces after every placement, so it
    must allocate only its output: one cons cell (3 words) per node, plus
